@@ -20,8 +20,8 @@ M001  error     ``meta['grad_index']``/``n_forward`` inconsistent with the
                 graph (bad range, non-backward target, wrong count)
 M002  error     positional op metadata (``op_types``/``op_attrs``/
                 ``shapes``/``flops``/``params``) has the wrong length
-C001  error     non-finite cost or memory (NaN/inf survives the
-                constructor's sign check but poisons the MILP)
+C001  error     non-finite cost or memory (the constructor rejects them;
+                this guards nodes replaced after construction)
 C002  info      zero-cost single-input node -- a fusion candidate the
                 canonicalizer would merge into its dependency
 T001  error     a forward node depends on a backward node (the topological
@@ -31,8 +31,8 @@ B001  warning   requested budget sits below the arithmetic minimum-feasible
 ====  ========  ===========================================================
 
 ``DFGraph.__post_init__`` already rejects cyclic/out-of-order edges and
-negative costs outright, so the linter never sees those; it covers the
-defects the constructor is too cheap to catch.
+negative or non-finite costs outright, so the linter never sees those; it
+covers the defects the constructor is too cheap to catch.
 """
 
 from __future__ import annotations

@@ -1,37 +1,14 @@
-"""The ``repro`` command line interface.
+"""The ``repro`` command line interface (``repro --help`` lists the verbs).
 
-Every experiment preset and registered strategy is reachable from the shell
-without writing Python:
-
-.. code-block:: console
-
-    $ repro serve --port 8765 --workers 4          # run the solve daemon
-    $ repro strategies                             # list the solver registry
-    $ repro submit --preset unet --strategy checkmate_approx --budget 2GiB
-    $ repro sweep --preset vgg16 --strategies ap_sqrt_n,linearized_greedy \\
-                  --budgets 512MiB,1GiB,2GiB
-    $ repro race --preset vgg16 --budget-fraction 0.5 --deadline-s 2
-                                                   # portfolio + ILP race
-                                                   # under a latency SLO
-    $ repro execute --preset linear_mlp --strategy checkmate_ilp \\
-                    --budget-fraction 0.6          # solve, run, cross-check
-    $ repro pareto --preset resnet_tiny            # trace the memory/compute
-                                                   # frontier by bisection
-    $ repro trace vgg16 --budget-fraction 0.5 \\
-                  --chrome-trace /tmp/t.json       # span waterfall + Chrome
-                                                   # trace of one solve
-    $ repro status                                 # server health + metrics
-    $ repro status <job-id>                        # one job's lifecycle
-
-``execute`` solves a schedule, lowers it and *runs* it over NumPy tensors,
-cross-checking measured peak memory / recompute counts / outputs against the
-solver and simulator predictions; it works locally by default or against a
-daemon with ``--server``.  ``submit``/``sweep``/``status`` talk to a running
-``repro serve`` daemon
-(``--server`` defaults to ``http://127.0.0.1:8765``); ``strategies`` answers
-locally unless ``--server`` is passed.  Budgets accept raw bytes or binary
-units (``512MiB``, ``2GiB``); solver options are ``--option key=value``
-pairs matching :class:`repro.service.SolverOptions` fields.
+``repro serve`` runs the solve daemon.  The operation verbs -- ``submit``
+and ``race`` (solve), ``sweep``, ``execute``, ``pareto`` and ``lint`` --
+each run one entry of :data:`repro.server.ops.OPERATIONS`: in-process, or
+through a daemon with ``--server`` (``submit``/``sweep`` always use one,
+``http://127.0.0.1:8765`` by default; ``lint`` always runs locally).  Either
+way the verb renders the same JSON result body.  ``trace``, ``status`` and
+``strategies`` inspect solves, jobs and the solver registry.  Budgets accept
+raw bytes or units (``512MiB``, ``2GiB``); solver options are ``--option
+key=value`` pairs matching :class:`repro.service.SolverOptions` fields.
 """
 
 from __future__ import annotations
@@ -68,12 +45,8 @@ def parse_budget(text: str) -> Optional[float]:
 
 
 def _parse_option_pairs(pairs: Sequence[str]) -> Optional[dict]:
-    """``["time_limit_s=60", "rounding_mode=randomized"]`` -> options dict.
-
-    Values go through ``json.loads`` when possible (numbers, booleans,
-    lists), falling back to plain strings, so both ``mip_gap=0.05`` and
-    ``rounding_mode=randomized`` do the right thing.
-    """
+    """``["mip_gap=0.05", "rounding_mode=randomized"]`` -> options dict;
+    values are JSON when they parse as JSON, else plain strings."""
     if not pairs:
         return None
     options = {}
@@ -118,31 +91,157 @@ def _client(args):
     return ServeClient(args.server, timeout=args.http_timeout)
 
 
-def _load_graph_arg(path: Optional[str]):
-    if path is None:
-        return None
-    from .utils.serialization import graph_from_json
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+class _UsageError(Exception):
+    """Bad command-line arguments: ``main`` prints it and exits 2."""
 
 
-def _add_graph_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", help="experiment preset key (see 'repro strategies'"
-                                         " for solvers, /v1/presets for presets)")
+def _load_graph(args):
+    """The ``--graph`` file, or the ``--preset`` workload built locally."""
+    if args.graph is not None:
+        from .utils.serialization import graph_from_json
+        with open(args.graph, encoding="utf-8") as fh:
+            return graph_from_json(fh.read())
+    from .cost_model import COST_MODELS
+    from .experiments.presets import build_training_graph
+    return build_training_graph(
+        args.preset, scale=args.scale, batch_size=args.batch_size,
+        cost_model=COST_MODELS[args.cost_model or "flop"]())
+
+
+def _resolve_request(args, fields: dict, *, need_graph: bool):
+    """Check the graph-source, budget and option arguments the operation
+    verbs share.  Returns the graph -- built only when ``need_graph`` or
+    ``--budget-fraction`` asks for it, else ``None`` -- and resolves
+    ``--budget-fraction`` into ``fields["budget"]``."""
+    from .service import SolverOptions
+
+    if (args.preset is None) == (args.graph is None):
+        raise _UsageError("pass exactly one of --preset or --graph")
+    fraction = getattr(args, "budget_fraction", None)
+    if fraction is not None and fields.get("budget") is not None:
+        raise _UsageError("pass at most one of --budget or --budget-fraction")
+    known = set(SolverOptions.__dataclass_fields__)
+    unknown = set(fields.get("options") or ()) - known
+    if unknown:
+        raise _UsageError(f"unknown solver options {sorted(unknown)}; "
+                          f"known: {sorted(known)}")
+    graph = _load_graph(args) if need_graph or fraction is not None else None
+    if fraction is not None:
+        fields["budget"] = float(int(graph.constant_overhead
+                                     + fraction * graph.total_activation_memory()))
+    return graph
+
+
+def _run_operation(args, name: str, render, **fields) -> int:
+    """Run one :data:`~repro.server.ops.OPERATIONS` entry -- through the
+    ``--server`` daemon when given, else in-process -- and ``render(args,
+    body)`` the encoded result, which is the same JSON either way."""
+    from .server.ops import OPERATIONS
+
+    op = OPERATIONS[name]
+    server = getattr(args, "server", None)
+    if hasattr(args, "option"):
+        fields["options"] = {**(_parse_option_pairs(args.option) or {}),
+                             **fields.get("options", {})} or None
+    # The graph is needed locally to run, to resolve --budget-fraction and to
+    # upload a --graph file; a preset-by-name submission to a daemon skips
+    # the (potentially expensive) client-side build entirely.
+    graph = _resolve_request(args, fields,
+                             need_graph=not server or args.graph is not None)
+    if not server:
+        from .service import get_default_service
+        work = op.parse(fields, graph)
+        return render(args, op.encode(op.run(get_default_service(), work, None)))
+
+    client = _client(args)
+    source = dict(graph=graph if args.graph is not None else None,
+                  preset=args.preset, scale=args.scale,
+                  batch_size=args.batch_size, cost_model=args.cost_model)
+    handle = client.post(name, **source, priority=args.priority, **fields)
+    job = f"{args.command} job {handle['job_id']}"
+    dedup = (" (deduplicated: riding an identical in-flight job)"
+             if handle["deduplicated"] else "")
+    print(f"{job} {handle['state']}{dedup}",
+          file=sys.stdout if args.no_wait else sys.stderr)
+    if args.no_wait:
+        return 0
+    status = client.wait(handle["job_id"], timeout=args.timeout)
+    print(f"{job} {status['state']}"
+          + (f" in {status['run_s']:.3f}s" if status.get("run_s") else ""))
+    if status["state"] != "done":
+        print(f"error: {status.get('error')}", file=sys.stderr)
+        return 1
+    return render(args, client.result(handle["job_id"])[op.result_key])
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+_DEFAULT_SERVER = "http://127.0.0.1:8765"
+_BUDGET_HELP = "memory budget (bytes or 512MiB/2GiB/...; default none)"
+
+
+def _add_operation_args(parser: argparse.ArgumentParser, *,
+                        budget: Optional[str] = _BUDGET_HELP,
+                        fraction: bool = True, option: bool = True,
+                        json: bool = False,
+                        timeout: Optional[float] = None,
+                        server: Optional[str] = None,
+                        remote: bool = True, source: bool = True) -> None:
+    """The arguments the operation verbs share, each group optional: the
+    graph source (``--preset``/``--graph``; the preset knobs always),
+    ``--budget``/``--budget-fraction``, ``--option`` pairs, ``--json``, the
+    queue's ``--priority/--no-wait/--timeout`` (when a ``timeout`` default
+    is given) and ``--server``/``--http-timeout`` (``server`` is the
+    default daemon URL; ``None`` runs locally)."""
+    from .cost_model import COST_MODELS
+    if source:
+        parser.add_argument("--preset", help="experiment preset key (see "
+                                             "'repro strategies' for solvers, "
+                                             "/v1/presets for presets)")
+        parser.add_argument("--graph", metavar="FILE", default=None,
+                            help="upload a DFGraph serialized with "
+                                 "graph_to_json instead of naming a preset")
     parser.add_argument("--scale", choices=("ci", "paper"), default="ci",
                         help="preset scale (default: ci)")
     parser.add_argument("--batch-size", type=int, default=None,
                         help="override the preset's batch size")
-    parser.add_argument("--cost-model", choices=("flop", "profile", "uniform"),
+    parser.add_argument("--cost-model", choices=sorted(COST_MODELS),
                         default=None, help="cost model for preset graphs")
-    parser.add_argument("--graph", metavar="FILE", default=None,
-                        help="upload a DFGraph serialized with graph_to_json "
-                             "instead of naming a preset")
+    if budget is not None:
+        parser.add_argument("--budget", type=parse_budget, default=None,
+                            help=budget)
+    if fraction:
+        parser.add_argument("--budget-fraction", type=float, default=None,
+                            metavar="F",
+                            help="budget as overhead + F * total activation "
+                                 "memory (alternative to --budget)")
+    if option:
+        parser.add_argument("--option", action="append", default=[],
+                            metavar="KEY=VALUE",
+                            help="solver option, repeatable "
+                                 "(e.g. --option time_limit_s=60)")
+    if json:
+        parser.add_argument("--json", action="store_true",
+                            help="print the result as JSON instead of a "
+                                 "table or summary")
+    if timeout is not None:
+        parser.add_argument("--priority", type=int, default=0,
+                            help="queue priority (lower runs first)")
+        parser.add_argument("--no-wait", action="store_true",
+                            help="(with a daemon) print the job id and exit")
+        parser.add_argument("--timeout", type=float, default=timeout,
+                            help="seconds to wait for completion")
+    if remote:
+        _add_server_args(parser, server)
 
 
-def _add_server_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--server", default="http://127.0.0.1:8765",
-                        help="base URL of a running 'repro serve' daemon")
+def _add_server_args(parser: argparse.ArgumentParser,
+                     default: Optional[str] = None) -> None:
+    parser.add_argument("--server", default=default,
+                        help="base URL of a running 'repro serve' daemon"
+                             + ("" if default else " (default: run locally)"))
     parser.add_argument("--http-timeout", type=float, default=30.0,
                         help="per-request HTTP timeout in seconds")
 
@@ -176,45 +275,40 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _require_one_graph_source(args) -> Optional[int]:
-    if (args.preset is None) == (args.graph is None):
-        print("error: pass exactly one of --preset or --graph", file=sys.stderr)
-        return 2
-    return None
-
-
 def cmd_submit(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    client = _client(args)
-    handle = client.submit_solve(
-        graph=_load_graph_arg(args.graph), preset=args.preset,
-        scale=args.scale, batch_size=args.batch_size, cost_model=args.cost_model,
-        strategy=args.strategy, budget=args.budget,
-        options=_parse_option_pairs(args.option), priority=args.priority)
-    dedup = " (deduplicated: riding an identical in-flight job)" \
-        if handle["deduplicated"] else ""
-    print(f"job {handle['job_id']} {handle['state']}{dedup}")
-    if args.no_wait:
+    def render(args, result: dict) -> int:
+        _print_result_rows([result])
+        if args.save_schedule:
+            if result.get("schedule") is None:
+                print("no schedule to save (infeasible result)", file=sys.stderr)
+                return 1
+            with open(args.save_schedule, "w", encoding="utf-8") as fh:
+                fh.write(result["schedule"])
+            print(f"schedule written to {args.save_schedule}")
         return 0
-    status = client.wait(handle["job_id"], timeout=args.timeout)
-    print(f"job {handle['job_id']} {status['state']}"
-          + (f" in {status['run_s']:.3f}s" if status.get("run_s") else ""))
-    if status["state"] != "done":
-        print(f"error: {status.get('error')}", file=sys.stderr)
-        return 1
-    payload = client.result(handle["job_id"])
-    _print_result_rows([payload["result"]])
-    if args.save_schedule:
-        schedule = payload["result"].get("schedule")
-        if schedule is None:
-            print("no schedule to save (infeasible result)", file=sys.stderr)
-            return 1
-        with open(args.save_schedule, "w", encoding="utf-8") as fh:
-            fh.write(schedule)
-        print(f"schedule written to {args.save_schedule}")
-    return 0
+
+    return _run_operation(args, "solve", render, strategy=args.strategy,
+                          budget=args.budget)
+
+
+def cmd_race(args) -> int:
+    if args.budget is None and args.budget_fraction is None:
+        raise _UsageError("race requires --budget or --budget-fraction")
+    options = {"deadline_s": args.deadline_s}
+    if args.entrants:
+        options["entrants"] = [e for e in args.entrants.split(",") if e]
+
+    def render(args, result: dict) -> int:
+        result.pop("schedule", None)
+        if args.json:
+            _print_json(result)
+        else:
+            _print_result_rows([result])
+            _print_race_provenance((result.get("extra") or {}).get("race") or {})
+        return 0 if result["feasible"] else 1
+
+    return _run_operation(args, "solve", render, strategy="race",
+                          budget=args.budget, options=options)
 
 
 def _print_race_provenance(race: dict) -> None:
@@ -236,223 +330,41 @@ def _print_race_provenance(race: dict) -> None:
     print(format_table(["entrant", "status", "wall", "objective"], rows))
 
 
-def cmd_race(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    if args.budget is not None and args.budget_fraction is not None:
-        print("error: pass at most one of --budget or --budget-fraction",
-              file=sys.stderr)
-        return 2
-    if args.budget is None and args.budget_fraction is None:
-        print("error: race requires --budget or --budget-fraction",
-              file=sys.stderr)
-        return 2
-    option_pairs = _parse_option_pairs(args.option) or {}
-    option_pairs["deadline_s"] = args.deadline_s
-    if args.entrants:
-        option_pairs["entrants"] = [e for e in args.entrants.split(",") if e]
-    from .service import SolverOptions
-    unknown = set(option_pairs) - set(SolverOptions.__dataclass_fields__)
-    if unknown:
-        print(f"error: unknown solver options {sorted(unknown)}; known: "
-              f"{sorted(SolverOptions.__dataclass_fields__)}", file=sys.stderr)
-        return 2
-
-    graph = None
-    budget = args.budget
-    if args.budget_fraction is not None or not args.server or args.graph is not None:
-        graph = _load_graph_arg(args.graph)
-        if graph is None:
-            from .cost_model import COST_MODELS
-            from .experiments.presets import build_training_graph
-            graph = build_training_graph(
-                args.preset, scale=args.scale, batch_size=args.batch_size,
-                cost_model=COST_MODELS[args.cost_model or "flop"]())
-    if args.budget_fraction is not None:
-        budget = float(int(graph.constant_overhead
-                           + args.budget_fraction * graph.total_activation_memory()))
-
-    if args.server:
-        client = _client(args)
-        handle = client.submit_solve(
-            graph=graph if args.graph is not None else None,
-            preset=args.preset, scale=args.scale, batch_size=args.batch_size,
-            cost_model=args.cost_model, strategy="race", budget=budget,
-            options=option_pairs, priority=args.priority)
-        print(f"race job {handle['job_id']} {handle['state']}")
-        if args.no_wait:
-            return 0
-        status = client.wait(handle["job_id"], timeout=args.timeout)
-        if status["state"] != "done":
-            print(f"error: {status.get('error')}", file=sys.stderr)
-            return 1
-        payload = client.result(handle["job_id"])["result"]
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-            return 0 if payload["feasible"] else 1
-        _print_result_rows([payload])
-        _print_race_provenance((payload.get("extra") or {}).get("race") or {})
-        return 0 if payload["feasible"] else 1
-
-    from .service import get_default_service
-    from .utils.serialization import result_to_wire
-    options = SolverOptions(**option_pairs)
-    result = get_default_service().solve(graph, "race", budget, options)
-    wire = result_to_wire(result)
-    wire.pop("schedule", None)
-    if args.json:
-        print(json.dumps(wire, indent=2, sort_keys=True))
-    else:
-        _print_result_rows([wire])
-        _print_race_provenance(result.extra.get("race") or {})
-    return 0 if result.feasible else 1
-
-
 def cmd_sweep(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    client = _client(args)
-    strategies = [s for s in args.strategies.split(",") if s]
-    budgets = ([parse_budget(b) for b in args.budgets.split(",")]
-               if args.budgets else None)
-    handle = client.submit_sweep(
-        graph=_load_graph_arg(args.graph), preset=args.preset,
-        scale=args.scale, batch_size=args.batch_size, cost_model=args.cost_model,
-        strategies=strategies, budgets=budgets,
-        options=_parse_option_pairs(args.option), priority=args.priority)
-    print(f"sweep job {handle['job_id']} {handle['state']}")
-    if args.no_wait:
+    def render(args, results: List[dict]) -> int:
+        _print_result_rows(results)
         return 0
-    status = client.wait(handle["job_id"], timeout=args.timeout)
-    print(f"sweep job {handle['job_id']} {status['state']}"
-          + (f" in {status['run_s']:.3f}s" if status.get("run_s") else ""))
-    if status["state"] != "done":
-        print(f"error: {status.get('error')}", file=sys.stderr)
-        return 1
-    _print_result_rows(client.result(handle["job_id"])["results"])
-    return 0
+
+    return _run_operation(
+        args, "sweep", render,
+        strategies=[s for s in args.strategies.split(",") if s],
+        budgets=([parse_budget(b) for b in args.budgets.split(",")]
+                 if args.budgets else None))
 
 
 def cmd_execute(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    if args.budget is not None and args.budget_fraction is not None:
-        print("error: pass at most one of --budget or --budget-fraction",
-              file=sys.stderr)
-        return 2
-    option_pairs = _parse_option_pairs(args.option)
-    if option_pairs:
-        from .service import SolverOptions
-        unknown = set(option_pairs) - set(SolverOptions.__dataclass_fields__)
-        if unknown:
-            print(f"error: unknown solver options {sorted(unknown)}; known: "
-                  f"{sorted(SolverOptions.__dataclass_fields__)}", file=sys.stderr)
-            return 2
-
-    def build_graph():
-        # Locally this is what we execute; with --server it is only needed to
-        # resolve --budget-fraction against the exact graph the server will
-        # rebuild from the same preset arguments.
-        graph = _load_graph_arg(args.graph)
-        if graph is None:
-            from .cost_model import COST_MODELS
-            from .experiments.presets import build_training_graph
-            graph = build_training_graph(
-                args.preset, scale=args.scale, batch_size=args.batch_size,
-                cost_model=COST_MODELS[args.cost_model or "flop"]())
-        return graph
-
-    graph = None
-    budget = args.budget
-    # The graph is needed locally to execute, to resolve --budget-fraction,
-    # and to upload a --graph file; a pure preset-by-name submission to a
-    # server skips the (potentially expensive) client-side build entirely.
-    if args.budget_fraction is not None or not args.server or args.graph is not None:
-        graph = build_graph()
-    if args.budget_fraction is not None:
-        budget = float(int(graph.constant_overhead
-                           + args.budget_fraction * graph.total_activation_memory()))
-
-    if args.server:
-        client = _client(args)
-        handle = client.submit_execute(
-            graph=graph if args.graph is not None else None,
-            preset=args.preset, scale=args.scale, batch_size=args.batch_size,
-            cost_model=args.cost_model, strategy=args.strategy, budget=budget,
-            options=option_pairs, seed=args.seed,
-            priority=args.priority)
-        print(f"execute job {handle['job_id']} {handle['state']}")
-        if args.no_wait:
-            return 0
-        status = client.wait(handle["job_id"], timeout=args.timeout)
-        if status["state"] != "done":
-            print(f"error: {status.get('error')}", file=sys.stderr)
-            return 1
-        report = client.result(handle["job_id"])["report"]
-        print(json.dumps(report, indent=2, sort_keys=True))
+    def render(args, report: dict) -> int:
+        # Scripts parse a daemon run's stdout, so it is JSON even without --json.
+        if args.json or args.server:
+            _print_json(report)
+        else:
+            from .execution.report import ExecutionReport
+            print(ExecutionReport.from_dict(report).summary())
         return 0 if report["ok"] else 1
 
-    from .execution import bind_numeric_graph
-    from .service import SolverOptions, get_default_service
-
-    options = SolverOptions(**option_pairs) if option_pairs else None
-    numeric = bind_numeric_graph(graph, seed=args.seed)
-    report = get_default_service().execute(numeric, args.strategy, budget, options)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
+    return _run_operation(args, "execute", render, strategy=args.strategy,
+                          budget=args.budget, seed=args.seed)
 
 
 def cmd_pareto(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    option_pairs = _parse_option_pairs(args.option)
-    if option_pairs:
-        from .service import SolverOptions
-        unknown = set(option_pairs) - set(SolverOptions.__dataclass_fields__)
-        if unknown:
-            print(f"error: unknown solver options {sorted(unknown)}; known: "
-                  f"{sorted(SolverOptions.__dataclass_fields__)}", file=sys.stderr)
-            return 2
+    return _run_operation(args, "pareto", _render_pareto,
+                          strategy=args.strategy, low=args.low, high=args.high,
+                          resolution=args.resolution)
 
-    if args.server:
-        client = _client(args)
-        handle = client.submit_pareto(
-            graph=_load_graph_arg(args.graph), preset=args.preset,
-            scale=args.scale, batch_size=args.batch_size,
-            cost_model=args.cost_model, strategy=args.strategy,
-            low=args.low, high=args.high, resolution=args.resolution,
-            options=option_pairs, priority=args.priority)
-        print(f"pareto job {handle['job_id']} {handle['state']}")
-        if args.no_wait:
-            return 0
-        status = client.wait(handle["job_id"], timeout=args.timeout)
-        if status["state"] != "done":
-            print(f"error: {status.get('error')}", file=sys.stderr)
-            return 1
-        front = client.result(handle["job_id"])["front"]
-    else:
-        graph = _load_graph_arg(args.graph)
-        if graph is None:
-            from .cost_model import COST_MODELS
-            from .experiments.presets import build_training_graph
-            graph = build_training_graph(
-                args.preset, scale=args.scale, batch_size=args.batch_size,
-                cost_model=COST_MODELS[args.cost_model or "flop"]())
-        from .service import SolverOptions, get_default_service
-        options = SolverOptions(**option_pairs) if option_pairs else None
-        front = get_default_service().pareto(
-            graph, args.strategy, low=args.low, high=args.high,
-            resolution=args.resolution, options=options).to_dict()
 
+def _render_pareto(args, front: dict) -> int:
     if args.json:
-        print(json.dumps(front, indent=2, sort_keys=True))
+        _print_json(front)
         return 0
     from .utils.formatting import format_table
     rows = []
@@ -480,6 +392,26 @@ def cmd_pareto(args) -> int:
     return 0
 
 
+def cmd_lint(args) -> int:
+    def render(args, report: dict) -> int:
+        if args.json:
+            _print_json(report)
+            return 0 if report["ok"] else 1
+        counts = report["counts"]
+        print(f"lint {report['graph']!r}: {counts['error']} error(s), "
+              f"{counts['warning']} warning(s), {counts['info']} info(s)")
+        for diag in report["diagnostics"]:
+            locus = ("" if diag["node"] is None
+                     else f" [node {diag['node']}"
+                          + (f" {diag['node_name']!r}" if diag["node_name"] else "")
+                          + "]")
+            print(f"  {diag['severity']:<7} {diag['code']}{locus}: "
+                  f"{diag['message']}")
+        return 0 if report["ok"] else 1
+
+    return _run_operation(args, "lint", render, budget=args.budget)
+
+
 def cmd_status(args) -> int:
     client = _client(args)
     if args.job_id:
@@ -499,7 +431,10 @@ def cmd_status(args) -> int:
     metrics = client.metrics()
     cache = (metrics["service"].get("cache") or {})
     latency = metrics["solve_latency"]
-    hit_rate = cache.get("hit_rate")
+
+    def fmt(value, spec: str, unit: str = "") -> str:
+        return "n/a" if value is None else format(value, spec) + unit
+
     print(f"server:        {args.server} ({health['status']}, "
           f"uptime {health['uptime_s']:.0f}s)")
     print(f"workers:       {metrics['workers']}")
@@ -509,13 +444,10 @@ def cmd_status(args) -> int:
     print(f"cache:         entries={cache.get('entries')} "
           f"hits={cache.get('hits')} misses={cache.get('misses')} "
           f"evictions={cache.get('evictions')} "
-          f"hit_rate={f'{hit_rate:.1%}' if hit_rate is not None else 'n/a'}")
-    p50, p95, p99 = (latency.get("p50_s"), latency.get("p95_s"),
-                     latency.get("p99_s"))
-    print(f"solve latency: count={latency['count']} "
-          f"p50={f'{p50:.3f}s' if p50 is not None else 'n/a'} "
-          f"p95={f'{p95:.3f}s' if p95 is not None else 'n/a'} "
-          f"p99={f'{p99:.3f}s' if p99 is not None else 'n/a'}")
+          f"hit_rate={fmt(cache.get('hit_rate'), '.1%')}")
+    print(f"solve latency: count={latency['count']} " + " ".join(
+        f"{q}={fmt(latency.get(f'{q}_s'), '.3f', 's')}"
+        for q in ("p50", "p95", "p99")))
     return 0
 
 
@@ -557,82 +489,30 @@ def cmd_trace(args) -> int:
 
     # Local mode: the target is a preset; run one traced solve and render
     # where the time went.
-    if args.budget is not None and args.budget_fraction is not None:
-        print("error: pass at most one of --budget or --budget-fraction",
-              file=sys.stderr)
-        return 2
-    option_pairs = _parse_option_pairs(args.option)
-    from .service import SolverOptions, get_default_service
-    if option_pairs:
-        unknown = set(option_pairs) - set(SolverOptions.__dataclass_fields__)
-        if unknown:
-            print(f"error: unknown solver options {sorted(unknown)}; known: "
-                  f"{sorted(SolverOptions.__dataclass_fields__)}", file=sys.stderr)
-            return 2
-
-    from .cost_model import COST_MODELS
-    from .experiments.presets import build_training_graph
-    graph = build_training_graph(
-        args.target, scale=args.scale, batch_size=args.batch_size,
-        cost_model=COST_MODELS[args.cost_model or "flop"]())
-    budget = args.budget
-    if args.budget_fraction is not None:
-        budget = float(int(graph.constant_overhead
-                           + args.budget_fraction * graph.total_activation_memory()))
-
     import time
+
     from .obs import get_tracer, install_phase_histograms
+    from .server.ops import OPERATIONS
+    from .service import get_default_service
+    solve = OPERATIONS["solve"]
+    args.preset, args.graph = args.target, None  # the graph source to build
+    fields = dict(strategy=args.strategy, budget=args.budget,
+                  options=_parse_option_pairs(args.option))
+    work = solve.parse(fields, _resolve_request(args, fields, need_graph=True))
     tracer = get_tracer()
     install_phase_histograms()
     tracer.enable()
-    options = SolverOptions(**option_pairs) if option_pairs else None
     start = time.perf_counter()
-    result = get_default_service().solve(graph, args.strategy, budget, options)
+    result = solve.run(get_default_service(), work, None)
     wall_s = time.perf_counter() - start
 
     trace_ids = tracer.store.trace_ids()
     spans = tracer.store.spans(trace_ids[-1]) if trace_ids else []
-    header = (f"{graph.name} / {args.strategy} @ {_format_bytes(budget)}: "
+    header = (f"{work.graph.name} / {args.strategy} @ {_format_bytes(work.budget)}: "
               f"{'feasible' if result.feasible else 'infeasible'}"
               + (f", cost {result.compute_cost:.4g}" if result.feasible else "")
               + f" ({result.solve_time_s:.3f}s solve)")
     return _emit_trace(args, spans, wall_s=wall_s, header=header)
-
-
-def cmd_lint(args) -> int:
-    usage_error = _require_one_graph_source(args)
-    if usage_error is not None:
-        return usage_error
-    if args.budget is not None and args.budget_fraction is not None:
-        print("error: pass at most one of --budget or --budget-fraction",
-              file=sys.stderr)
-        return 2
-
-    graph = _load_graph_arg(args.graph)
-    if graph is None:
-        from .cost_model import COST_MODELS
-        from .experiments.presets import build_training_graph
-        graph = build_training_graph(
-            args.preset, scale=args.scale, batch_size=args.batch_size,
-            cost_model=COST_MODELS[args.cost_model or "flop"]())
-    budget = args.budget
-    if args.budget_fraction is not None:
-        budget = float(int(graph.constant_overhead
-                           + args.budget_fraction * graph.total_activation_memory()))
-
-    from .analysis.lint import lint_graph
-    report = lint_graph(graph, budget=budget)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.summary())
-        for diag in report.diagnostics:
-            locus = ("" if diag.node is None
-                     else f" [node {diag.node}"
-                          + (f" {diag.node_name!r}" if diag.node_name else "")
-                          + "]")
-            print(f"  {diag.severity:<7} {diag.code}{locus}: {diag.message}")
-    return 0 if report.ok else 1
 
 
 def cmd_strategies(args) -> int:
@@ -640,12 +520,9 @@ def cmd_strategies(args) -> int:
     if args.server:
         entries = _client(args).strategies()
     else:
+        from .server.http import strategy_entries
         from .service import default_registry
-        entries = [{
-            "key": spec.key, "description": spec.description,
-            "general_graphs": spec.general_graphs, "cost_aware": spec.cost_aware,
-            "memory_aware": spec.memory_aware, "in_table1": spec.in_table1,
-        } for spec in default_registry()]
+        entries = strategy_entries(default_registry())
 
     def flag(value) -> str:
         return {True: "yes", False: "no"}.get(value, str(value))
@@ -696,92 +573,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("submit", help="submit one solve and wait for the result")
-    _add_graph_args(p)
+    _add_operation_args(p, fraction=False, timeout=600.0, server=_DEFAULT_SERVER)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--budget", type=parse_budget, default=None,
-                   help="memory budget (bytes or 512MiB/2GiB/...; default none)")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE",
-                   help="solver option, repeatable (e.g. --option time_limit_s=60)")
-    p.add_argument("--priority", type=int, default=0,
-                   help="queue priority (lower runs first)")
-    p.add_argument("--no-wait", action="store_true",
-                   help="print the job id and exit instead of waiting")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="seconds to wait for completion")
     p.add_argument("--save-schedule", metavar="FILE", default=None,
                    help="write the solved (R, S) schedule JSON to FILE")
-    _add_server_args(p)
     p.set_defaults(fn=cmd_submit)
 
     p = sub.add_parser("sweep", help="submit a (strategy x budget) sweep")
-    _add_graph_args(p)
+    _add_operation_args(p, budget=None, fraction=False, timeout=1800.0,
+                        server=_DEFAULT_SERVER)
     p.add_argument("--strategies", required=True,
                    help="comma-separated strategy keys")
     p.add_argument("--budgets", default=None,
                    help="comma-separated budgets (512MiB,1GiB,none,...)")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--priority", type=int, default=0)
-    p.add_argument("--no-wait", action="store_true")
-    p.add_argument("--timeout", type=float, default=1800.0)
-    _add_server_args(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("race",
                        help="race the rounding portfolio + exact ILP under a "
                             "deadline; best feasible schedule wins")
-    _add_graph_args(p)
+    _add_operation_args(p, budget="memory budget (bytes or 512MiB/2GiB/...)",
+                        json=True, timeout=600.0)
     p.add_argument("--deadline-s", type=float, default=10.0,
                    help="wall-clock deadline for the race (default: 10)")
     p.add_argument("--entrants", default=None,
                    help="comma-separated strategy keys to race (default: the "
                         "four approx_* portfolio schemes + checkmate_ilp)")
-    p.add_argument("--budget", type=parse_budget, default=None,
-                   help="memory budget (bytes or 512MiB/2GiB/...)")
-    p.add_argument("--budget-fraction", type=float, default=None, metavar="F",
-                   help="budget as overhead + F * total activation memory "
-                        "(alternative to --budget)")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE",
-                   help="solver option, repeatable (e.g. --option seed=7)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result (with extra.race provenance) as JSON")
-    p.add_argument("--priority", type=int, default=0)
-    p.add_argument("--no-wait", action="store_true",
-                   help="(with --server) print the job id and exit")
-    p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--server", default=None,
-                   help="run through a 'repro serve' daemon instead of locally")
-    p.add_argument("--http-timeout", type=float, default=30.0)
     p.set_defaults(fn=cmd_race)
 
     p = sub.add_parser("execute",
                        help="solve a schedule, run it over NumPy tensors and "
                             "cross-check predicted vs measured")
-    _add_graph_args(p)
+    _add_operation_args(p, json=True, timeout=600.0)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--budget", type=parse_budget, default=None,
-                   help="memory budget (bytes or 512MiB/2GiB/...; default none)")
-    p.add_argument("--budget-fraction", type=float, default=None, metavar="F",
-                   help="budget as overhead + F * total activation memory "
-                        "(alternative to --budget)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the deterministic parameter/input binding")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE",
-                   help="solver option, repeatable (e.g. --option time_limit_s=60)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON instead of a summary")
-    p.add_argument("--priority", type=int, default=0)
-    p.add_argument("--no-wait", action="store_true",
-                   help="(with --server) print the job id and exit")
-    p.add_argument("--timeout", type=float, default=600.0)
-    p.add_argument("--server", default=None,
-                   help="run through a 'repro serve' daemon instead of locally")
-    p.add_argument("--http-timeout", type=float, default=30.0)
     p.set_defaults(fn=cmd_execute)
 
     p = sub.add_parser("pareto",
                        help="trace the memory-vs-recompute Pareto frontier by "
                             "warm-seeded budget bisection")
-    _add_graph_args(p)
+    _add_operation_args(p, budget=None, fraction=False, json=True,
+                        timeout=1800.0)
     p.add_argument("--strategy", default="checkmate_ilp",
                    help="warm-capable strategy to trace (default: checkmate_ilp)")
     p.add_argument("--low", type=parse_budget, default=None,
@@ -791,17 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=parse_budget, default=None,
                    help="stop bisecting below this budget width "
                         "(default: 1/64 of the range)")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE",
-                   help="solver option, repeatable (e.g. --option time_limit_s=60)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full frontier as JSON instead of a table")
-    p.add_argument("--priority", type=int, default=0)
-    p.add_argument("--no-wait", action="store_true",
-                   help="(with --server) print the job id and exit")
-    p.add_argument("--timeout", type=float, default=1800.0)
-    p.add_argument("--server", default=None,
-                   help="run through a 'repro serve' daemon instead of locally")
-    p.add_argument("--http-timeout", type=float, default=30.0)
     p.set_defaults(fn=cmd_pareto)
 
     p = sub.add_parser("trace",
@@ -810,55 +631,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    help="preset key to solve locally, or (with --server) the "
                         "job id whose trace to fetch")
+    _add_operation_args(p, source=False, json=True)
     p.add_argument("--strategy", default="checkmate_ilp",
                    help="strategy for the local solve (default: checkmate_ilp)")
-    p.add_argument("--budget", type=parse_budget, default=None,
-                   help="memory budget (bytes or 512MiB/2GiB/...; default none)")
-    p.add_argument("--budget-fraction", type=float, default=None, metavar="F",
-                   help="budget as overhead + F * total activation memory "
-                        "(alternative to --budget)")
-    p.add_argument("--scale", choices=("ci", "paper"), default="ci",
-                   help="preset scale (default: ci)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="override the preset's batch size")
-    p.add_argument("--cost-model", choices=("flop", "profile", "uniform"),
-                   default=None, help="cost model for preset graphs")
-    p.add_argument("--option", action="append", default=[], metavar="KEY=VALUE",
-                   help="solver option, repeatable (e.g. --option time_limit_s=60)")
     p.add_argument("--chrome-trace", metavar="FILE", default=None,
                    help="also write Chrome trace-event JSON to FILE "
                         "(chrome://tracing / Perfetto)")
-    p.add_argument("--json", action="store_true",
-                   help="print the span tree as JSON instead of a waterfall")
-    p.add_argument("--server", default=None,
-                   help="fetch /v1/trace/{target} from this daemon instead of "
-                        "solving locally")
-    p.add_argument("--http-timeout", type=float, default=30.0)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("status", help="server health/metrics, or one job's status")
     p.add_argument("job_id", nargs="?", default=None)
-    _add_server_args(p)
+    _add_server_args(p, _DEFAULT_SERVER)
     p.set_defaults(fn=cmd_status)
 
     p = sub.add_parser("lint",
                        help="run the graph linter and print structured "
                             "diagnostics (exit 1 if any errors)")
-    _add_graph_args(p)
-    p.add_argument("--budget", type=parse_budget, default=None,
-                   help="memory budget to feasibility-check (bytes or "
-                        "512MiB/2GiB/...; enables the B001 diagnostic)")
-    p.add_argument("--budget-fraction", type=float, default=None, metavar="F",
-                   help="budget as overhead + F * total activation memory "
-                        "(alternative to --budget)")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON instead of a summary")
+    _add_operation_args(p, budget="memory budget to feasibility-check (bytes or "
+                                  "512MiB/2GiB/...; enables the B001 diagnostic)",
+                        option=False, remote=False, json=True)
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("strategies", help="list the solver registry")
-    p.add_argument("--server", default=None,
-                   help="query a running daemon instead of the local registry")
-    p.add_argument("--http-timeout", type=float, default=30.0)
+    _add_server_args(p)
     p.set_defaults(fn=cmd_strategies)
 
     return parser
@@ -869,6 +664,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from .server.client import ServeAPIError
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ServeAPIError, TimeoutError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

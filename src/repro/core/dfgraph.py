@@ -111,10 +111,12 @@ class DFGraph:
         }
         self._cost_vec = np.array([v.cost for v in self.nodes], dtype=np.float64)
         self._mem_vec = np.array([v.memory for v in self.nodes], dtype=np.float64)
-        if np.any(self._cost_vec < 0):
-            raise GraphError("node costs must be non-negative")
-        if np.any(self._mem_vec < 0):
-            raise GraphError("node memories must be non-negative")
+        for label, values in (("costs", self._cost_vec),
+                              ("memories", self._mem_vec)):
+            if not np.all(np.isfinite(values)):
+                raise GraphError(f"node {label} must be finite")
+            if np.any(values < 0):
+                raise GraphError(f"node {label} must be non-negative")
 
     # ------------------------------------------------------------------ #
     # Basic accessors

@@ -21,7 +21,7 @@ performs that loop's verification half for one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -117,6 +117,11 @@ class ExecutionReport:
             "error": self.error,
             "ok": self.ok,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "ExecutionReport":
+        """Inverse of :meth:`to_dict` (``ok`` is derived, so it is dropped)."""
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
     def summary(self) -> str:
         """One-paragraph human rendering (what ``repro execute`` prints)."""

@@ -4,12 +4,15 @@ This package turns the in-process :class:`~repro.service.solve.SolveService`
 into a long-lived daemon -- the serving layer a production deployment puts in
 front of the solvers:
 
+* :mod:`repro.server.ops` -- the operation table: every served operation
+  (solve, sweep, execute, pareto, lint) declared once, from which the
+  routes, queue entry points, backend dispatch, client and CLI derive;
 * :mod:`repro.server.jobs` -- :class:`JobQueue`: priority ordering, a bounded
   worker pool, the ``queued -> running -> done/failed/cancelled`` lifecycle,
   and single-flighting of identical concurrent submissions (one solver
   invocation, shared by every duplicate, all backed by the plan cache);
 * :mod:`repro.server.http` -- :class:`SolveServer`: the stdlib JSON-over-HTTP
-  API (``/v1/solve``, ``/v1/sweep``, ``/v1/jobs/{id}``, ``/v1/healthz``,
+  API (``POST /v1/<operation>``, ``/v1/jobs/{id}``, ``/v1/healthz``,
   ``/v1/metrics``, ...) with graphs uploaded in the
   :mod:`repro.utils.serialization` wire format or addressed by experiment
   preset name;

@@ -2,43 +2,34 @@
 
 The :class:`~repro.server.jobs.JobQueue` owns queueing policy -- priority
 order, single-flighting, admission control, deadlines -- and delegates the
-actual execution of one flight to a :class:`WorkerBackend`:
+execution of one flight to a :class:`WorkerBackend`, which runs the work
+through its :data:`~repro.server.ops.OPERATIONS` entry:
 
-* :class:`ThreadBackend` runs the flight synchronously on the queue's worker
-  thread through the shared in-process :class:`SolveService`.  This is the
-  original daemon behavior: cheapest possible dispatch, but every solve in
-  the process contends on one GIL for its Python-side work (graph hashing,
-  formulation compile, schedule decode, plan generation, JSON).
-* :class:`ProcessBackend` ships solver invocations to a pool of long-lived
-  worker *processes* over the wire formats in
-  :mod:`repro.utils.serialization` (graph/options out, result back), so
-  solves scale across cores.  Each worker process rebuilds its own
-  :class:`SolveService` in ``_worker_init``; a shared on-disk plan-cache
-  directory makes any worker's solve a disk hit for all the others (and for
-  the parent).  Queue-level single-flighting still holds: duplicate
-  submissions collapse into one flight *before* the backend sees them, so
-  the pool receives one task per distinct cell no matter how many processes
-  drain it.
+* :class:`ThreadBackend` runs it on the queue's worker thread through the
+  shared in-process :class:`SolveService`: the cheapest dispatch, but every
+  solve contends on one GIL for its Python-side work.
+* :class:`ProcessBackend` ships work whose operation has a result wire
+  format to a pool of long-lived worker *processes* -- the graph in the
+  :mod:`repro.utils.serialization` wire format plus the operation's request
+  fields -- so solves scale across cores.  Each worker builds its own
+  :class:`SolveService`; a shared on-disk plan-cache directory makes any
+  worker's solve a disk hit for the others and the parent.  Duplicates
+  collapse into one flight before the backend sees them.
 
-Crash containment (the health/reap path): a worker that dies mid-task --
-OOM-killed, segfaulted native code -- surfaces as ``BrokenProcessPool`` on
-the harvesting thread.  The backend converts that into a structured
-:class:`WorkerCrashError` (the queue marks the flight's jobs ``failed`` with
-the payload) and rebuilds the pool under a lock, so one crash costs one
-flight, never the daemon.  Worker exceptions never travel as live exception
-objects: ``_run_task`` catches everything in the child and returns a plain
-``{"ok": False, "error": {...}}`` dict, so an unpicklable exception type
-cannot poison the result channel.
+Crash containment: a worker dying mid-task (``BrokenProcessPool``) becomes a
+structured :class:`WorkerCrashError` and a pool rebuild, so one crash costs
+one flight.  ``_run_task`` never raises: worker exceptions come back as plain
+``{"ok": False, "error": {...}}`` dicts that always unpickle.
 
-Tracing: workers record their solve spans into their own in-process tracer,
-ship the raw span rows back with the result, and the parent grafts them --
-ids remapped, clock rebased via a shared wall-clock anchor -- under the
-flight's ``job-run`` span, so ``GET /v1/trace/{job_id}`` shows one tree
-whether the solve ran in-process or three processes away.
+Tracing: workers ship their raw span rows back with the result, and the
+parent grafts them -- ids remapped, clock rebased via a shared wall-clock
+anchor -- under the flight's ``job-run`` span, so ``GET /v1/trace/{job_id}``
+shows one tree wherever the solve ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -46,27 +37,15 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional
 
-from ..core.dfgraph import DFGraph
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
-from ..service import SolveCancelledError, SolveService, SolverOptions, SweepCell
-from ..utils.serialization import (
-    graph_from_wire,
-    graph_to_wire,
-    options_from_wire,
-    options_to_wire,
-    result_from_wire,
-    result_to_wire,
-)
+from ..service import SolveCancelledError, SolveService
+from ..utils.serialization import graph_from_wire, graph_to_wire, options_to_wire
+from .ops import OPERATIONS, SolveWork, operation_for, request_fields
 
 __all__ = [
-    "SolveWork",
-    "SweepWork",
-    "ExecuteWork",
-    "ParetoWork",
     "WorkerBackend",
     "WorkerCrashError",
     "ThreadBackend",
@@ -75,46 +54,6 @@ __all__ = [
 ]
 
 _log = get_logger("server.backends")
-
-
-# --------------------------------------------------------------------------- #
-# Work descriptions (what one flight executes)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SolveWork:
-    graph: DFGraph
-    strategy: str
-    budget: Optional[float]
-    options: Optional[SolverOptions]
-
-
-@dataclass(frozen=True)
-class SweepWork:
-    graph: DFGraph
-    cells: Tuple[SweepCell, ...]
-    options: Optional[SolverOptions]
-
-
-@dataclass(frozen=True)
-class ExecuteWork:
-    graph: DFGraph
-    strategy: str
-    budget: Optional[float]
-    options: Optional[SolverOptions]
-    seed: int
-
-
-@dataclass(frozen=True)
-class ParetoWork:
-    graph: DFGraph
-    strategy: str
-    low: Optional[float]
-    high: Optional[float]
-    resolution: Optional[float]
-    options: Optional[SolverOptions]
-
-
-Work = Union[SolveWork, SweepWork, ExecuteWork, ParetoWork]
 
 
 class WorkerCrashError(RuntimeError):
@@ -127,15 +66,12 @@ class WorkerCrashError(RuntimeError):
 
 
 class WorkerBackend:
-    """Protocol for flight execution engines (duck-typed; subclassing is
-    optional).
+    """Protocol for flight execution engines (duck-typed).
 
-    ``run`` executes one flight's work synchronously from the calling queue
-    worker thread and either returns the result object or raises
-    (:class:`SolveCancelledError` for abandonment, anything else fails the
-    flight).  ``should_abandon`` is the queue's cooperative hook: it returns
-    ``True`` once no live job wants the result anymore (all cancelled or past
-    their deadline), and backends poll it to stop waiting.
+    ``run`` executes one flight's work on the calling queue thread and
+    returns the result or raises (:class:`SolveCancelledError` when
+    abandoned).  ``should_abandon()`` turns true once no live job wants the
+    result (all cancelled or past their deadline); backends poll it.
     """
 
     name = "abstract"
@@ -146,7 +82,7 @@ class WorkerBackend:
     def shutdown(self, *, wait: bool = True) -> None:
         return None
 
-    def run(self, work: Work, should_abandon: Callable[[], bool]):
+    def run(self, work, should_abandon: Callable[[], bool]):
         raise NotImplementedError
 
     def stats(self) -> dict:
@@ -161,25 +97,8 @@ class ThreadBackend(WorkerBackend):
     def __init__(self, service: SolveService) -> None:
         self.service = service
 
-    def run(self, work: Work, should_abandon: Callable[[], bool]):
-        if isinstance(work, SolveWork):
-            return self.service.solve(work.graph, work.strategy, work.budget,
-                                      work.options, should_cancel=should_abandon)
-        if isinstance(work, ExecuteWork):
-            return self.service.execute(work.graph, work.strategy, work.budget,
-                                        work.options, seed=work.seed,
-                                        should_cancel=should_abandon)
-        if isinstance(work, ParetoWork):
-            return self.service.pareto(work.graph, work.strategy,
-                                       low=work.low, high=work.high,
-                                       resolution=work.resolution,
-                                       options=work.options,
-                                       should_cancel=should_abandon)
-        return self.service.sweep(work.graph, work.cells, options=work.options,
-                                  should_cancel=should_abandon)
-
-    def stats(self) -> dict:
-        return {"name": self.name}
+    def run(self, work, should_abandon: Callable[[], bool]):
+        return operation_for(work).run(self.service, work, should_abandon)
 
 
 # --------------------------------------------------------------------------- #
@@ -189,12 +108,8 @@ _WORKER_SERVICE: Optional[SolveService] = None
 
 
 def _worker_init(cache_dir: Optional[str], cache_entries: int) -> None:
-    """Build this worker process's own :class:`SolveService`.
-
-    ``cache_dir`` is the *shared* disk tier: every worker (and the parent)
-    points its :class:`PlanCache` at the same directory, so one worker's
-    solve persists a JSON plan all the others hit.
-    """
+    """Build this worker process's own :class:`SolveService`; ``cache_dir``
+    is the disk tier every worker and the parent share."""
     global _WORKER_SERVICE
     from ..service import PlanCache
 
@@ -222,37 +137,19 @@ def _run_task(payload: dict) -> dict:
         if service is None:  # initializer not run (direct use in tests)
             _worker_init(None, 0)
             service = _WORKER_SERVICE
-        graph = graph_from_wire(payload["graph"])
-        options = (options_from_wire(payload["options"])
-                   if payload.get("options") is not None else None)
-        want_trace = bool(payload.get("trace"))
+        op = OPERATIONS[payload["op"]]
+        work = op.parse(payload["request"], graph_from_wire(payload["graph"]))
+        options = getattr(work, "options", None)
         tracer = get_tracer()
         trace_id = None
-        wall_anchor = perf_anchor = 0.0
-        if want_trace:
+        if payload.get("trace"):
             if not tracer.enabled:
                 tracer.enable()
             trace_id = tracer.new_trace_id()
-            wall_anchor = time.time()
-            perf_anchor = time.perf_counter()
-        ctx = (tracer.context(trace_id) if trace_id is not None
-               else _NULL_CONTEXT)
-        with ctx:
-            if payload["kind"] == "sweep":
-                cells = tuple(
-                    SweepCell(strategy=c["strategy"], budget=c.get("budget"),
-                              options=(options_from_wire(c["options"])
-                                       if c.get("options") is not None else None))
-                    for c in payload["cells"])
-                results = service.sweep(graph, cells, options=options)
-                result_wire: object = [result_to_wire(r) for r in results]
-            else:
-                result = service.solve(graph, payload["strategy"],
-                                       payload.get("budget"), options)
-                result_wire = result_to_wire(result)
-        rows: List[tuple] = []
-        if trace_id is not None:
-            rows = tracer.store.pop_rows(trace_id)
+        wall_anchor, perf_anchor = time.time(), time.perf_counter()
+        with (tracer.context(trace_id) if trace_id is not None
+              else contextlib.nullcontext()):
+            result_wire = op.encode(op.run(service, work, None))
         return {
             "ok": True,
             "pid": os.getpid(),
@@ -262,7 +159,8 @@ def _run_task(payload: dict) -> dict:
             "options_echo": (options_to_wire(options)
                             if options is not None else None),
             "stats": _worker_stats_snapshot(service),
-            "spans": rows,
+            "spans": (tracer.store.pop_rows(trace_id)
+                      if trace_id is not None else []),
             "wall_anchor": wall_anchor,
             "perf_anchor": perf_anchor,
         }
@@ -290,38 +188,23 @@ def _worker_stats_snapshot(service: SolveService) -> dict:
     }
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 # --------------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------------- #
 class ProcessBackend(WorkerBackend):
-    """Ship solver invocations to a pool of long-lived worker processes.
+    """Ship work to a pool of long-lived worker processes.
 
     Parameters
     ----------
     service:
-        The parent's service.  Still used for (a) the parent-side plan-cache
-        tiers (checked before paying IPC, populated after harvest so repeat
-        submissions answer without touching the pool) and (b) local fallback
-        of work kinds whose results have no wire format (execute, pareto).
+        The parent's service: its plan cache is checked before paying IPC
+        and filled after harvest, and it runs operations without a result
+        wire format (execute, pareto) locally.
     num_workers:
-        Pool size.  Workers are spawned (never forked: the daemon is heavily
-        threaded and fork would inherit locks in unknown states).
+        Pool size.  Workers are spawned, never forked: the daemon is heavily
+        threaded and fork would inherit locks in unknown states.
     poll_interval_s:
-        Cadence of the cooperative ``should_abandon`` poll while waiting on
-        a worker future.
+        Cadence of the ``should_abandon`` poll while waiting on a worker.
     """
 
     name = "process"
@@ -345,16 +228,10 @@ class ProcessBackend(WorkerBackend):
 
     # ------------------------------ lifecycle ------------------------- #
     def start(self) -> "ProcessBackend":
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = self._new_pool()
         # Best-effort warmup: pay the interpreter+numpy+scipy import cost
         # now, not inside the first request's latency.
-        pool = self._pool
         try:
-            for future in [pool.submit(_worker_ping)
-                           for _ in range(self.num_workers)]:
-                future.result(timeout=60)
+            self.worker_pids()
         except Exception:  # pragma: no cover - warmup is advisory
             pass
         return self
@@ -388,52 +265,41 @@ class ProcessBackend(WorkerBackend):
             return self._pool
 
     # ------------------------------ execution ------------------------- #
-    def run(self, work: Work, should_abandon: Callable[[], bool]):
-        if isinstance(work, (ExecuteWork, ParetoWork)):
-            # No result wire format for these kinds (reports carry live
-            # tensors / frontier objects); run them on the parent service.
+    def run(self, work, should_abandon: Callable[[], bool]):
+        op = operation_for(work)
+        if op.decode is None:
+            # No result wire format (execution reports, frontiers): run on
+            # the parent service.
             with self._stats_lock:
                 self._local_fallbacks += 1
-            return ThreadBackend(self.service).run(work, should_abandon)
+            return op.run(self.service, work, should_abandon)
+        store = None
         if isinstance(work, SolveWork):
-            cached = self._cache_lookup(work)
+            cached, store = self._cached(work)
             if cached is not None:
                 return cached
-        payload = self._encode(work)
-        response = self._ship(payload, should_abandon)
+        response = self._ship(self._encode(work), should_abandon)
         self._graft_trace(response)
         if not response["ok"]:
             error = response["error"]
             if error["type"] == "SolveCancelledError":
                 raise SolveCancelledError(error["message"])
             raise RemoteSolveError(error)
-        if isinstance(work, SweepWork):
-            return [result_from_wire(r, work.graph) for r in response["result"]]
-        result = result_from_wire(response["result"], work.graph)
-        self._cache_store(work, result)
+        result = op.decode(response["result"], work.graph)
+        if store is not None:
+            store(result)
         return result
 
-    def _encode(self, work: Work) -> dict:
+    def _encode(self, work) -> dict:
+        """The task payload: the work as an HTTP-format request."""
         tracer = get_tracer()
-        payload: dict = {
+        return {
+            "op": operation_for(work).name,
             "graph": graph_to_wire(work.graph),
-            "options": (options_to_wire(work.options)
-                        if work.options is not None else None),
+            "request": request_fields(work),
             "trace": bool(tracer.enabled
                           and tracer.current_trace_id() is not None),
         }
-        if isinstance(work, SweepWork):
-            payload["kind"] = "sweep"
-            payload["cells"] = [
-                {"strategy": c.strategy, "budget": c.budget,
-                 "options": (options_to_wire(c.options)
-                             if c.options is not None else None)}
-                for c in work.cells]
-        else:
-            payload["kind"] = "solve"
-            payload["strategy"] = work.strategy
-            payload["budget"] = work.budget
-        return payload
 
     def _ship(self, payload: dict, should_abandon: Callable[[], bool]) -> dict:
         if should_abandon():
@@ -466,22 +332,13 @@ class ProcessBackend(WorkerBackend):
                 continue
             except BrokenProcessPool as exc:
                 raise self._reap(pool, exc) from None
-            except Exception:
-                # concurrent.futures re-raises whatever the task raised;
-                # _run_task never raises, so anything here is transport-level.
-                raise
             self._harvest_stats(response)
             return response
 
     def _reap(self, broken_pool: ProcessPoolExecutor,
               exc: BaseException) -> WorkerCrashError:
-        """Tear down a broken pool and stand up a fresh one (the reap path).
-
-        Only the flight whose worker died fails; the queue keeps draining
-        into the rebuilt pool.  Concurrent harvesters racing into this
-        method rebuild once: the lock plus the identity check make the
-        second caller a no-op.
-        """
+        """Replace a broken pool; only the flight whose worker died fails.
+        Concurrent callers rebuild once (the lock plus the identity check)."""
         with self._pool_lock:
             if self._pool is broken_pool:
                 self._pool = None
@@ -498,39 +355,31 @@ class ProcessBackend(WorkerBackend):
             info={"exception": type(exc).__name__})
 
     # ------------------------------ cache tiers ----------------------- #
-    def _cache_key(self, work: SolveWork):
+    def _cached(self, work: SolveWork):
+        """The parent cache's answer for ``work`` (``None`` on a miss) and
+        a callback storing a fresh result under the same key and family."""
         from ..service import PlanCacheKey, graph_content_hash
+        from ..service.solve import _cacheable
 
         service = self.service
         if service.cache is None:
-            return None, None
+            return None, lambda result: None
         spec = service.registry.get(work.strategy)
         options = (work.options if work.options is not None
                    else service.default_options)
         graph_hash = graph_content_hash(work.graph)
         token = options.cache_token(spec.option_map)
         key = PlanCacheKey.build(graph_hash, spec.key, work.budget, token)
-        family = "|".join((graph_hash, spec.key, token))
-        return key, family
-
-    def _cache_lookup(self, work: SolveWork):
-        key, _ = self._cache_key(work)
-        if key is None:
-            return None
-        cached = self.service.cache.get(key, work.graph)
+        cached = service.cache.get(key, work.graph)
         if cached is not None:
-            self.service.stats.record(solver_call=False, cache_hit=True)
-        return cached
+            service.stats.record(solver_call=False, cache_hit=True)
 
-    def _cache_store(self, work: SolveWork, result) -> None:
-        key, family = self._cache_key(work)
-        if key is None:
-            return
-        from ..service.solve import _cacheable
+        def store(result) -> None:
+            if _cacheable(result):
+                service.cache.put(key, result, budget=work.budget,
+                                  family="|".join((graph_hash, spec.key, token)))
 
-        if _cacheable(result):
-            self.service.cache.put(key, result, family=family,
-                                   budget=work.budget)
+        return cached, store
 
     # ------------------------------ observability --------------------- #
     def _harvest_stats(self, response: dict) -> None:
@@ -569,14 +418,8 @@ class ProcessBackend(WorkerBackend):
         with self._stats_lock:
             workers = {str(pid): dict(s)
                        for pid, s in self._worker_stats.items()}
-            aggregate = {
-                "solver_calls": sum(s.get("solver_calls", 0)
-                                    for s in self._worker_stats.values()),
-                "cache_hits": sum(s.get("cache_hits", 0)
-                                  for s in self._worker_stats.values()),
-                "disk_hits": sum(s.get("disk_hits", 0)
-                                 for s in self._worker_stats.values()),
-            }
+            aggregate = {key: sum(s.get(key, 0) for s in workers.values())
+                         for key in ("solver_calls", "cache_hits", "disk_hits")}
             return {
                 "name": self.name,
                 "pool_size": self.num_workers,

@@ -1,12 +1,8 @@
-"""Thin stdlib client for the solve daemon's JSON API.
+"""Thin stdlib client for the solve daemon's JSON API, used by the ``repro``
+CLI, the tests and the examples.
 
-Used by the ``repro`` CLI, the end-to-end tests and
-``examples/serve_and_submit.py``; also the reference for how to talk to the
-server from any other HTTP client (every method maps 1:1 onto an endpoint).
-
-Results come back as plain wire dicts (see
-:func:`repro.utils.serialization.result_to_wire`); callers that hold the
-original :class:`~repro.core.dfgraph.DFGraph` can re-materialize a full
+Results come back as plain wire dicts; callers holding the original
+:class:`~repro.core.dfgraph.DFGraph` can re-materialize a
 :class:`~repro.core.schedule.ScheduledResult` with
 :func:`~repro.utils.serialization.result_from_wire`.
 """
@@ -18,7 +14,8 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Iterable, List, Optional, Tuple, Union
+from functools import partialmethod
+from typing import List, Optional
 
 from ..core.dfgraph import DFGraph
 from ..utils.serialization import graph_to_wire
@@ -48,13 +45,10 @@ _RETRY_STATUSES = frozenset({503})
 class ServeClient:
     """Client for one solve server, e.g. ``ServeClient("http://127.0.0.1:8765")``.
 
-    Shed requests (503 + ``Retry-After``) are retried up to ``max_retries``
-    times with jittered exponential backoff; the server's ``Retry-After``
-    hint, when present, overrides the computed backoff.  Jitter matters:
-    the shed responses of an overloaded daemon arrive nearly simultaneously
-    at every client, and un-jittered retries would come back as the same
-    thundering herd that caused the shed.  Set ``max_retries=0`` to surface
-    every 503 immediately.
+    Shed requests (503) are retried up to ``max_retries`` times with
+    jittered exponential backoff, waiting at least the server's
+    ``Retry-After``; jitter keeps the retries of many shed clients from
+    returning as one herd.  ``max_retries=0`` surfaces every 503.
     """
 
     def __init__(self, base_url: str, *, timeout: float = 30.0,
@@ -107,7 +101,8 @@ class ServeClient:
         data = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            # ``default=list``: iterables such as generators travel as arrays.
+            data = json.dumps(payload, default=list).encode("utf-8")
             headers["Content-Type"] = "application/json"
         request = urllib.request.Request(url, data=data, headers=headers,
                                          method=method)
@@ -159,129 +154,34 @@ class ServeClient:
     # ------------------------------------------------------------------ #
     # Jobs
     # ------------------------------------------------------------------ #
-    def submit_solve(self, *, strategy: str,
-                     graph: Optional[DFGraph] = None,
-                     preset: Optional[str] = None,
-                     scale: str = "ci",
-                     batch_size: Optional[int] = None,
-                     cost_model: Optional[str] = None,
-                     budget: Optional[float] = None,
-                     options: Optional[dict] = None,
-                     priority: int = 0,
-                     deadline_s: Optional[float] = None) -> dict:
-        """``POST /v1/solve``: returns the job handle dict (id, state, urls)."""
-        payload = self._graph_payload(graph, preset, scale, batch_size, cost_model)
-        payload.update({"strategy": strategy, "budget": budget,
-                        "priority": priority})
-        if options:
-            payload["options"] = options
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/solve", payload)
-
-    def submit_execute(self, *, strategy: str,
-                       graph: Optional[DFGraph] = None,
-                       preset: Optional[str] = None,
-                       scale: str = "ci",
-                       batch_size: Optional[int] = None,
-                       cost_model: Optional[str] = None,
-                       budget: Optional[float] = None,
-                       options: Optional[dict] = None,
-                       seed: int = 0,
-                       priority: int = 0,
-                       deadline_s: Optional[float] = None) -> dict:
-        """``POST /v1/execute``: solve + run over NumPy tensors; job handle dict."""
-        payload = self._graph_payload(graph, preset, scale, batch_size, cost_model)
-        payload.update({"strategy": strategy, "budget": budget,
-                        "seed": seed, "priority": priority})
-        if options:
-            payload["options"] = options
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/execute", payload)
-
-    def submit_sweep(self, *,
-                     graph: Optional[DFGraph] = None,
-                     preset: Optional[str] = None,
-                     scale: str = "ci",
-                     batch_size: Optional[int] = None,
-                     cost_model: Optional[str] = None,
-                     strategies: Optional[Iterable[str]] = None,
-                     budgets: Optional[Iterable[Optional[float]]] = None,
-                     cells: Optional[Iterable[Union[dict, Tuple[str, Optional[float]]]]] = None,
-                     options: Optional[dict] = None,
-                     priority: int = 0,
-                     deadline_s: Optional[float] = None) -> dict:
-        """``POST /v1/sweep``: grid (strategies x budgets) or explicit cells."""
-        payload = self._graph_payload(graph, preset, scale, batch_size, cost_model)
-        if cells is not None:
-            payload["cells"] = [
-                cell if isinstance(cell, dict)
-                else {"strategy": cell[0], "budget": cell[1]}
-                for cell in cells
-            ]
-        else:
-            payload["strategies"] = list(strategies or [])
-            if budgets is not None:
-                payload["budgets"] = list(budgets)
-        payload["priority"] = priority
-        if options:
-            payload["options"] = options
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/sweep", payload)
-
-    def submit_pareto(self, *, strategy: str = "checkmate_ilp",
-                      graph: Optional[DFGraph] = None,
-                      preset: Optional[str] = None,
-                      scale: str = "ci",
-                      batch_size: Optional[int] = None,
-                      cost_model: Optional[str] = None,
-                      low: Optional[float] = None,
-                      high: Optional[float] = None,
-                      resolution: Optional[float] = None,
-                      options: Optional[dict] = None,
-                      priority: int = 0,
-                      deadline_s: Optional[float] = None) -> dict:
-        """``POST /v1/pareto``: bisection frontier trace; job handle dict."""
-        payload = self._graph_payload(graph, preset, scale, batch_size, cost_model)
-        payload.update({"strategy": strategy, "priority": priority})
-        if low is not None:
-            payload["low"] = low
-        if high is not None:
-            payload["high"] = high
-        if resolution is not None:
-            payload["resolution"] = resolution
-        if options:
-            payload["options"] = options
-        if deadline_s is not None:
-            payload["deadline_s"] = deadline_s
-        return self._request("POST", "/v1/pareto", payload)
-
-    def lint(self, *, graph: Optional[DFGraph] = None,
-             preset: Optional[str] = None,
-             scale: str = "ci",
+    def post(self, operation: str, *, graph: Optional[DFGraph] = None,
+             preset: Optional[str] = None, scale: str = "ci",
              batch_size: Optional[int] = None,
-             cost_model: Optional[str] = None,
-             budget: Optional[float] = None) -> dict:
-        """``POST /v1/lint``: structured graph diagnostics (synchronous)."""
-        payload = self._graph_payload(graph, preset, scale, batch_size, cost_model)
-        if budget is not None:
-            payload["budget"] = budget
-        return self._request("POST", "/v1/lint", payload)
-
-    @staticmethod
-    def _graph_payload(graph, preset, scale, batch_size, cost_model) -> dict:
+             cost_model: Optional[str] = None, **fields) -> dict:
+        """``POST /v1/{operation}`` for an :data:`~repro.server.ops.OPERATIONS`
+        entry, the graph by value (``graph=``) or by ``preset=``, plus the
+        request ``fields`` that are not ``None``.  Returns the body: a job
+        handle (queued operations) or the result (synchronous ones)."""
         if (graph is None) == (preset is None):
             raise ValueError("pass exactly one of graph= or preset=")
         if graph is not None:
-            return {"graph": graph_to_wire(graph)}
-        payload: dict = {"preset": preset, "scale": scale}
-        if batch_size is not None:
-            payload["batch_size"] = batch_size
-        if cost_model is not None:
-            payload["cost_model"] = cost_model
-        return payload
+            payload: dict = {"graph": graph_to_wire(graph)}
+        else:
+            payload = {"preset": preset, "scale": scale,
+                       "batch_size": batch_size, "cost_model": cost_model}
+        payload.update(fields)
+        return self._request("POST", f"/v1/{operation}",
+                             {k: v for k, v in payload.items() if v is not None})
+
+    # One entry point per operation: ``submit_<name>(**request)`` (``lint``
+    # for the synchronous lint) posts the graph (as for :meth:`post`), the
+    # request fields of the operation's work type in :mod:`repro.server.ops`
+    # and, when queued, ``priority``/``deadline_s``.
+    submit_solve = partialmethod(post, "solve")
+    submit_sweep = partialmethod(post, "sweep")
+    submit_execute = partialmethod(post, "execute")
+    submit_pareto = partialmethod(post, "pareto")
+    lint = partialmethod(post, "lint")
 
     def job(self, job_id: str) -> dict:
         return self._request("GET", f"/v1/jobs/{job_id}")

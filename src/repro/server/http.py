@@ -1,36 +1,17 @@
 """JSON-over-HTTP API for the solve daemon (stdlib only).
 
-Endpoints (all JSON bodies/responses, ``/v1`` prefix):
+``POST /v1/<name>`` serves every entry of :data:`repro.server.ops.OPERATIONS`
+(see that table): queued operations answer 202 with a job handle, and
+``GET /v1/jobs/{id}/result`` returns the result under the entry's body key;
+synchronous ones answer 200 with the result.  The job, health, metrics,
+trace, strategy and preset routes are in :meth:`_Handler._route`.
 
-============================== =============================================
-``POST /v1/solve``             submit one solve; 202 + job handle
-``POST /v1/sweep``             submit a (strategy, budget) sweep; 202 + job
-``POST /v1/execute``           solve + run over NumPy tensors; 202 + job
-``POST /v1/pareto``            bisection Pareto-frontier trace; 202 + job
-``POST /v1/lint``              structured graph diagnostics; 200 (synchronous)
-``GET  /v1/jobs``              list retained jobs (``?state=queued`` filter)
-``GET  /v1/jobs/{id}``         job status/lifecycle
-``GET  /v1/jobs/{id}/result``  result payload (409 until terminal)
-``POST /v1/jobs/{id}/cancel``  cancel (also ``DELETE /v1/jobs/{id}``)
-``GET  /v1/healthz``           liveness + queue depth
-``GET  /v1/metrics``           queue/cache/latency counters (JSON); add
-                               ``?format=prometheus`` for text exposition
-``GET  /v1/trace/{id}``        span tree of a job's solve trace; add
-                               ``?format=chrome`` for Chrome trace JSON
-``GET  /v1/strategies``        the solver registry
-``GET  /v1/presets``           experiment presets addressable in requests
-============================== =============================================
-
-Graphs enter a request either **by value** -- ``"graph": <wire dict>`` in the
-:func:`repro.utils.serialization.graph_to_wire` format -- or **by preset** --
-``"preset": "unet"`` plus optional ``"scale"``/``"batch_size"``/
-``"cost_model"``, which builds the named experiment workload server-side
-(forward graph, reverse-mode differentiation, cost model) so shell clients
-never need to construct a graph at all.
-
-The server is a ``ThreadingHTTPServer``: request handling is concurrent and
-cheap (submission just enqueues), while actual solver work happens on the
-:class:`~repro.server.jobs.JobQueue` worker pool.
+Graphs enter a request **by value** (``"graph"``: a
+:func:`repro.utils.serialization.graph_to_wire` dict) or **by preset**
+(``"preset": "unet"`` plus optional ``"scale"``/``"batch_size"``/
+``"cost_model"``), built server-side so shell clients never construct one.
+Request handling is concurrent and cheap (a ``ThreadingHTTPServer``);
+solver work runs on the :class:`~repro.server.jobs.JobQueue` worker pool.
 """
 
 from __future__ import annotations
@@ -47,9 +28,10 @@ from ..experiments.presets import EXPERIMENT_MODELS, build_training_graph
 from ..obs.logging import get_logger
 from ..obs.metrics import flatten_numeric, get_metrics_registry
 from ..obs.trace import chrome_trace, get_tracer, span_tree
-from ..service import SolveService, SolverOptions, SweepCell
-from ..utils.serialization import graph_from_wire, result_to_wire
+from ..service import SolveService
+from ..utils.serialization import graph_from_wire
 from .jobs import Job, JobQueue, JobState, QueueFullError
+from .ops import OPERATIONS, ApiError, Operation, queue_fields
 
 __all__ = ["SolveServer", "DEFAULT_PORT", "serve"]
 
@@ -57,27 +39,6 @@ DEFAULT_PORT = 8765
 API_VERSION = "v1"
 
 _log = get_logger("server.http")
-
-_COST_MODELS = COST_MODELS
-
-_OPTION_FIELDS = frozenset(SolverOptions.__dataclass_fields__)
-
-
-class ApiError(Exception):
-    """An error with an HTTP status, rendered as a JSON body.
-
-    ``headers`` are extra response headers (e.g. ``Retry-After`` on a 503)
-    and ``extra`` is merged into the JSON error body.
-    """
-
-    def __init__(self, status: int, message: str, *,
-                 headers: Optional[dict] = None,
-                 extra: Optional[dict] = None) -> None:
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.headers = dict(headers or {})
-        self.extra = dict(extra or {})
 
 
 def _queue_full(exc: QueueFullError) -> ApiError:
@@ -90,44 +51,6 @@ def _queue_full(exc: QueueFullError) -> ApiError:
                     extra={"retry_after_s": exc.retry_after_s,
                            "queue_depth": exc.depth,
                            "max_queue_depth": exc.limit})
-
-
-def _parse_deadline(payload: dict) -> Optional[float]:
-    value = payload.get("deadline_s")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value <= 0:
-        raise ApiError(400, "'deadline_s' must be a positive number of seconds")
-    return float(value)
-
-
-def _parse_options(payload: Optional[dict]) -> Optional[SolverOptions]:
-    if payload is None:
-        return None
-    if not isinstance(payload, dict):
-        raise ApiError(400, "'options' must be an object")
-    unknown = set(payload) - _OPTION_FIELDS
-    if unknown:
-        raise ApiError(400, f"unknown solver options: {sorted(unknown)}; "
-                            f"known: {sorted(_OPTION_FIELDS)}")
-    try:
-        checkpoints = payload.get("checkpoints")
-        if checkpoints is not None:
-            payload = dict(payload, checkpoints=tuple(checkpoints))
-        return SolverOptions(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ApiError(400, f"invalid solver options: {exc}") from None
-
-
-def _parse_budget(value) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ApiError(400, "'budget' must be a number of bytes (or null)")
-    if value < 0:
-        raise ApiError(400, "'budget' must be non-negative")
-    return float(value)
 
 
 def _build_graph(payload: dict) -> DFGraph:
@@ -144,6 +67,8 @@ def _build_graph(payload: dict) -> DFGraph:
             raise ApiError(400, f"invalid graph payload: {exc}") from None
 
     preset = payload["preset"]
+    if not isinstance(preset, str):
+        raise ApiError(400, "'preset' must be a string")
     if preset not in EXPERIMENT_MODELS:
         raise ApiError(404, f"unknown preset {preset!r}; "
                             f"known: {sorted(EXPERIMENT_MODELS)}")
@@ -151,9 +76,9 @@ def _build_graph(payload: dict) -> DFGraph:
     if scale not in ("ci", "paper"):
         raise ApiError(400, "'scale' must be 'ci' or 'paper'")
     cost_model_name = payload.get("cost_model", "flop")
-    if cost_model_name not in _COST_MODELS:
+    if not isinstance(cost_model_name, str) or cost_model_name not in COST_MODELS:
         raise ApiError(400, f"unknown cost_model {cost_model_name!r}; "
-                            f"known: {sorted(_COST_MODELS)}")
+                            f"known: {sorted(COST_MODELS)}")
     batch_size = payload.get("batch_size")
     if batch_size is not None and (isinstance(batch_size, bool)
                                    or not isinstance(batch_size, int)
@@ -161,9 +86,17 @@ def _build_graph(payload: dict) -> DFGraph:
         raise ApiError(400, "'batch_size' must be a positive integer")
     try:
         return build_training_graph(preset, scale=scale, batch_size=batch_size,
-                                    cost_model=_COST_MODELS[cost_model_name]())
+                                    cost_model=COST_MODELS[cost_model_name]())
     except (ValueError, TypeError, KeyError) as exc:
         raise ApiError(400, f"failed to build preset graph: {exc}") from None
+
+
+def strategy_entries(registry) -> list:
+    """The registry's strategies as JSON (``GET /v1/strategies``)."""
+    return [{key: getattr(spec, key) for key in (
+        "key", "description", "general_graphs", "cost_aware", "memory_aware",
+        "linear_only", "has_budget_knob", "in_table1", "warm_start_capable")}
+        for spec in registry]
 
 
 class _App:
@@ -172,156 +105,16 @@ class _App:
     def __init__(self, queue: JobQueue) -> None:
         self.queue = queue
 
-    # ------------------------------ submissions ----------------------- #
-    def post_solve(self, payload: dict) -> Tuple[int, dict]:
-        graph = _build_graph(payload)
-        strategy = payload.get("strategy")
-        if not isinstance(strategy, str):
-            raise ApiError(400, "'strategy' (string) is required")
-        budget = _parse_budget(payload.get("budget"))
-        options = _parse_options(payload.get("options"))
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ApiError(400, "'priority' must be an integer (lower runs first)")
-        deadline_s = _parse_deadline(payload)
+    def post(self, op: Operation, payload: dict) -> Tuple[int, dict]:
+        """``POST /v1/<op>``: run a synchronous operation, or enqueue a
+        queued one and answer 202 with the job handle."""
+        work = op.parse(payload, _build_graph(payload))
+        if not op.queued:
+            return 200, op.encode(op.run(self.queue.service, work, None))
+        priority, deadline_s = queue_fields(payload)
         try:
-            job = self.queue.submit_solve(graph, strategy, budget, options,
-                                          priority=priority,
-                                          deadline_s=deadline_s)
-        except KeyError as exc:
-            raise ApiError(404, str(exc.args[0])) from None
-        except QueueFullError as exc:
-            raise _queue_full(exc) from None
-        return 202, self._job_accepted(job)
-
-    def post_lint(self, payload: dict) -> Tuple[int, dict]:
-        """Lint a graph (by wire value or preset) and return the diagnostics.
-
-        Synchronous -- linting is pure analysis, far cheaper than a solve, so
-        there is no job to queue: the response is the
-        :meth:`~repro.analysis.lint.LintReport.to_dict` payload directly.  An
-        optional ``budget`` (bytes) enables the ``B001`` feasibility
-        pre-check.  The HTTP status is 200 even when the report contains
-        errors -- the *lint* succeeded; ``"ok"`` in the body carries the
-        verdict.
-        """
-        from ..analysis.lint import lint_graph
-
-        graph = _build_graph(payload)
-        budget = _parse_budget(payload.get("budget"))
-        report = lint_graph(graph, budget=budget)
-        return 200, report.to_dict()
-
-    def post_execute(self, payload: dict) -> Tuple[int, dict]:
-        """Solve one cell, lower the plan and run it over real tensors.
-
-        Same payload as ``/v1/solve`` plus an optional integer ``seed``
-        steering the deterministic parameter/input binding.  The job's result
-        is the predicted-vs-measured
-        :class:`~repro.execution.report.ExecutionReport`.  The graph (preset
-        or wire value) must carry builder metadata with executable op types;
-        toy/hand-built graphs are rejected with 400 at submission.
-        """
-        graph = _build_graph(payload)
-        from ..execution import unsupported_op_types
-        unsupported = unsupported_op_types(graph)
-        if unsupported:
-            raise ApiError(400, f"graph {graph.name!r} is not executable: "
-                                f"unsupported op types {unsupported}")
-        strategy = payload.get("strategy")
-        if not isinstance(strategy, str):
-            raise ApiError(400, "'strategy' (string) is required")
-        budget = _parse_budget(payload.get("budget"))
-        options = _parse_options(payload.get("options"))
-        seed = payload.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ApiError(400, "'seed' must be an integer")
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ApiError(400, "'priority' must be an integer (lower runs first)")
-        deadline_s = _parse_deadline(payload)
-        try:
-            job = self.queue.submit_execute(graph, strategy, budget, options,
-                                            seed=seed, priority=priority,
-                                            deadline_s=deadline_s)
-        except KeyError as exc:
-            raise ApiError(404, str(exc.args[0])) from None
-        except QueueFullError as exc:
-            raise _queue_full(exc) from None
-        return 202, self._job_accepted(job)
-
-    def post_sweep(self, payload: dict) -> Tuple[int, dict]:
-        graph = _build_graph(payload)
-        options = _parse_options(payload.get("options"))
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ApiError(400, "'priority' must be an integer (lower runs first)")
-        cells = []
-        if payload.get("cells") is not None:
-            if not isinstance(payload["cells"], list):
-                raise ApiError(400, "'cells' must be a list of "
-                                    "{strategy, budget, options?} objects")
-            for entry in payload["cells"]:
-                if not isinstance(entry, dict) or "strategy" not in entry:
-                    raise ApiError(400, "each cell needs at least a 'strategy'")
-                cells.append(SweepCell(
-                    strategy=entry["strategy"],
-                    budget=_parse_budget(entry.get("budget")),
-                    options=_parse_options(entry.get("options")),
-                ))
-        elif payload.get("strategies") is not None:
-            strategies = payload["strategies"]
-            budgets = payload.get("budgets", [None])
-            if not isinstance(strategies, list) or not isinstance(budgets, list):
-                raise ApiError(400, "'strategies' and 'budgets' must be lists")
-            cells = [SweepCell(strategy=s, budget=_parse_budget(b))
-                     for s in strategies for b in budgets]
-        else:
-            raise ApiError(400, "provide 'cells' or 'strategies' (+ 'budgets')")
-        deadline_s = _parse_deadline(payload)
-        try:
-            job = self.queue.submit_sweep(graph, cells, options,
-                                          priority=priority,
-                                          deadline_s=deadline_s)
-        except KeyError as exc:
-            raise ApiError(404, str(exc.args[0])) from None
-        except QueueFullError as exc:
-            raise _queue_full(exc) from None
-        except ValueError as exc:
-            raise ApiError(400, str(exc)) from None
-        return 202, self._job_accepted(job)
-
-    def post_pareto(self, payload: dict) -> Tuple[int, dict]:
-        """Trace the memory-vs-recompute frontier by warm-seeded bisection.
-
-        Payload: a graph (preset or wire value), optional ``strategy``
-        (default ``checkmate_ilp``), optional ``low``/``high`` budget bounds
-        and ``resolution`` in bytes, optional ``options``.  The job's result
-        is the :class:`~repro.service.pareto.ParetoFront` as a dict.
-        """
-        graph = _build_graph(payload)
-        strategy = payload.get("strategy", "checkmate_ilp")
-        if not isinstance(strategy, str):
-            raise ApiError(400, "'strategy' must be a string")
-        low = _parse_budget(payload.get("low"))
-        high = _parse_budget(payload.get("high"))
-        resolution = payload.get("resolution")
-        if resolution is not None:
-            if (isinstance(resolution, bool)
-                    or not isinstance(resolution, (int, float))
-                    or resolution <= 0):
-                raise ApiError(400, "'resolution' must be a positive number of bytes")
-            resolution = float(resolution)
-        options = _parse_options(payload.get("options"))
-        priority = payload.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ApiError(400, "'priority' must be an integer (lower runs first)")
-        deadline_s = _parse_deadline(payload)
-        try:
-            job = self.queue.submit_pareto(graph, strategy, low=low, high=high,
-                                           resolution=resolution, options=options,
-                                           priority=priority,
-                                           deadline_s=deadline_s)
+            job = self.queue.submit(op.name, work, priority=priority,
+                                    deadline_s=deadline_s)
         except KeyError as exc:
             raise ApiError(404, str(exc.args[0])) from None
         except QueueFullError as exc:
@@ -366,46 +159,26 @@ class _App:
                                 "result not available yet")
         if job.state is not JobState.DONE:
             raise ApiError(409, f"job {job_id} {job.state.value}: {job.error}")
-        if job.kind == "solve":
-            body = {"job": job.to_dict(), "result": result_to_wire(job.result)}
-        elif job.kind == "execute":
-            body = {"job": job.to_dict(), "report": job.result.to_dict()}
-        elif job.kind == "pareto":
-            body = {"job": job.to_dict(), "front": job.result.to_dict()}
-        else:
-            body = {"job": job.to_dict(),
-                    "results": [result_to_wire(r) for r in job.result]}
-        return 200, body
+        op = OPERATIONS[job.kind]
+        return 200, {"job": job.to_dict(), op.result_key: op.encode(job.result)}
 
     def cancel_job(self, job_id: str) -> Tuple[int, dict]:
         try:
-            job = self.queue.cancel(job_id)
+            return 200, self.queue.cancel(job_id).to_dict()
         except KeyError:
             raise ApiError(404, f"unknown job {job_id!r}") from None
-        return 200, job.to_dict()
 
     # ------------------------------ operational ----------------------- #
     def get_healthz(self) -> Tuple[int, dict]:
         metrics = self.queue.metrics()
-        return 200, {
-            "status": "ok",
-            "uptime_s": metrics["uptime_s"],
-            "backend": self.queue.backend.name,
-            "workers": metrics["workers"],
-            "queue_depth": metrics["queue_depth"],
-            "max_queue_depth": metrics["max_queue_depth"],
-            "running": metrics["running"],
-        }
+        return 200, dict({key: metrics[key] for key in (
+            "uptime_s", "workers", "queue_depth", "max_queue_depth", "running")},
+            status="ok", backend=self.queue.backend.name)
 
     def get_metrics(self, fmt: Optional[str] = None):
-        """``/v1/metrics``: JSON by default, text exposition with
-        ``?format=prometheus``.
-
-        The Prometheus view renders the typed instrument registry (HTTP
-        request counters, per-phase latency histograms) and flattens the
-        whole JSON payload into ``repro_*`` gauges, so every counter in
-        ``SolveService.statistics()`` is scrapeable.
-        """
+        """``/v1/metrics``: JSON, or with ``?format=prometheus`` the typed
+        instrument registry plus the JSON payload flattened into ``repro_*``
+        gauges (so every ``SolveService.statistics()`` counter scrapes)."""
         payload = self.queue.metrics()
         tracer = get_tracer()
         payload["tracing"] = dict(tracer.store.stats(),
@@ -449,34 +222,15 @@ class _App:
         }
 
     def get_strategies(self) -> Tuple[int, dict]:
-        entries = []
-        for spec in self.queue.service.registry:
-            entries.append({
-                "key": spec.key,
-                "description": spec.description,
-                "general_graphs": spec.general_graphs,
-                "cost_aware": spec.cost_aware,
-                "memory_aware": spec.memory_aware,
-                "linear_only": spec.linear_only,
-                "has_budget_knob": spec.has_budget_knob,
-                "in_table1": spec.in_table1,
-                "warm_start_capable": spec.warm_start_capable,
-            })
-        return 200, {"strategies": entries}
+        return 200, {"strategies": strategy_entries(self.queue.service.registry)}
 
     def get_presets(self) -> Tuple[int, dict]:
-        presets = []
-        for key, model in EXPERIMENT_MODELS.items():
-            presets.append({
-                "key": key,
-                "name": model.name,
-                "ci_kwargs": {k: list(v) if isinstance(v, tuple) else v
-                              for k, v in model.ci_kwargs.items()},
-                "paper_kwargs": {k: list(v) if isinstance(v, tuple) else v
-                                 for k, v in model.paper_kwargs.items()},
-            })
+        presets = [{"key": key, "name": model.name,
+                    "ci_kwargs": model.ci_kwargs,
+                    "paper_kwargs": model.paper_kwargs}
+                   for key, model in EXPERIMENT_MODELS.items()]
         return 200, {"presets": presets, "scales": ["ci", "paper"],
-                     "cost_models": sorted(_COST_MODELS)}
+                     "cost_models": sorted(COST_MODELS)}
 
 
 _JOB_PATH = re.compile(rf"^/{API_VERSION}/jobs/(?P<job_id>[0-9a-f]+)"
@@ -531,13 +285,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        self._body_consumed = True
-        if length <= 0:
+        if not self._body:
             raise ApiError(400, "request body required")
-        raw = self.rfile.read(length)
         try:
-            payload = json.loads(raw)
+            payload = json.loads(self._body)
         except json.JSONDecodeError as exc:
             raise ApiError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
@@ -545,7 +296,6 @@ class _Handler(BaseHTTPRequestHandler):
         return payload
 
     def _dispatch(self, method: str) -> None:
-        self._body_consumed = False
         path = self.path.partition("?")[0].rstrip("/") or "/"
         route = _ROUTE_LABEL.sub("/{id}", path)
         extra_headers: Optional[dict] = None
@@ -553,6 +303,12 @@ class _Handler(BaseHTTPRequestHandler):
             with get_tracer().span("http-request", method=method,
                                    route=route) as span:
                 try:
+                    # Read the whole body up front: HTTP/1.1 keep-alive would
+                    # misparse unread bytes as the next request.
+                    length = self.headers.get("Content-Length") or "0"
+                    if not length.isdigit():
+                        raise ApiError(400, "invalid Content-Length")
+                    self._body = self.rfile.read(int(length))
                     status, body = self._route(method)
                 except ApiError as exc:
                     status, body = exc.status, dict({"error": exc.message},
@@ -565,7 +321,6 @@ class _Handler(BaseHTTPRequestHandler):
                     status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
                 span.set_attribute("status", status)
             _HTTP_REQUESTS.inc(method=method, route=route, code=str(status))
-            self._drain_body()
             self._send(status, body, extra_headers)
         except (TimeoutError, OSError) as exc:
             # Stalled or vanished client: the stream is unusable (a partial
@@ -573,19 +328,6 @@ class _Handler(BaseHTTPRequestHandler):
             _log.warning("client connection dropped on %s %s: %s",
                          method, path, exc)
             self.close_connection = True
-
-    def _drain_body(self) -> None:
-        # HTTP/1.1 keep-alive: a request whose route errored before reading
-        # the body would leave those bytes in rfile, where they would be
-        # misparsed as the *next* request line on this connection.
-        if getattr(self, "_body_consumed", True):
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        while length > 0:
-            chunk = self.rfile.read(min(length, 65536))
-            if not chunk:
-                break
-            length -= len(chunk)
 
     def _route(self, method: str) -> Tuple[int, dict]:
         path, _, query = self.path.partition("?")
@@ -614,16 +356,9 @@ class _Handler(BaseHTTPRequestHandler):
                     return app.get_result(match.group("job_id"))
                 return app.get_job(match.group("job_id"))
         elif method == "POST":
-            if path == f"/{API_VERSION}/solve":
-                return app.post_solve(self._read_json())
-            if path == f"/{API_VERSION}/sweep":
-                return app.post_sweep(self._read_json())
-            if path == f"/{API_VERSION}/execute":
-                return app.post_execute(self._read_json())
-            if path == f"/{API_VERSION}/pareto":
-                return app.post_pareto(self._read_json())
-            if path == f"/{API_VERSION}/lint":
-                return app.post_lint(self._read_json())
+            prefix, _, name = path.rpartition("/")
+            if prefix == f"/{API_VERSION}" and name in OPERATIONS:
+                return app.post(OPERATIONS[name], self._read_json())
             match = _JOB_PATH.match(path)
             if match and match.group("sub") == "/cancel":
                 return app.cancel_job(match.group("job_id"))
@@ -646,28 +381,20 @@ class _Handler(BaseHTTPRequestHandler):
 class SolveServer:
     """The solve daemon: a :class:`JobQueue` behind a threading HTTP server.
 
-    Usage (programmatic; the ``repro serve`` CLI wraps the same class)::
-
-        server = SolveServer(port=0)          # 0 = pick an ephemeral port
-        server.start()
-        print(server.url)                     # e.g. http://127.0.0.1:53217
-        ...
-        server.stop()
-
-    Also usable as a context manager.  ``service``/``queue`` default to fresh
-    instances; pass your own ``SolveService`` to share a plan cache with
-    in-process callers.
+    ``SolveServer(port=0).start()`` serves on an ephemeral port (see
+    :attr:`url`) until :meth:`stop`; it is also a context manager, and
+    ``repro serve`` wraps it.  Without a ``queue``, one is built
+    from ``service`` (default: a fresh one; pass your own to share a plan
+    cache with in-process callers) and ``queue_options`` (``num_workers``,
+    ``backend``, ``max_queue_depth``, ``default_deadline_s``; see
+    :class:`JobQueue`).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
                  service: Optional[SolveService] = None,
                  queue: Optional[JobQueue] = None,
-                 num_workers: Optional[int] = None,
-                 backend: str = "thread",
-                 max_queue_depth: Optional[int] = None,
-                 default_deadline_s: Optional[float] = None,
                  verbose: bool = False,
-                 tracing: bool = False) -> None:
+                 tracing: bool = False, **queue_options) -> None:
         # Bridge finished spans into the per-phase latency histograms so the
         # Prometheus scrape has repro_phase_seconds whenever tracing is on.
         from ..obs import install_phase_histograms
@@ -675,10 +402,8 @@ class SolveServer:
         install_phase_histograms()
         if tracing:
             get_tracer().enable()
-        self.queue = queue if queue is not None else JobQueue(
-            service, num_workers=num_workers, backend=backend,
-            max_queue_depth=max_queue_depth,
-            default_deadline_s=default_deadline_s)
+        self.queue = (queue if queue is not None
+                      else JobQueue(service, **queue_options))
         self.app = _App(self.queue)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.app = self.app  # type: ignore[attr-defined]
@@ -744,16 +469,7 @@ class SolveServer:
         self.stop()
 
 
-def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
-          service: Optional[SolveService] = None,
-          num_workers: Optional[int] = None,
-          backend: str = "thread",
-          max_queue_depth: Optional[int] = None,
-          default_deadline_s: Optional[float] = None,
-          verbose: bool = False,
-          tracing: bool = False) -> SolveServer:
-    """Build and start a :class:`SolveServer` (background thread); returns it."""
-    return SolveServer(host, port, service=service, num_workers=num_workers,
-                       backend=backend, max_queue_depth=max_queue_depth,
-                       default_deadline_s=default_deadline_s,
-                       verbose=verbose, tracing=tracing).start()
+def serve(*args, **kwargs) -> SolveServer:
+    """Build and start a :class:`SolveServer` (background thread) with the
+    constructor's arguments; returns it."""
+    return SolveServer(*args, **kwargs).start()

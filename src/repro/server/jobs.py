@@ -1,45 +1,30 @@
 """Async job queue: priority ordering, bounded workers, single-flighting.
 
-This is the queueing half of the solve-as-a-service daemon.  An HTTP request
-(or a programmatic caller) *submits* work and immediately gets back a
-:class:`Job` handle; a bounded pool of worker threads drains the queue through
-one shared :class:`~repro.service.solve.SolveService`; clients poll (or
-:meth:`Job.wait`) for the ``queued -> running -> done/failed/cancelled``
-lifecycle to settle and then fetch the result.
+The queueing half of the solve daemon.  A caller *submits* work of a queued
+:data:`~repro.server.ops.OPERATIONS` entry and immediately gets back a
+:class:`Job` handle; a bounded pool of worker threads drains the queue
+through a :class:`~repro.server.backends.WorkerBackend`; callers poll (or
+:meth:`Job.wait`) until the ``queued -> running -> done/failed/cancelled``
+lifecycle settles, then fetch the result.
 
-Design points, in the order they matter for a serving system:
+**Single-flighting.**  Concurrent submissions with equal flight keys (for a
+solve, exactly the plan cache's key) share one *flight group* and one
+execution; each member job keeps its own id and lifecycle, and late joiners
+attach mid-air.  With the plan cache serving *sequential* repeats, duplicate
+traffic costs one MILP solve, not one per request.
 
-**Single-flighting.**  Identical concurrent submissions -- same graph content
-hash, strategy, budget and solver-visible options, i.e. exactly the plan
-cache's key -- are collapsed into one *flight group* that runs the solver
-once.  Every member job gets its own id and lifecycle and receives the shared
-result when the flight lands; late joiners that arrive while the flight is
-already running attach mid-air.  Combined with the
-:class:`~repro.service.cache.PlanCache` (which serves *sequential* repeats),
-this makes duplicate traffic -- the common case when many users train the
-same architecture at the same budget -- cost one MILP solve total, not one
-per request.
+**Priority.**  Lower ``priority`` runs first, ties FIFO; a joiner inherits
+its flight's position.
 
-**Priority.**  The queue is a binary heap ordered by ``(priority, arrival)``:
-lower ``priority`` values are served first, ties FIFO.  A follower joining an
-existing flight inherits the flight's position (it does not re-sort the
-heap).
-
-**Cancellation.**  Cancelling a job settles *that* job immediately.  The
-underlying solver invocation is only abandoned when every member of its
-flight group is cancelled, and even then cooperatively -- via the service's
-``should_cancel`` hook, polled before the solver starts.  A solver already
-inside HiGHS runs to completion and populates the plan cache; the result is
-simply not delivered to anyone.
-
-**Bounded history.**  Terminal jobs are retained for status queries but
-pruned oldest-first past ``max_history``, so a long-lived daemon does not
-leak one ``Job`` per request forever.
+**Cancellation.**  Cancelling a job settles that job at once.  The execution
+is abandoned only when every member of its flight is cancelled, and then
+cooperatively (the service's ``should_cancel`` hook); a solver already
+inside HiGHS finishes and populates the plan cache.  Terminal jobs are
+pruned oldest-first past ``max_history``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import os
@@ -47,30 +32,17 @@ import threading
 import time
 import uuid
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from functools import partialmethod
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.dfgraph import DFGraph
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
-from ..service import (
-    PlanCacheKey,
-    SolveCancelledError,
-    SolveService,
-    SolverOptions,
-    SweepCell,
-    graph_content_hash,
-)
-from .backends import (
-    ExecuteWork,
-    ParetoWork,
-    RemoteSolveError,
-    SolveWork,
-    SweepWork,
-    WorkerBackend,
-    WorkerCrashError,
-    make_backend,
-)
+from ..service import SolveCancelledError, SolveService, graph_content_hash
+from .backends import RemoteSolveError, WorkerBackend, WorkerCrashError, make_backend
 from .metrics import LatencyWindow
+from .ops import OPERATIONS
 
 __all__ = ["JobState", "Job", "JobQueue", "QueueFullError"]
 
@@ -91,14 +63,6 @@ class JobState(str, Enum):
 TERMINAL_STATES = frozenset({JobState.DONE, JobState.FAILED, JobState.CANCELLED})
 
 
-# Work descriptions live with the backends now (they are what a backend
-# executes); the old private names stay as aliases for continuity.
-_SolveWork = SolveWork
-_SweepWork = SweepWork
-_ExecuteWork = ExecuteWork
-_ParetoWork = ParetoWork
-
-
 class QueueFullError(RuntimeError):
     """Admission control rejected a submission: the queue is at its bounded
     depth.  Carries the shed contract: ``retry_after_s`` is the server's
@@ -114,48 +78,40 @@ class QueueFullError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
+@dataclass(eq=False)
 class Job:
-    """Handle for one submitted solve, sweep or execute.
+    """Handle for one submitted operation (``kind`` names it); the
+    :class:`JobQueue` owns its state transitions.  Treat ``result`` as
+    immutable: it may be shared with the flight's other jobs and the plan
+    cache."""
 
-    State transitions are owned by the :class:`JobQueue` (under its lock);
-    callers observe ``state``/``result``/``error`` and may :meth:`wait` on
-    the terminal event.  ``result`` is a
-    :class:`~repro.core.schedule.ScheduledResult` for solve jobs, a list of
-    them for sweep jobs and an
-    :class:`~repro.execution.report.ExecutionReport` for execute jobs; treat
-    it as immutable -- it may be shared with other jobs of the same flight
-    group and with the plan cache.
-    """
-
-    def __init__(self, kind: str, description: str, priority: int,
-                 flight_key: str, graph_hash: str) -> None:
-        self.id = uuid.uuid4().hex[:12]
-        self.kind = kind
-        self.description = description
-        self.priority = int(priority)
-        self.flight_key = flight_key
-        self.graph_hash = graph_hash
-        self.state = JobState.QUEUED
-        self.deduplicated = False
-        self.result: object = None
-        self.error: Optional[str] = None
-        #: Structured failure payload (worker crash, deadline, remote
-        #: exception): ``{"type": ..., "message": ..., ...}``; ``None`` for
-        #: successful jobs and plain string-only errors.
-        self.error_info: Optional[Dict[str, object]] = None
-        self.submitted_at = time.time()
-        #: Absolute wall-clock deadline; the job fails with a structured
-        #: ``deadline-exceeded`` error if still queued or running past it.
-        self.deadline_at: Optional[float] = None
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-        #: Trace id of the flight this job rode (None when tracing is off);
-        #: ``GET /v1/trace/{job_id}`` resolves the span tree through it.
-        self.trace_id: Optional[str] = None
-        #: Per-phase wall seconds aggregated from the trace when the flight
-        #: lands (e.g. ``{"ilp-solve": 0.12, "decode": 0.001}``).
-        self.phases: Optional[Dict[str, float]] = None
-        self._terminal = threading.Event()
+    kind: str
+    description: str
+    priority: int
+    flight_key: str = field(repr=False)
+    graph_hash: str = field(repr=False)
+    id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
+    state: JobState = JobState.QUEUED
+    deduplicated: bool = False
+    result: object = field(default=None, repr=False)
+    error: Optional[str] = None
+    #: Structured failure payload (worker crash, deadline, remote
+    #: exception): ``{"type": ..., "message": ..., ...}``.
+    error_info: Optional[Dict[str, object]] = None
+    submitted_at: float = field(default_factory=time.time)
+    #: Absolute wall-clock deadline; the job fails with a structured
+    #: ``deadline-exceeded`` error if still queued or running past it.
+    deadline_at: Optional[float] = None
+    started_at: Optional[float] = None
+    finished_at: Optional[float] = None
+    #: Trace id of the flight this job rode (None when tracing is off);
+    #: ``GET /v1/trace/{job_id}`` resolves the span tree through it.
+    trace_id: Optional[str] = None
+    #: Per-phase wall seconds aggregated from the trace when the flight
+    #: lands (e.g. ``{"ilp-solve": 0.12, "decode": 0.001}``).
+    phases: Optional[Dict[str, float]] = None
+    _terminal: threading.Event = field(default_factory=threading.Event,
+                                       repr=False)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state; ``False`` on timeout."""
@@ -163,31 +119,15 @@ class Job:
 
     def to_dict(self) -> dict:
         """JSON-safe status view (what ``GET /v1/jobs/{id}`` returns)."""
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "description": self.description,
-            "state": self.state.value,
-            "priority": self.priority,
-            "deduplicated": self.deduplicated,
-            "graph_hash": self.graph_hash,
-            "error": self.error,
-            "error_info": self.error_info,
-            "deadline_at": self.deadline_at,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "wait_s": (self.started_at - self.submitted_at
-                       if self.started_at is not None else None),
-            "run_s": (self.finished_at - self.started_at
-                      if self.finished_at is not None and self.started_at is not None
-                      else None),
-            "trace_id": self.trace_id,
-            "phases": self.phases,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Job({self.id}, {self.kind}, {self.state.value}, {self.description!r})"
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("flight_key", "result", "_terminal")}
+        out["state"] = self.state.value
+        out["wait_s"] = (self.started_at - self.submitted_at
+                         if self.started_at is not None else None)
+        out["run_s"] = (self.finished_at - self.started_at
+                        if None not in (self.finished_at, self.started_at)
+                        else None)
+        return out
 
 
 class _FlightGroup:
@@ -216,27 +156,20 @@ class JobQueue:
     Parameters
     ----------
     service:
-        The solve service all workers share (defaults to a fresh one with its
-        own plan cache).  Sharing matters: it is what lets two *sequential*
-        identical jobs answer from the cache.
+        The service all workers share (default: a fresh one with its own
+        plan cache); sharing is what lets *sequential* repeats hit the cache.
     num_workers:
-        Size of the worker pool.  Also the max number of solver invocations
-        in flight at once; queued work beyond that waits in priority order.
+        Worker pool size: the most flights executing at once.
     max_history:
         Retained terminal jobs.  Active jobs are never pruned.
     backend:
-        Flight execution engine: ``"thread"`` (in-process, the default),
-        ``"process"`` (ship solves to a spawn-based worker-process pool) or
-        a ready :class:`~repro.server.backends.WorkerBackend` instance.
-        With the process backend the queue still runs ``num_workers``
-        harvesting threads, each blocking on one worker-process future, so
-        concurrency is bounded identically either way.
+        ``"thread"`` (in-process, the default), ``"process"`` (a spawn-based
+        worker-process pool) or a :class:`~repro.server.backends.WorkerBackend`.
+        Either way ``num_workers`` queue threads bound the concurrency.
     max_queue_depth:
-        Admission control: maximum number of *flights* (distinct cells)
-        allowed to wait in the queue.  Submissions beyond it raise
-        :class:`QueueFullError` (the HTTP layer sheds them with 503 +
-        ``Retry-After``).  Joiners of an existing flight are never shed --
-        dedup'd work costs nothing.  ``None`` (default) disables shedding.
+        Admission control: the most *flights* allowed to wait.  New flights
+        beyond it raise :class:`QueueFullError` (HTTP 503 + ``Retry-After``);
+        joiners of an existing flight are never shed.  ``None`` disables it.
     default_deadline_s:
         Deadline applied to submissions that do not carry their own.
     """
@@ -266,11 +199,10 @@ class JobQueue:
         self.default_deadline_s = (None if default_deadline_s is None
                                    else float(default_deadline_s))
         self.max_history = int(max_history)
-        self.latency = LatencyWindow(maxlen=latency_window)
-        # Pareto traces are whole-frontier jobs (many solves each); tracking
-        # them in the per-solve window would skew its quantiles, so they get
-        # their own.
-        self.pareto_latency = LatencyWindow(maxlen=latency_window)
+        #: One window per ``/v1/metrics`` latency key the operations feed.
+        self.latency: Dict[str, LatencyWindow] = {
+            op.latency: LatencyWindow(maxlen=latency_window)
+            for op in OPERATIONS.values() if op.queued}
         self.started_at = time.time()
 
         self._lock = threading.Lock()
@@ -315,9 +247,7 @@ class JobQueue:
                     # Retire the flight too: were it left active in _flights,
                     # a submission after a restart would dedup onto it and
                     # wait forever (its heap entry is gone).
-                    flight.finished = True
-                    if self._flights.get(flight.key) is flight:
-                        del self._flights[flight.key]
+                    self._retire_locked(flight)
                 self._heap.clear()
             self._cond.notify_all()
         if wait:
@@ -335,136 +265,18 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    def submit_solve(self, graph: DFGraph, strategy: str,
-                     budget: Optional[float] = None,
-                     options: Optional[SolverOptions] = None, *,
-                     priority: int = 0,
-                     deadline_s: Optional[float] = None,
-                     description: Optional[str] = None) -> Job:
-        """Enqueue one (graph, strategy, budget, options) solve.
-
-        Unknown strategies raise ``KeyError`` immediately (submission time),
-        not at execution time.  The flight key is exactly the plan cache key,
-        so two submissions single-flight iff they would share a cache entry.
-        """
-        spec = self.service.registry.get(strategy)
-        options = options if options is not None else self.service.default_options
-        graph_hash = graph_content_hash(graph)
-        key = "solve/" + PlanCacheKey.build(graph_hash, spec.key, budget,
-                                            options.cache_token(spec.option_map))
-        budget_txt = "none" if budget is None else f"{budget:g}"
-        description = description or (
-            f"solve {graph.name} strategy={spec.key} budget={budget_txt}")
-        work = SolveWork(graph, spec.key, budget, options)
-        return self._submit("solve", key, work, priority, description,
-                            graph_hash, deadline_s)
-
-    def submit_sweep(self, graph: DFGraph,
-                     cells: Iterable[Union[SweepCell, Tuple[str, Optional[float]]]],
-                     options: Optional[SolverOptions] = None, *,
-                     priority: int = 0,
-                     deadline_s: Optional[float] = None,
-                     description: Optional[str] = None) -> Job:
-        """Enqueue a sweep over many (strategy, budget) cells as one job.
-
-        The whole sweep is one queue entry (its internal cells already fan
-        out over the service's own thread pool).  Identical concurrent sweep
-        submissions single-flight just like solves.
-        """
-        normalized: List[SweepCell] = []
-        for cell in cells:
-            if not isinstance(cell, SweepCell):
-                strategy, budget = cell
-                cell = SweepCell(strategy=strategy, budget=budget)
-            self.service.registry.get(cell.strategy)  # fail fast on unknown keys
-            normalized.append(cell)
-        if not normalized:
-            raise ValueError("sweep needs at least one cell")
-        options = options if options is not None else self.service.default_options
-        graph_hash = graph_content_hash(graph)
-        digest = hashlib.sha256()
-        digest.update(graph_hash.encode())
-        for cell in normalized:
-            spec = self.service.registry.get(cell.strategy)
-            cell_options = cell.options if cell.options is not None else options
-            digest.update(repr((cell.strategy,
-                                None if cell.budget is None else float(cell.budget),
-                                cell_options.cache_token(spec.option_map))).encode())
-        key = "sweep/" + digest.hexdigest()
-        description = description or (
-            f"sweep {graph.name} cells={len(normalized)}")
-        work = SweepWork(graph, tuple(normalized), options)
-        return self._submit("sweep", key, work, priority, description,
-                            graph_hash, deadline_s)
-
-    def submit_execute(self, graph: DFGraph, strategy: str,
-                       budget: Optional[float] = None,
-                       options: Optional[SolverOptions] = None, *,
-                       seed: int = 0,
-                       priority: int = 0,
-                       deadline_s: Optional[float] = None,
-                       description: Optional[str] = None) -> Job:
-        """Enqueue a solve-and-execute job (NumPy execution + cross-check).
-
-        The flight key extends the solve key with the binding ``seed``:
-        identical concurrent execute requests ride one solver invocation and
-        one tensor execution; an execute and a plain solve of the same cell
-        still share the *plan cache* (the execute binds and runs, the solve
-        answers from cache or vice versa) without single-flighting.
-        """
-        spec = self.service.registry.get(strategy)
-        options = options if options is not None else self.service.default_options
-        graph_hash = graph_content_hash(graph)
-        key = ("execute/" + PlanCacheKey.build(graph_hash, spec.key, budget,
-                                               options.cache_token(spec.option_map))
-               + f"/seed={int(seed)}")
-        budget_txt = "none" if budget is None else f"{budget:g}"
-        description = description or (
-            f"execute {graph.name} strategy={spec.key} budget={budget_txt} seed={seed}")
-        work = ExecuteWork(graph, spec.key, budget, options, int(seed))
-        return self._submit("execute", key, work, priority, description,
-                            graph_hash, deadline_s)
-
-    def submit_pareto(self, graph: DFGraph, strategy: str = "checkmate_ilp", *,
-                      low: Optional[float] = None,
-                      high: Optional[float] = None,
-                      resolution: Optional[float] = None,
-                      options: Optional[SolverOptions] = None,
-                      priority: int = 0,
-                      deadline_s: Optional[float] = None,
-                      description: Optional[str] = None) -> Job:
-        """Enqueue a bisection Pareto-frontier trace as one job.
-
-        Like a sweep, the whole trace is one queue entry (its probes run
-        through the shared service, warm-seeding each other via the plan
-        cache's neighbor index).  Identical concurrent traces single-flight.
-        """
-        spec = self.service.registry.get(strategy)
-        if not spec.has_budget_knob:
-            raise ValueError(
-                f"strategy {spec.key!r} has no budget knob to trace")
-        if resolution is not None and float(resolution) <= 0:
-            raise ValueError("resolution must be positive")
-        options = options if options is not None else self.service.default_options
-        graph_hash = graph_content_hash(graph)
-        digest = hashlib.sha256()
-        digest.update(graph_hash.encode())
-        digest.update(repr((spec.key,
-                            None if low is None else float(low),
-                            None if high is None else float(high),
-                            None if resolution is None else float(resolution),
-                            options.cache_token(spec.option_map))).encode())
-        key = "pareto/" + digest.hexdigest()
-        description = description or (
-            f"pareto {graph.name} strategy={spec.key}")
-        work = ParetoWork(graph, spec.key, low, high, resolution, options)
-        return self._submit("pareto", key, work, priority, description,
-                            graph_hash, deadline_s)
-
-    def _submit(self, kind: str, key: str, work, priority: int,
-                description: str, graph_hash: str,
-                deadline_s: Optional[float] = None) -> Job:
-        job = Job(kind, description, priority, key, graph_hash)
+    def submit(self, operation: str, work, *, priority: int = 0,
+               deadline_s: Optional[float] = None,
+               description: Optional[str] = None) -> Job:
+        """Enqueue ``work`` of a queued :data:`~repro.server.ops.OPERATIONS`
+        entry.  The entry keys its flight here, so an unknown strategy
+        raises ``KeyError`` and bad arguments ``ValueError`` at submission,
+        not in a worker."""
+        op = OPERATIONS[operation]
+        graph_hash = graph_content_hash(work.graph)
+        work, key = op.flight(self.service, work, graph_hash)
+        job = Job(op.name, description or _describe(op.name, work),
+                  int(priority), key, graph_hash)
         deadline_s = (deadline_s if deadline_s is not None
                       else self.default_deadline_s)
         if deadline_s is not None:
@@ -508,17 +320,34 @@ class JobQueue:
                         flight.trace_id = tracer.new_trace_id()
                 flight.members.append(job)
                 self._flights[key] = flight
-                heapq.heappush(self._heap, (int(priority), next(self._seq), flight))
+                heapq.heappush(self._heap, (job.priority, next(self._seq), flight))
                 self._cond.notify()
             job.trace_id = flight.trace_id
             self._jobs[job.id] = job
             self._prune_locked()
         return job
 
+    def _submit_fields(self, operation: str, graph: DFGraph, *fields,
+                       priority: int = 0, deadline_s: Optional[float] = None,
+                       description: Optional[str] = None, **named) -> Job:
+        work = OPERATIONS[operation].work(graph, *fields, **named)
+        return self.submit(operation, work, priority=priority,
+                           deadline_s=deadline_s, description=description)
+
+    # Programmatic entry points, one per queued operation:
+    # ``submit_<name>(graph, *fields, priority=0, deadline_s=None,
+    # description=None, **fields)`` builds the operation's work type in
+    # :mod:`repro.server.ops` from its fields, e.g.
+    # ``submit_solve(graph, "checkmate_ilp", budget, options)``.
+    submit_solve = partialmethod(_submit_fields, "solve")
+    submit_sweep = partialmethod(_submit_fields, "sweep")
+    submit_execute = partialmethod(_submit_fields, "execute")
+    submit_pareto = partialmethod(_submit_fields, "pareto")
+
     def _retry_after_locked(self) -> float:
         """Estimate seconds until a queue slot frees: depth drains at about
         one flight per worker per median solve latency."""
-        snapshot = self.latency.snapshot()
+        snapshot = self.latency["solve_latency"].snapshot()
         p50 = snapshot.get("p50_s") or 1.0
         estimate = p50 * (len(self._heap) + 1) / max(self.num_workers, 1)
         return min(max(estimate, 1.0), 30.0)
@@ -570,8 +399,7 @@ class JobQueue:
             "max_queue_depth": self.max_queue_depth,
             "jobs_by_state": by_state,
             "jobs": counters,
-            "solve_latency": self.latency.snapshot(),
-            "pareto_latency": self.pareto_latency.snapshot(),
+            **{name: window.snapshot() for name, window in self.latency.items()},
             "service": self.service.statistics(),
             "backend": self.backend.stats(),
         }
@@ -590,16 +418,11 @@ class JobQueue:
                 # Deadline check at pop: work that waited past its deadline
                 # fails *before* costing solver time (the load-shedding
                 # contract -- a late answer nobody waits for is wasted work).
-                now = time.time()
-                for job in flight.live_members():
-                    if job.deadline_at is not None and now >= job.deadline_at:
-                        self._expire_job_locked(job, now)
+                self._expire_overdue_locked(flight)
                 live = flight.live_members()
                 if not live:
                     # Everyone cancelled/expired while queued: never run.
-                    flight.finished = True
-                    if self._flights.get(flight.key) is flight:
-                        del self._flights[flight.key]
+                    self._retire_locked(flight)
                     continue
                 flight.running = True
                 now = time.time()
@@ -612,31 +435,25 @@ class JobQueue:
                                    flight.submitted_perf, time.perf_counter(),
                                    parent_id=flight.trace_parent)
             t_start = time.monotonic()
+            extra = {"flight_key": flight.key, "trace_id": flight.trace_id,
+                     "jobs": [j.id for j in flight.members]}
             try:
                 result = self._run_flight(tracer, flight)
             except SolveCancelledError as exc:
-                _log.info("job flight cancelled", extra={
-                    "flight_key": flight.key, "trace_id": flight.trace_id,
-                    "jobs": [j.id for j in flight.members]})
+                _log.info("job flight cancelled", extra=extra)
                 self._finish_flight(flight, JobState.CANCELLED, error=str(exc))
             except (WorkerCrashError, RemoteSolveError) as exc:
-                _log.error("job flight failed in worker: %s", exc, extra={
-                    "flight_key": flight.key, "trace_id": flight.trace_id,
-                    "jobs": [j.id for j in flight.members]})
+                _log.error("job flight failed in worker: %s", exc, extra=extra)
                 self._finish_flight(flight, JobState.FAILED, error=str(exc),
                                     error_info=exc.info)
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                _log.error("job flight failed: %s: %s",
-                           type(exc).__name__, exc, exc_info=True, extra={
-                               "flight_key": flight.key,
-                               "trace_id": flight.trace_id,
-                               "jobs": [j.id for j in flight.members]})
+                _log.error("job flight failed: %s: %s", type(exc).__name__,
+                           exc, exc_info=True, extra=extra)
                 self._finish_flight(flight, JobState.FAILED,
                                     error=f"{type(exc).__name__}: {exc}")
             else:
-                window = (self.pareto_latency
-                          if isinstance(flight.work, ParetoWork) else self.latency)
-                window.record(time.monotonic() - t_start)
+                self.latency[OPERATIONS[flight.members[0].kind].latency].record(
+                    time.monotonic() - t_start)
                 self._finish_flight(flight, JobState.DONE, result=result)
 
     def _run_flight(self, tracer, flight: _FlightGroup):
@@ -655,29 +472,31 @@ class JobQueue:
             # whose deadline passed mid-run before taking the verdict: a
             # flight every live member of which is past deadline (or
             # cancelled) has nobody left to deliver to.
-            now = time.time()
             with self._cond:
-                for job in flight.members:
-                    if (job.state is JobState.RUNNING
-                            and job.deadline_at is not None
-                            and now >= job.deadline_at):
-                        self._expire_job_locked(job, now)
+                self._expire_overdue_locked(flight)
                 return not any(j.state == JobState.RUNNING
                                for j in flight.members)
 
         return self.backend.run(flight.work, abandoned)
 
-    def _expire_job_locked(self, job: Job, now: float) -> None:
-        waited = now - job.submitted_at
-        job.error_info = {
-            "type": "deadline-exceeded",
-            "deadline_at": job.deadline_at,
-            "waited_s": round(waited, 6),
-        }
-        self._counters["expired"] += 1
-        self._settle_job_locked(job, JobState.FAILED,
-                                error=f"deadline exceeded after "
-                                      f"{waited:.3f}s")
+    def _expire_overdue_locked(self, flight: _FlightGroup) -> None:
+        """Fail the flight's live members whose deadline has passed."""
+        now = time.time()
+        for job in flight.live_members():
+            if job.deadline_at is not None and now >= job.deadline_at:
+                waited = now - job.submitted_at
+                job.error_info = {"type": "deadline-exceeded",
+                                  "deadline_at": job.deadline_at,
+                                  "waited_s": round(waited, 6)}
+                self._counters["expired"] += 1
+                self._settle_job_locked(job, JobState.FAILED,
+                                        error=f"deadline exceeded after "
+                                              f"{waited:.3f}s")
+
+    def _retire_locked(self, flight: _FlightGroup) -> None:
+        flight.finished = True
+        if self._flights.get(flight.key) is flight:
+            del self._flights[flight.key]
 
     def _finish_flight(self, flight: _FlightGroup, state: JobState, *,
                        result=None, error: Optional[str] = None,
@@ -687,11 +506,8 @@ class JobQueue:
             totals = get_tracer().store.phase_totals(flight.trace_id)
             phases = {k: round(v, 6) for k, v in totals.items()} or None
         with self._cond:
-            flight.finished = True
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-            live = [job for job in flight.members
-                    if job.state not in TERMINAL_STATES]
+            self._retire_locked(flight)
+            live = flight.live_members()
             if state is JobState.CANCELLED and live and not self._shutdown:
                 # The abandonment verdict fired when *every* member was
                 # cancelled, so anyone still live joined after it -- an
@@ -735,3 +551,16 @@ class JobQueue:
         excess = len(self._jobs) - self.max_history
         for job_id in removable[:excess]:
             del self._jobs[job_id]
+
+
+def _describe(operation: str, work) -> str:
+    """``"solve vgg16 strategy=checkmate_ilp budget=1e+09"``: the operation,
+    the graph and the work's set scalar fields."""
+    parts = [operation, work.graph.name]
+    for name, value in vars(work).items():
+        if name == "cells":
+            parts.append(f"cells={len(value)}")
+        elif isinstance(value, (str, int, float)):
+            parts.append(f"{name}={value:g}" if isinstance(value, float)
+                         else f"{name}={value}")
+    return " ".join(parts)

@@ -162,20 +162,26 @@ def graph_from_wire(payload: dict) -> DFGraph:
     """Reconstruct a :class:`DFGraph` from :func:`graph_to_wire` output."""
     if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
         raise ValueError("not a serialized repro DFGraph")
-    nodes = [NodeInfo(name=str(n[0]), cost=float(n[1]), memory=int(n[2]),
-                      is_backward=bool(n[3]),
-                      layer_id=None if n[4] is None else int(n[4]))
-             for n in payload["nodes"]]
-    deps = {int(j): [int(i) for i in parents]
-            for j, parents in payload["deps"].items()}
-    return DFGraph(
-        nodes=nodes,
-        deps=deps,
-        input_memory=int(payload.get("input_memory", 0)),
-        parameter_memory=int(payload.get("parameter_memory", 0)),
-        name=str(payload.get("name", "graph")),
-        meta=_decode_meta(payload.get("meta") or {}),
-    )
+    meta = payload.get("meta") or {}
+    if not (isinstance(payload.get("nodes"), list)
+            and isinstance(payload.get("deps"), dict) and isinstance(meta, dict)):
+        raise ValueError("graph 'nodes' must be a list and 'deps'/'meta' objects")
+    try:
+        nodes = [NodeInfo(name=str(n[0]), cost=float(n[1]), memory=int(n[2]),
+                          is_backward=bool(n[3]),
+                          layer_id=None if n[4] is None else int(n[4]))
+                 for n in payload["nodes"]]
+        deps = {int(j): [int(i) for i in parents]
+                for j, parents in payload["deps"].items()}
+        input_memory = int(payload.get("input_memory", 0))
+        parameter_memory = int(payload.get("parameter_memory", 0))
+        meta = _decode_meta(meta)
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed graph payload: {type(exc).__name__}: "
+                         f"{exc}") from None
+    return DFGraph(nodes=nodes, deps=deps, input_memory=input_memory,
+                   parameter_memory=parameter_memory,
+                   name=str(payload.get("name", "graph")), meta=meta)
 
 
 def graph_to_json(graph: DFGraph) -> str:

@@ -10,6 +10,9 @@ objective and an execution report with bit-identical outputs.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from repro.analysis import (
     structural_graph_hash,
 )
 from repro.analysis.passes import NodeProvenance
-from repro.core import DFGraph, NodeInfo
+from repro.core import DFGraph, GraphError, NodeInfo
 from repro.core.schedule import ScheduleMatrices, validate_correctness_constraints
 
 from helpers import tight_budget
@@ -249,7 +252,13 @@ class TestLinter:
     def test_nan_cost_is_c001_error(self, tiny_vgg_train):
         costs = [tiny_vgg_train.cost(i) for i in range(tiny_vgg_train.size)]
         costs[0], costs[1] = float("nan"), float("inf")
-        corrupted = tiny_vgg_train.with_costs(costs)
+        with pytest.raises(GraphError, match="finite"):
+            tiny_vgg_train.with_costs(costs)
+        # The constructor rejects non-finite costs; C001 still flags nodes
+        # replaced after construction.
+        corrupted = copy.copy(tiny_vgg_train)
+        corrupted.nodes = tuple(dataclasses.replace(node, cost=cost)
+                                for node, cost in zip(corrupted.nodes, costs))
         report = lint_graph(corrupted)
         c001 = [d for d in report.diagnostics if d.code == "C001"]
         assert {d.node for d in c001} == {0, 1}

@@ -1,0 +1,135 @@
+"""The operation table: every serving surface derives from one declaration.
+
+Covers the "declared once" contract (each ``OPERATIONS`` entry is reachable
+over HTTP, from ``ServeClient``, from the ``repro`` CLI and, when queued,
+from ``JobQueue``), the process-worker request round trip, and the input
+boundary: malformed graphs and presets get a 4xx on every endpoint, never a
+5xx.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import DFGraph, GraphError, NodeInfo
+from repro.experiments import build_training_graph
+from repro.server import JobQueue, ServeAPIError, ServeClient, SolveServer
+from repro.server.ops import (
+    OPERATIONS,
+    ExecuteWork,
+    LintWork,
+    ParetoWork,
+    SolveWork,
+    SweepWork,
+    request_fields,
+)
+from repro.service import SolverOptions, SweepCell
+from repro.utils.serialization import graph_to_wire
+
+#: CLI verbs whose name differs from their operation's.
+CLI_VERBS = {"solve": "submit"}
+
+
+@pytest.fixture(scope="module")
+def server():
+    with SolveServer(port=0, num_workers=1) as srv:
+        yield srv
+
+
+@pytest.fixture(scope="module")
+def client(server):
+    return ServeClient(server.url, timeout=30, max_retries=0)
+
+
+def _status(client, operation: str, payload: dict) -> int:
+    try:
+        client._request("POST", f"/v1/{operation}", payload)
+    except ServeAPIError as exc:
+        return exc.status
+    return 200
+
+
+# --------------------------------------------------------------------------- #
+# Declared once
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_every_operation_is_wired_on_every_surface(name, client):
+    from repro.cli import build_parser
+
+    op = OPERATIONS[name]
+    # HTTP: the route exists (an empty request is a 400, not "no route").
+    assert _status(client, name, {}) == 400
+    # Client: ``submit_<name>`` for queued operations, ``<name>`` otherwise.
+    method = f"submit_{name}" if op.queued else name
+    assert callable(getattr(ServeClient, method, None)), method
+    # CLI: a verb in ``repro --help``.
+    assert CLI_VERBS.get(name, name) in build_parser().format_help()
+    # Queue: ``JobQueue.submit_<name>`` for queued operations.
+    if op.queued:
+        assert callable(getattr(JobQueue, f"submit_{name}", None))
+
+
+def _sample_work(name: str, graph: DFGraph):
+    options = SolverOptions(seed=3, checkpoints=(2, 1), entrants=("a", "b"))
+    return {
+        "solve": SolveWork(graph, "checkpoint_all", 100.0, options),
+        "sweep": SweepWork(graph, (SweepCell("checkpoint_all", 1.0, options),
+                                   SweepCell("ap_sqrt_n")), SolverOptions()),
+        "execute": ExecuteWork(graph, "checkmate_ilp", 5.0, None, seed=4),
+        "pareto": ParetoWork(graph, "checkmate_ilp", 1.0, 2.0, 0.5, options),
+        "lint": LintWork(graph, 7.0),
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_request_fields_parse_back_to_the_same_work(name):
+    """Process workers receive work in the HTTP request format: the
+    operation's parser must read its own encoding back exactly."""
+    graph = build_training_graph("linear_mlp")
+    work = _sample_work(name, graph)
+    op = OPERATIONS[name]
+    assert isinstance(work, op.work)
+    assert op.parse(request_fields(work), graph) == work
+
+
+# --------------------------------------------------------------------------- #
+# Input boundary: no 5xx for malformed graphs and presets
+# --------------------------------------------------------------------------- #
+def _wire(chain5_train, **changes) -> dict:
+    return dict(graph_to_wire(chain5_train), **changes)
+
+
+MALFORMED = {
+    "short-node-row": lambda g: {"graph": _wire(g, nodes=[["a", 1.0, 1]])},
+    "deps-as-list": lambda g: {"graph": _wire(g, deps=[[0]])},
+    "meta-as-list": lambda g: {"graph": _wire(g, meta=["x"])},
+    "preset-as-list": lambda g: {"preset": ["x"]},
+    "nan-cost": lambda g: {"graph": _wire(
+        g, nodes=[["n0", float("nan"), 1, False, None]], deps={"0": []})},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_is_rejected_with_400(name, case, client, chain5_train):
+    payload = dict(MALFORMED[case](chain5_train), strategy="checkpoint_all",
+                   strategies=["checkpoint_all"])
+    assert _status(client, name, payload) == 400
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_graph_rejects_non_finite_costs_and_memories(value):
+    with pytest.raises(GraphError, match="finite"):
+        DFGraph(nodes=[NodeInfo("a", cost=value, memory=1)], deps={})
+    with pytest.raises(GraphError, match="finite"):
+        DFGraph(nodes=[NodeInfo("a", cost=1.0, memory=value)], deps={})
+
+
+def test_nan_cost_solve_is_a_400_not_a_failed_job(client, chain5_train):
+    wire = graph_to_wire(chain5_train)
+    wire["nodes"][0][1] = float("nan")
+    with pytest.raises(ServeAPIError) as err:
+        client._request("POST", "/v1/solve",
+                        {"graph": wire, "strategy": "checkpoint_all"})
+    assert err.value.status == 400
+    assert "finite" in err.value.message
