@@ -38,12 +38,12 @@ covers the defects the constructor is too cheap to catch.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.dfgraph import DFGraph
+from ..utils.lru import SingleFlightLRU
 from .analyses import dead_nodes
 
 __all__ = ["Diagnostic", "LintReport", "lint_graph", "lint_graph_cached"]
@@ -126,7 +126,11 @@ def _check_meta(out: List[Diagnostic], graph: DFGraph) -> None:
     n = graph.size
     forward = graph.forward_nodes()
     n_forward = meta.get("n_forward")
-    if n_forward is not None and int(n_forward) != len(forward):
+    if n_forward is not None and not isinstance(n_forward, numbers.Integral):
+        _diag(out, graph, "M001", "error",
+              f"meta['n_forward'] must be an integer, got {n_forward!r}")
+        n_forward = None
+    if n_forward is not None and n_forward != len(forward):
         _diag(out, graph, "M001", "error",
               f"meta['n_forward'] = {n_forward} but the graph has "
               f"{len(forward)} forward nodes")
@@ -138,7 +142,13 @@ def _check_meta(out: List[Diagnostic], graph: DFGraph) -> None:
                   f"{type(grad_index).__name__}")
         else:
             for fwd, grad in grad_index.items():
-                fwd, grad = int(fwd), int(grad)
+                try:
+                    fwd, grad = int(fwd), int(grad)
+                except (TypeError, ValueError):
+                    _diag(out, graph, "M001", "error",
+                          f"grad_index entry {fwd!r} -> {grad!r} is not a "
+                          "pair of node indices")
+                    continue
                 if not (0 <= fwd < n) or not (0 <= grad < n):
                     _diag(out, graph, "M001", "error",
                           f"grad_index entry {fwd} -> {grad} is out of range "
@@ -230,9 +240,8 @@ def lint_graph(graph: DFGraph, *, budget: Optional[float] = None) -> LintReport:
     return report
 
 
-_lint_memo_lock = threading.Lock()
-_lint_memo: "OrderedDict[Tuple[str, Optional[str]], LintReport]" = OrderedDict()
-_LINT_MEMO_MAX = 256
+#: The process-wide memo behind :func:`lint_graph_cached`.
+lint_cache: SingleFlightLRU[Tuple[str, Optional[str]], LintReport] = SingleFlightLRU(256)
 
 
 def lint_graph_cached(graph: DFGraph, *,
@@ -248,15 +257,4 @@ def lint_graph_cached(graph: DFGraph, *,
 
     key = (graph_content_hash(graph),
            repr(float(budget)) if budget is not None else None)
-    with _lint_memo_lock:
-        cached = _lint_memo.get(key)
-        if cached is not None:
-            _lint_memo.move_to_end(key)
-            return cached
-    report = lint_graph(graph, budget=budget)
-    with _lint_memo_lock:
-        _lint_memo[key] = report
-        _lint_memo.move_to_end(key)
-        while len(_lint_memo) > _LINT_MEMO_MAX:
-            _lint_memo.popitem(last=False)
-    return report
+    return lint_cache.get_or_compute(key, lambda: lint_graph(graph, budget=budget))

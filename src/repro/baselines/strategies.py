@@ -1,21 +1,24 @@
 """Unified strategy registry: Table 1 of the paper as executable objects.
 
-Each strategy is described by a :class:`StrategyInfo` carrying the qualitative
-capability flags from Table 1 (general graphs / cost aware / memory aware) and
-a ``solve`` callable with the uniform signature ``solve(graph, budget=None,
-**kwargs) -> ScheduledResult``.  The evaluation harness iterates over this
-registry to produce the Figure 5 trade-off curves, the Figure 6 batch-size
-study and the Table 2 approximation ratios.
+Each strategy is declared once, as a
+:class:`~repro.service.registry.SolverSpec` carrying the qualitative capability
+flags from Table 1 (general graphs / cost aware / memory aware), a ``solve``
+callable with the uniform signature ``solve(graph, budget=None, **kwargs) ->
+ScheduledResult``, and the option names and capabilities the solve service
+reads.  :func:`~repro.service.registry.default_registry` registers them as
+they are; the evaluation harness iterates over them to produce the Figure 5
+trade-off curves, the Figure 6 batch-size study and the Table 2 approximation
+ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, checkpoint_all_schedule
 from ..core.simulator import schedule_peak_memory
+from ..service.registry import SolverRegistry, SolverSpec
 from ..solvers.approximation import solve_approx_lp_rounding
 from ..solvers.common import build_scheduled_result
 from ..solvers.ilp import solve_ilp_rematerialization
@@ -24,28 +27,10 @@ from .chen import ap_candidates, solve_chen_greedy, solve_chen_sqrt_n
 from .griewank import solve_griewank_logn
 from .segmenting import forward_candidates
 
-__all__ = ["StrategyInfo", "STRATEGIES", "get_strategy", "solve_checkpoint_all"]
+__all__ = ["STRATEGIES", "get_strategy", "solve_checkpoint_all"]
 
 #: Tri-state capability value used in Table 1 ("~" means partially).
 PARTIAL = "~"
-
-
-@dataclass(frozen=True)
-class StrategyInfo:
-    """Description and driver of one rematerialization strategy.
-
-    ``general_graphs``, ``cost_aware`` and ``memory_aware`` mirror the columns
-    of Table 1 (values ``True``, ``False`` or ``"~"`` for partial support).
-    """
-
-    key: str
-    description: str
-    general_graphs: object
-    cost_aware: object
-    memory_aware: object
-    solve: Callable[..., ScheduledResult]
-    linear_only: bool = False
-    has_budget_knob: bool = True
 
 
 def solve_checkpoint_all(graph: DFGraph, budget: Optional[float] = None,
@@ -79,94 +64,99 @@ def solve_checkpoint_all(graph: DFGraph, budget: Optional[float] = None,
     )
 
 
-def _solve_ap_sqrt_n(graph: DFGraph, budget: Optional[float] = None, **kw) -> ScheduledResult:
-    return solve_chen_sqrt_n(graph, budget, candidates=ap_candidates(graph),
-                             strategy_name="ap-sqrt(n)", **kw)
+def _on_candidates(solve: Callable[..., ScheduledResult],
+                   candidates: Callable[[DFGraph], List[int]],
+                   strategy_name: str) -> Callable[..., ScheduledResult]:
+    """A Chen heuristic run over ``candidates(graph)`` + optimal R solve."""
+    def run(graph: DFGraph, budget: Optional[float] = None, **kw) -> ScheduledResult:
+        return solve(graph, budget, candidates=candidates(graph),
+                     strategy_name=strategy_name, **kw)
+    return run
 
 
-def _solve_ap_greedy(graph: DFGraph, budget: Optional[float] = None, **kw) -> ScheduledResult:
-    return solve_chen_greedy(graph, budget, candidates=ap_candidates(graph),
-                             strategy_name="ap-greedy", **kw)
-
-
-def _solve_linearized_sqrt_n(graph: DFGraph, budget: Optional[float] = None, **kw) -> ScheduledResult:
-    return solve_chen_sqrt_n(graph, budget, candidates=forward_candidates(graph),
-                             strategy_name="linearized-sqrt(n)", **kw)
-
-
-def _solve_linearized_greedy(graph: DFGraph, budget: Optional[float] = None, **kw) -> ScheduledResult:
-    return solve_chen_greedy(graph, budget, candidates=forward_candidates(graph),
-                             strategy_name="linearized-greedy", **kw)
-
-
-#: Table 1 of the paper, as a registry.  Keys are stable identifiers used by the
-#: experiment harness and the benchmarks.
-STRATEGIES: Dict[str, StrategyInfo] = {
-    "checkpoint_all": StrategyInfo(
+#: Table 1 of the paper.  Keys are stable identifiers used by the experiment
+#: harness and the benchmarks.
+STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
+    SolverSpec(
         key="checkpoint_all",
         description="No rematerialization; default in deep learning frameworks.",
         general_graphs=True, cost_aware=False, memory_aware=False,
-        solve=solve_checkpoint_all, has_budget_knob=False,
+        solve=solve_checkpoint_all, has_budget_knob=False, in_table1=True,
     ),
-    "griewank_logn": StrategyInfo(
+    SolverSpec(
         key="griewank_logn",
         description="Griewank & Walther (2000) REVOLVE procedure.",
         general_graphs=False, cost_aware=False, memory_aware=False,
         solve=solve_griewank_logn, linear_only=True, has_budget_knob=False,
+        in_table1=True,
     ),
-    "chen_sqrt_n": StrategyInfo(
+    SolverSpec(
         key="chen_sqrt_n",
         description="Chen et al. (2016) sqrt(n) checkpointing heuristic.",
         general_graphs=False, cost_aware=False, memory_aware=False,
         solve=solve_chen_sqrt_n, linear_only=True, has_budget_knob=False,
+        in_table1=True,
     ),
-    "chen_greedy": StrategyInfo(
+    SolverSpec(
         key="chen_greedy",
         description="Chen et al. (2016) greedy heuristic with search over parameter b.",
         general_graphs=False, cost_aware=False, memory_aware=PARTIAL,
-        solve=solve_chen_greedy, linear_only=True,
+        solve=solve_chen_greedy, linear_only=True, in_table1=True,
     ),
-    "ap_sqrt_n": StrategyInfo(
+    SolverSpec(
         key="ap_sqrt_n",
         description="Chen sqrt(n) on articulation points + optimal R solve.",
         general_graphs=PARTIAL, cost_aware=False, memory_aware=False,
-        solve=_solve_ap_sqrt_n, has_budget_knob=False,
+        solve=_on_candidates(solve_chen_sqrt_n, ap_candidates, "ap-sqrt(n)"),
+        has_budget_knob=False, in_table1=True,
     ),
-    "ap_greedy": StrategyInfo(
+    SolverSpec(
         key="ap_greedy",
         description="Chen greedy on articulation points + optimal R solve.",
         general_graphs=PARTIAL, cost_aware=False, memory_aware=PARTIAL,
-        solve=_solve_ap_greedy,
+        solve=_on_candidates(solve_chen_greedy, ap_candidates, "ap-greedy"),
+        in_table1=True,
     ),
-    "linearized_sqrt_n": StrategyInfo(
+    SolverSpec(
         key="linearized_sqrt_n",
         description="Chen sqrt(n) on the topological sort + optimal R solve.",
         general_graphs=True, cost_aware=False, memory_aware=False,
-        solve=_solve_linearized_sqrt_n, has_budget_knob=False,
+        solve=_on_candidates(solve_chen_sqrt_n, forward_candidates,
+                             "linearized-sqrt(n)"),
+        has_budget_knob=False, in_table1=True,
     ),
-    "linearized_greedy": StrategyInfo(
+    SolverSpec(
         key="linearized_greedy",
         description="Chen greedy on the topological sort + optimal R solve.",
         general_graphs=True, cost_aware=False, memory_aware=PARTIAL,
-        solve=_solve_linearized_greedy,
+        solve=_on_candidates(solve_chen_greedy, forward_candidates,
+                             "linearized-greedy"), in_table1=True,
     ),
-    "checkmate_ilp": StrategyInfo(
+    SolverSpec(
         key="checkmate_ilp",
         description="Checkmate optimal MILP (Section 4).",
         general_graphs=True, cost_aware=True, memory_aware=True,
-        solve=solve_ilp_rematerialization,
+        solve=solve_ilp_rematerialization, in_table1=True,
+        option_map={"time_limit_s": "time_limit_s", "mip_gap": "mip_gap",
+                    "generate_plan": "generate_plan"},
+        uses_formulation=True, warm_start_capable=True,
     ),
-    "checkmate_approx": StrategyInfo(
+    SolverSpec(
         key="checkmate_approx",
         description="Checkmate two-phase LP rounding approximation (Section 5).",
         general_graphs=True, cost_aware=True, memory_aware=True,
-        solve=solve_approx_lp_rounding,
+        solve=solve_approx_lp_rounding, in_table1=True,
+        # The MILP time limit (``time_limit_s``) deliberately does NOT reach
+        # the LP: the experiments pass tight MILP limits that would otherwise
+        # silently shrink the LP's generous 600 s default; use
+        # ``lp_time_limit_s`` to bound the LP.
+        option_map={"lp_time_limit_s": "lp_time_limit_s", "allowance": "allowance",
+                    "rounding_mode": "mode", "num_samples": "num_samples",
+                    "seed": "seed", "generate_plan": "generate_plan"},
+        uses_formulation=True,
     ),
-}
+)}
 
 
-def get_strategy(key: str) -> StrategyInfo:
-    """Look up a strategy by registry key (raises ``KeyError`` with suggestions)."""
-    if key not in STRATEGIES:
-        raise KeyError(f"unknown strategy {key!r}; available: {', '.join(sorted(STRATEGIES))}")
-    return STRATEGIES[key]
+#: Look up a strategy by key (raises ``KeyError`` listing the available ones).
+get_strategy = SolverRegistry(STRATEGIES).get

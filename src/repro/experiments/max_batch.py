@@ -13,7 +13,6 @@ its time limit.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -23,6 +22,7 @@ from ..core.dfgraph import DFGraph
 from ..cost_model import CostModel, FlopCostModel
 from ..service import SolveService, SolverOptions, get_default_service, parallel_map
 from ..utils.formatting import format_table
+from ..utils.lru import SingleFlightLRU
 from .budget_sweep import pass_statistics
 
 __all__ = ["MaxBatchResult", "TrainingGraphMemo", "max_batch_size",
@@ -53,32 +53,31 @@ def cost_cap(training_graph: DFGraph) -> float:
 
 
 class TrainingGraphMemo:
-    """Thread-safe per-batch-size memo of built training graphs.
+    """Thread-safe, single-flight per-batch-size memo of built training graphs.
 
     The Figure 6 search probes the same batch sizes for every strategy of one
     model (the exponential bracket always visits 1, 2, 4, ...), and every
     probe otherwise rebuilds forward graph + autodiff + cost model from
     scratch.  Sharing one memo across the strategy searches means each batch
-    size is built once -- and, because the returned object is the *same*
-    ``DFGraph`` instance, its content hash and compiled formulation memos are
-    shared across strategies too instead of being recomputed per probe.
+    size is built once, even by concurrent searches -- and, because the
+    returned object is the *same* ``DFGraph`` instance, its content hash and
+    compiled formulation memos are shared across strategies too instead of
+    being recomputed per probe.
     """
 
     def __init__(self, forward_builder: Callable[[int], DFGraph],
                  cost_model: CostModel) -> None:
         self._builder = forward_builder
         self._cost_model = cost_model
-        self._graphs: Dict[int, DFGraph] = {}
-        self._lock = threading.Lock()
+        # 64 batch sizes: the 1, 2, 4, ... bracket up to 4096 plus a binary
+        # search per strategy stays well under it.
+        self._graphs: SingleFlightLRU[int, DFGraph] = SingleFlightLRU(64)
 
     def __call__(self, batch_size: int) -> DFGraph:
-        with self._lock:
-            graph = self._graphs.get(batch_size)
-        if graph is None:
-            graph = self._cost_model.apply(make_training_graph(self._builder(batch_size)))
-            with self._lock:
-                graph = self._graphs.setdefault(batch_size, graph)
-        return graph
+        def build() -> DFGraph:
+            return self._cost_model.apply(make_training_graph(self._builder(batch_size)))
+
+        return self._graphs.get_or_compute(batch_size, build)
 
 
 def _feasible_at_batch(

@@ -14,8 +14,9 @@ stored plan.
 
 Two tiers:
 
-* an in-process LRU of :class:`ScheduledResult` objects (``max_entries``
-  bounded, thread safe -- the sweep executor hits it concurrently), and
+* an in-process :class:`~repro.utils.lru.SingleFlightLRU` of
+  :class:`ScheduledResult` objects (``max_entries`` bounded, thread safe --
+  the sweep executor hits it concurrently), and
 * an optional on-disk JSON store (one file per key under ``cache_dir``) built
   on the :mod:`repro.utils.serialization` result wire format, which persists
   the ``(R, S)`` matrices across processes.  Disk hits are re-validated and
@@ -25,11 +26,9 @@ Two tiers:
   concurrent writers (multiple serve workers, or several processes sharing
   one ``cache_dir``) can never interleave partial JSON.
 
-The cache keeps its own atomic ``hits`` / ``misses`` / ``evictions`` counters
-(:meth:`PlanCache.stats`); they feed the serve daemon's ``/v1/metrics``
-endpoint and are maintained here -- unlike
-:class:`~repro.service.solve.SolveStats`, which only counts solves routed
-through one :class:`~repro.service.solve.SolveService`.
+The cache's counters (:meth:`PlanCache.stats`) feed the serve daemon's
+``/v1/metrics``; unlike :class:`~repro.service.solve.SolveStats` they count
+every lookup, not only solves routed through one service.
 
 Cached results are shared, not copied: an in-memory hit returns the *same*
 :class:`ScheduledResult` object to every caller (including duplicate cells of
@@ -47,11 +46,11 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult
+from ..utils.lru import SingleFlightLRU
 from ..utils.serialization import RESULT_FORMAT, result_from_wire, result_to_wire
 
 __all__ = ["PlanCacheKey", "PlanCache"]
@@ -75,18 +74,14 @@ class PlanCache:
                  cache_dir: Optional[str] = None) -> None:
         self.max_entries = int(max_entries)
         self.cache_dir = cache_dir
+        self._memory: SingleFlightLRU[str, ScheduledResult] = SingleFlightLRU(max_entries)
+        # Family index for warm-start neighbor lookups (memory tier only):
+        # family token (graph hash + strategy + options, NOT budget) ->
+        # {budget: result}.  Every store into the memory tier goes through
+        # ``_lock``, so the index drops exactly the keys the LRU evicts.
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, ScheduledResult]" = OrderedDict()
-        # Family index for warm-start neighbor lookups: family token (graph
-        # hash + strategy + options, NOT budget) -> {budget: key}.  Lets the
-        # service find "the nearest cached cell at a larger budget" to seed a
-        # cold cell from; memory tier only (a disk entry would need the full
-        # result loaded anyway, at which point it is promoted here).
-        self._family_index: Dict[str, Dict[float, str]] = {}
+        self._family_index: Dict[str, Dict[float, ScheduledResult]] = {}
         self._key_family: Dict[str, Tuple[str, float]] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
         self._disk_hits = 0
         self._neighbor_hits = 0
         if cache_dir:
@@ -100,23 +95,16 @@ class PlanCache:
 
         Checks the in-memory tier first, then the disk tier (promoting disk
         hits into memory).  ``graph`` is needed to re-materialize disk entries
-        into full :class:`ScheduledResult` objects.  Hits and misses are
-        counted atomically (see :meth:`stats`).
+        into full :class:`ScheduledResult` objects.  A disk hit counts as a
+        hit (see :meth:`stats`).
         """
-        with self._lock:
-            result = self._entries.get(key)
+        result = self._memory.get(key)
+        if result is None:
+            result = self._load_from_disk(key, graph)
             if result is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return result
-        result = self._load_from_disk(key, graph)
-        with self._lock:
-            if result is not None:
-                self._hits += 1
-                self._disk_hits += 1
-                self._put_locked(key, result)
-            else:
-                self._misses += 1
+                with self._lock:
+                    self._disk_hits += 1
+                    self._store_locked(key, result)
         return result
 
     def put(self, key: PlanCacheKey, result: ScheduledResult, *,
@@ -128,30 +116,20 @@ class PlanCache:
         :meth:`neighbor_above`.
         """
         with self._lock:
-            self._put_locked(key, result)
+            self._store_locked(key, result)
             if (family is not None and budget is not None
-                    and key in self._entries):
-                self._family_index.setdefault(family, {})[float(budget)] = key
+                    and self.max_entries > 0):
+                self._family_index.setdefault(family, {})[float(budget)] = result
                 self._key_family[key] = (family, float(budget))
         self._store_to_disk(key, result)
 
-    def _put_locked(self, key: PlanCacheKey, result: ScheduledResult) -> None:
-        if self.max_entries <= 0:
-            return
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._evictions += 1
-            self._drop_family_locked(evicted)
-
-    def _drop_family_locked(self, key: str) -> None:
-        entry = self._key_family.pop(key, None)
-        if entry is None:
-            return
-        family, budget = entry
-        budgets = self._family_index.get(family)
-        if budgets is not None:
+    def _store_locked(self, key: PlanCacheKey, result: ScheduledResult) -> None:
+        for evicted in self._memory.put(key, result):
+            entry = self._key_family.pop(evicted, None)
+            if entry is None:
+                continue
+            family, budget = entry
+            budgets = self._family_index.get(family, {})
             budgets.pop(budget, None)
             if not budgets:
                 self._family_index.pop(family, None)
@@ -167,57 +145,37 @@ class PlanCache:
         budget = float(budget)
         with self._lock:
             budgets = self._family_index.get(family)
-            if not budgets:
-                return None
-            above = [b for b in budgets if b > budget]
+            above = [b for b in budgets or () if b > budget]
             if not above:
                 return None
             nearest = min(above)
-            result = self._entries.get(budgets[nearest])
-            if result is None:
-                return None
             self._neighbor_hits += 1
-            return nearest, result
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (disk files are left in place)."""
-        with self._lock:
-            self._entries.clear()
-            self._family_index.clear()
-            self._key_family.clear()
+            return nearest, budgets[nearest]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._memory)
 
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, object]:
-        """One consistent snapshot of the cache counters (taken under the lock).
+        """One snapshot of the cache counters.
 
         ``hit_rate`` is ``hits / (hits + misses)`` over lookups so far, or
         ``None`` before the first lookup.  ``disk_hits`` counts the subset of
         ``hits`` served from the on-disk tier.
         """
         with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "disk_hits": self._disk_hits,
-                "neighbor_hits": self._neighbor_hits,
-                "hit_rate": (self._hits / lookups) if lookups else None,
-            }
-
-    def reset_stats(self) -> None:
-        """Zero the counters (entries themselves are untouched)."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = self._disk_hits = 0
-            self._neighbor_hits = 0
+            stats = self._memory.stats()
+            disk_hits, neighbor_hits = self._disk_hits, self._neighbor_hits
+        del stats["computes"]
+        # The memory tier saw each disk hit as a miss.
+        stats["hits"] = hits = int(stats["hits"]) + disk_hits
+        stats["misses"] = misses = int(stats["misses"]) - disk_hits
+        stats["hit_rate"] = hits / (hits + misses) if hits + misses else None
+        stats["disk_hits"] = disk_hits
+        stats["neighbor_hits"] = neighbor_hits
+        return stats
 
     # ------------------------------------------------------------------ #
     # Disk tier

@@ -1,10 +1,7 @@
 """One solver registry for the whole system.
 
-Before this layer there were two half-registries: ``baselines.STRATEGIES``
-(Table 1 heuristics plus the two Checkmate solvers, with ad-hoc kwargs decided
-at every callsite) and the loose functions in :mod:`repro.solvers` that were
-never registered at all (branch-and-bound, min-R).  :class:`SolverRegistry`
-absorbs both behind a single :class:`Solver` protocol:
+:class:`SolverRegistry` holds every strategy behind a single :class:`Solver`
+protocol:
 
 ``solve(graph, budget=None, **kwargs) -> ScheduledResult``
 
@@ -17,10 +14,14 @@ Each :class:`SolverSpec` additionally carries
   for per-callsite ``if key == "checkmate_ilp"`` special-casing, and
 * structural attributes (``linear_only``, ``has_budget_knob``) the sweep
   planner uses.
+
+A solver is declared once, next to its implementation where it has one: the
+ten Table 1 specs live in :mod:`repro.baselines.strategies`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Protocol
 
@@ -59,8 +60,7 @@ class SolverSpec:
     in_table1: bool = False
     option_map: Mapping[str, str] = field(default_factory=dict)
     #: Whether the solver routes through the MILP/LP formulation of Eq. (9);
-    #: the sweep executor precompiles the shared CompiledFormulation for these
-    #: so parallel budget cells never queue behind a cold compile.
+    #: the sweep executor precompiles it once for these.
     uses_formulation: bool = False
     #: Whether the solver accepts a ``warm_start=`` WarmSeed keyword and can
     #: exploit a neighboring budget's incumbent.  Only *exact* solvers qualify:
@@ -116,32 +116,8 @@ class SolverRegistry:
         return SolverRegistry(self._specs)
 
 
-#: SolverOptions fields the MILP solver understands.
-_ILP_OPTIONS = {
-    "time_limit_s": "time_limit_s",
-    "mip_gap": "mip_gap",
-    "generate_plan": "generate_plan",
-}
-#: SolverOptions fields the LP-rounding approximation understands.  Note the
-#: MILP time limit (``time_limit_s``) deliberately does NOT reach the LP: the
-#: experiments pass tight MILP limits that would otherwise silently shrink the
-#: LP's generous 600 s default; use ``lp_time_limit_s`` to bound the LP.
-_APPROX_OPTIONS = {
-    "lp_time_limit_s": "lp_time_limit_s",
-    "allowance": "allowance",
-    "rounding_mode": "mode",
-    "num_samples": "num_samples",
-    "seed": "seed",
-    "generate_plan": "generate_plan",
-}
-
-_EXTRA_OPTION_MAPS: Dict[str, Mapping[str, str]] = {
-    "checkmate_ilp": _ILP_OPTIONS,
-    "checkmate_approx": _APPROX_OPTIONS,
-}
-
-#: SolverOptions fields the rounding-portfolio schemes understand.  Unlike the
-#: legacy approximation there is no ``rounding_mode``: the scheme *is* the
+#: SolverOptions fields the rounding-portfolio schemes understand.  Unlike
+#: ``checkmate_approx`` there is no ``rounding_mode``: the scheme *is* the
 #: strategy key, so mode never needs to travel as an option.
 _PORTFOLIO_OPTIONS = {
     "lp_time_limit_s": "lp_time_limit_s",
@@ -151,24 +127,17 @@ _PORTFOLIO_OPTIONS = {
     "generate_plan": "generate_plan",
 }
 
-#: SolverOptions fields the race meta-solver understands.  ``deadline_s`` and
-#: ``entrants`` are part of the option map on purpose: they enter the plan
+#: SolverOptions fields the race meta-solver understands: the portfolio's, the
+#: ILP entrant's ``time_limit_s``, and its own ``deadline_s`` and ``entrants``.
+#: The last two are part of the option map on purpose: they enter the plan
 #: cache token, so schedules raced under different SLOs or entrant sets never
 #: alias one another in the cache.
 _RACE_OPTIONS = {
+    **_PORTFOLIO_OPTIONS,
     "deadline_s": "deadline_s",
     "entrants": "entrants",
     "time_limit_s": "time_limit_s",
-    "lp_time_limit_s": "lp_time_limit_s",
-    "allowance": "allowance",
-    "num_samples": "num_samples",
-    "seed": "seed",
-    "generate_plan": "generate_plan",
 }
-
-#: Strategies that solve (a relaxation of) the Eq. (9) MILP and therefore
-#: share the compiled budget-independent formulation arrays.
-_FORMULATION_STRATEGIES = frozenset({"checkmate_ilp", "checkmate_approx"})
 
 #: One-line descriptions of the four portfolio schemes (ROADMAP item 1).
 _PORTFOLIO_DESCRIPTIONS = {
@@ -182,46 +151,22 @@ _PORTFOLIO_DESCRIPTIONS = {
                          "feasibility retries.",
 }
 
-#: Exact solvers that accept ``warm_start=`` (see SolverSpec.warm_start_capable).
-_WARM_CAPABLE_STRATEGIES = frozenset({"checkmate_ilp", "checkmate_bnb"})
-
 
 def default_registry() -> SolverRegistry:
     """Build the canonical registry: Table 1 strategies + the extra solvers.
 
-    The ten ``baselines.STRATEGIES`` entries are absorbed with their Table 1
-    flags intact; the previously unregistered solvers from :mod:`repro.solvers`
-    (reference branch-and-bound, explicit-checkpoint min-R) are added behind
-    the same protocol.
+    The ten ``baselines.STRATEGIES`` specs are registered as declared; the
+    solvers from :mod:`repro.solvers` outside Table 1 (reference
+    branch-and-bound, explicit-checkpoint min-R, the rounding portfolio and
+    the race) are added behind the same protocol.
     """
     from ..baselines.strategies import STRATEGIES
     from ..solvers.branch_and_bound import solve_branch_and_bound_schedule
     from ..solvers.min_r import solve_min_r_schedule
     from ..solvers.race import solve_race
-    from ..solvers.rounding_portfolio import (
-        PORTFOLIO_SCHEMES,
-        solve_portfolio_fixed_half,
-        solve_portfolio_random_threshold,
-        solve_portfolio_randomized,
-        solve_portfolio_threshold_sweep,
-    )
+    from ..solvers.rounding_portfolio import PORTFOLIO_SCHEMES, solve_rounding_portfolio
 
-    registry = SolverRegistry()
-    for info in STRATEGIES.values():
-        registry.register(SolverSpec(
-            key=info.key,
-            description=info.description,
-            solve=info.solve,
-            general_graphs=info.general_graphs,
-            cost_aware=info.cost_aware,
-            memory_aware=info.memory_aware,
-            linear_only=info.linear_only,
-            has_budget_knob=info.has_budget_knob,
-            in_table1=True,
-            option_map=_EXTRA_OPTION_MAPS.get(info.key, {}),
-            uses_formulation=info.key in _FORMULATION_STRATEGIES,
-            warm_start_capable=info.key in _WARM_CAPABLE_STRATEGIES,
-        ))
+    registry = SolverRegistry(STRATEGIES)
     registry.register(SolverSpec(
         key="checkmate_bnb",
         description="Reference LP-based branch-and-bound (exact, tiny graphs only).",
@@ -239,18 +184,12 @@ def default_registry() -> SolverRegistry:
         has_budget_knob=False,
         option_map={"checkpoints": "checkpoints", "generate_plan": "generate_plan"},
     ))
-    portfolio_solvers = {
-        "fixed_half": solve_portfolio_fixed_half,
-        "threshold_sweep": solve_portfolio_threshold_sweep,
-        "random_threshold": solve_portfolio_random_threshold,
-        "randomized": solve_portfolio_randomized,
-    }
     for scheme in PORTFOLIO_SCHEMES:
         key = f"approx_{scheme}"
         registry.register(SolverSpec(
             key=key,
             description=_PORTFOLIO_DESCRIPTIONS[key],
-            solve=portfolio_solvers[scheme],
+            solve=functools.partial(solve_rounding_portfolio, scheme=scheme),
             option_map=_PORTFOLIO_OPTIONS,
             uses_formulation=True,
             accepts_should_cancel=True,

@@ -817,15 +817,14 @@ class SolveService:
         snapshot["race"] = race
         snapshot["registered_solvers"] = len(self.registry)
         snapshot["cache"] = self.cache.stats() if self.cache is not None else None
-        # The compiled-formulation cache is process-wide (shared by every
-        # service in the process), reported here so /v1/metrics exposes
-        # compile-once effectiveness alongside the plan-cache hit rate.
-        snapshot["formulation_cache"] = get_formulation_cache().stats()
-        # Likewise process-wide: the single-flight LP relaxation cache the
-        # rounding portfolio (and every race fanning it out) solves through.
+        # The process-wide caches (shared by every service in the process),
+        # reported here so /v1/metrics shows them next to the plan cache.
+        from ..analysis.lint import lint_cache
         from ..solvers.rounding_portfolio import get_lp_relaxation_cache
 
+        snapshot["formulation_cache"] = get_formulation_cache().stats()
         snapshot["lp_relaxation_cache"] = get_lp_relaxation_cache().stats()
+        snapshot["lint_cache"] = lint_cache.stats()
         return snapshot
 
 

@@ -34,11 +34,6 @@ from .rounding_portfolio import (
     PORTFOLIO_SCHEMES,
     PORTFOLIO_STRATEGY_KEYS,
     get_lp_relaxation_cache,
-    set_lp_relaxation_cache,
-    solve_portfolio_fixed_half,
-    solve_portfolio_random_threshold,
-    solve_portfolio_randomized,
-    solve_portfolio_threshold_sweep,
     solve_rounding_portfolio,
 )
 from .warm import (
@@ -85,11 +80,6 @@ __all__ = [
     "PORTFOLIO_SCHEMES",
     "PORTFOLIO_STRATEGY_KEYS",
     "get_lp_relaxation_cache",
-    "set_lp_relaxation_cache",
-    "solve_portfolio_fixed_half",
-    "solve_portfolio_random_threshold",
-    "solve_portfolio_randomized",
-    "solve_portfolio_threshold_sweep",
     "solve_rounding_portfolio",
     "WarmSeed",
     "budget_floor_margin",

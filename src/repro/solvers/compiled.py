@@ -44,7 +44,7 @@ rows (7b)/(7c) per FREE variable, then the memory recurrence rows (Eq. 2-3)
 stage by stage.  ``with_budget`` therefore returns arrays that are
 float-for-float equal to ``MILPFormulation(graph, budget).build()``.
 
-The module also hosts the per-process :class:`FormulationCache` (content-hash
+The module also hosts the per-process :class:`FormulationCache` (structural-hash
 keyed, single-flight, LRU) that the solvers consult, and the
 ``set_compiled_formulation_enabled`` switch the perf harness uses to time the
 legacy loop-built path.
@@ -54,16 +54,17 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
+from ..analysis.analyses import structural_graph_hash
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduleMatrices
 from ..obs.trace import get_tracer
+from ..utils.lru import SingleFlightLRU
 from .formulation import FormulationArrays, InfeasibleBudgetError, MILPFormulation
 
 __all__ = [
@@ -569,39 +570,15 @@ class CompiledFormulation:
 class FormulationCache:
     """Per-process LRU of :class:`CompiledFormulation` keyed by graph structure.
 
-    The key is ``(structural hash, variant, num_stages)`` using
-    :func:`~repro.analysis.analyses.structural_graph_hash`, which covers
-    exactly what the formulation arrays are built from -- costs, memories,
-    edges, the constant overhead -- and nothing else.  That is deliberately
-    *weaker* than the plan cache's
-    :func:`~repro.service.hashing.graph_content_hash`: node names, layer ids
-    and the ``meta`` mapping (including ``op_attrs``) never enter the MILP,
-    so two structurally isomorphic graphs -- the same residual block rebuilt
-    with different layer names, or the same architecture with different op
-    hyper-parameters -- share one compiled formulation per process.  Plans
-    stay keyed by the full content hash, because *executing* a schedule does
-    depend on ``op_attrs``.  Lookups are single-flighted: when several sweep
-    workers race on a cold key, exactly one thread compiles and the rest wait
-    for its result (``stats()['compiles']`` counts real compilations, which
-    is how the tests assert "compile once per structure").
+    The key is ``(structural hash, variant, num_stages)``; see
+    :func:`~repro.analysis.analyses.structural_graph_hash` for why names,
+    layer ids and ``meta`` stay out of it, so isomorphic graphs share one
+    compiled formulation per process.  Lookups are single-flighted: racing
+    sweep workers compile a cold key once (``stats()['compiles']`` counts it).
     """
 
     def __init__(self, max_entries: int = 64) -> None:
-        self.max_entries = int(max_entries)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, CompiledFormulation]" = OrderedDict()
-        self._building: Dict[tuple, threading.Event] = {}
-        self._hits = 0
-        self._misses = 0
-        self._compiles = 0
-        self._evictions = 0
-
-    @staticmethod
-    def _key(graph: DFGraph, frontier_advancing: bool, num_stages: Optional[int]) -> tuple:
-        from ..analysis.analyses import structural_graph_hash
-
-        T = int(num_stages) if num_stages is not None else graph.size
-        return (structural_graph_hash(graph), bool(frontier_advancing), T)
+        self._lru: SingleFlightLRU[tuple, CompiledFormulation] = SingleFlightLRU(max_entries)
 
     def get(
         self,
@@ -611,67 +588,26 @@ class FormulationCache:
         num_stages: Optional[int] = None,
     ) -> CompiledFormulation:
         """Return the compiled formulation for a graph, compiling on first use."""
-        key = self._key(graph, frontier_advancing, num_stages)
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    return entry
-                waiter = self._building.get(key)
-                if waiter is None:
-                    self._building[key] = threading.Event()
-                    self._misses += 1
-                    break
-            # Another thread is compiling this key: wait and retry the lookup.
-            waiter.wait()
-        try:
+        T = int(num_stages) if num_stages is not None else graph.size
+        key = (structural_graph_hash(graph), bool(frontier_advancing), T)
+
+        def compile_() -> CompiledFormulation:
             with get_tracer().span("compile", graph=graph.name):
-                compiled = CompiledFormulation(
+                return CompiledFormulation(
                     graph, frontier_advancing=frontier_advancing,
                     num_stages=num_stages,
                 )
-        except BaseException:
-            with self._lock:
-                self._building.pop(key).set()
-            raise
-        with self._lock:
-            self._compiles += 1
-            if self.max_entries > 0:
-                self._entries[key] = compiled
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-            self._building.pop(key).set()
-        return compiled
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        return self._lru.get_or_compute(key, compile_)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def stats(self) -> Dict[str, object]:
         """One consistent snapshot of the cache counters."""
-        with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self._hits,
-                "misses": self._misses,
-                "compiles": self._compiles,
-                "evictions": self._evictions,
-                "hit_rate": (self._hits / lookups) if lookups else None,
-            }
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._hits = self._misses = self._compiles = self._evictions = 0
+        stats = self._lru.stats()
+        stats["compiles"] = stats.pop("computes")
+        return stats
 
 
 _formulation_cache = FormulationCache()

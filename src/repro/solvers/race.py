@@ -44,6 +44,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, StrategyNotApplicableError
 from ..obs.trace import get_tracer
+from ..utils.lru import SingleFlightLRU
 from .common import build_scheduled_result
 from .rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
 
@@ -55,19 +56,14 @@ RACE_STRATEGY_NAME = "race"
 #: portfolio banks a feasible incumbent while the ILP chases optimality.
 DEFAULT_ENTRANTS: Tuple[str, ...] = PORTFOLIO_STRATEGY_KEYS + ("checkmate_ilp",)
 
-_default_registry = None
-_default_registry_lock = threading.Lock()
+_default_registry: SingleFlightLRU[None, object] = SingleFlightLRU(1)
 
 
 def _race_registry():
     """Lazy module-level default registry (building one per race is waste)."""
-    global _default_registry
-    with _default_registry_lock:
-        if _default_registry is None:
-            from ..service.registry import default_registry
+    from ..service.registry import default_registry
 
-            _default_registry = default_registry()
-        return _default_registry
+    return _default_registry.get_or_compute(None, default_registry)
 
 
 def solve_race(

@@ -32,16 +32,16 @@ fanning them out concurrently -- share **one** LP relaxation solve per
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.analyses import structural_graph_hash
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduleMatrices, ScheduledResult, schedule_compute_cost
 from ..core.simulator import schedule_peak_memory
 from ..obs.trace import get_tracer
+from ..utils.lru import SingleFlightLRU
 from ..utils.timer import Timer
 from .common import build_scheduled_result
 from .lp_relaxation import LPRelaxationResult, solve_lp_relaxation
@@ -52,12 +52,7 @@ __all__ = [
     "PORTFOLIO_STRATEGY_KEYS",
     "LPRelaxationCache",
     "get_lp_relaxation_cache",
-    "set_lp_relaxation_cache",
     "solve_rounding_portfolio",
-    "solve_portfolio_threshold_sweep",
-    "solve_portfolio_random_threshold",
-    "solve_portfolio_fixed_half",
-    "solve_portfolio_randomized",
 ]
 
 #: Scheme name -> registry strategy key.  Ordering matters: it is the default
@@ -73,103 +68,46 @@ PORTFOLIO_STRATEGY_KEYS: Tuple[str, ...] = tuple(
 class LPRelaxationCache:
     """Per-process LRU of LP relaxation solves keyed by graph structure + budget.
 
-    The fractional ``(R*, S*)`` depends only on what the formulation arrays are
-    built from (costs, memories, edges, overhead -- the structural hash) plus
-    the LP budget, so every portfolio scheme rounding the same relaxation --
-    four race entrants at one budget, or a threshold study at a fixed
-    allowance -- pays for exactly one HiGHS LP solve.  The time limit is
+    The fractional ``(R*, S*)`` depends only on the structural hash and the
+    LP budget, so every scheme rounding one relaxation shares its solve (see
+    the module docstring).  The time limit is
     deliberately NOT part of the key: only *settled* relaxations are cached
     (optimal or proven infeasible), and those verdicts are limit-independent
     -- keying on the limit would shatter the race path, where each entrant
     clamps its limit to the slightly different time remaining at its start.
-    A time-limit-truncated status is load-dependent and is handed back
-    without being stored.  Lookups are single-flighted like the
-    :class:`~repro.solvers.compiled.FormulationCache`: concurrent cold-key
-    callers block on one solver thread instead of each solving the LP.
+    A time-limit-truncated status is load-dependent: it goes back to its own
+    caller only, neither stored nor handed to concurrent waiters.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
-        self.max_entries = int(max_entries)
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, LPRelaxationResult]" = OrderedDict()
-        self._building: Dict[tuple, threading.Event] = {}
-        self._hits = 0
-        self._misses = 0
-        self._solves = 0
-        self._evictions = 0
-
-    @staticmethod
-    def _key(graph: DFGraph, budget: float) -> tuple:
-        from ..analysis.analyses import structural_graph_hash
-
-        return (structural_graph_hash(graph), float(budget))
+        self._lru: SingleFlightLRU[tuple, LPRelaxationResult] = SingleFlightLRU(max_entries)
 
     def get(self, graph: DFGraph, budget: float, *,
             time_limit_s: float = 600.0) -> LPRelaxationResult:
         """Return the (possibly cached) LP relaxation at ``budget``."""
-        key = self._key(graph, budget)
-        while True:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    return entry
-                waiter = self._building.get(key)
-                if waiter is None:
-                    self._building[key] = threading.Event()
-                    self._misses += 1
-                    break
-            waiter.wait()
-        try:
-            result = solve_lp_relaxation(graph, budget, time_limit_s=time_limit_s)
-        except BaseException:
-            with self._lock:
-                self._building.pop(key).set()
-            raise
-        settled = result.status in ("optimal", "infeasible") or \
-            result.status.startswith("infeasible")
-        with self._lock:
-            self._solves += 1
-            if settled and self.max_entries > 0:
-                self._entries[key] = result
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-            self._building.pop(key).set()
-        return result
+        return self._lru.get_or_compute(
+            (structural_graph_hash(graph), float(budget)),
+            lambda: solve_lp_relaxation(graph, budget, time_limit_s=time_limit_s),
+            store=_settled,
+        )
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    def stats(self) -> Dict[str, object]:
+        stats = self._lru.stats()
+        stats["solves"] = stats.pop("computes")
+        return stats
 
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self._hits,
-                "misses": self._misses,
-                "solves": self._solves,
-                "evictions": self._evictions,
-            }
+
+def _settled(result: LPRelaxationResult) -> bool:
+    """Optimal or proven infeasible: a verdict no time limit can change."""
+    return result.status == "optimal" or result.status.startswith("infeasible")
 
 
 _lp_cache = LPRelaxationCache()
-_lp_cache_lock = threading.Lock()
 
 
 def get_lp_relaxation_cache() -> LPRelaxationCache:
     """The process-wide shared LP relaxation cache."""
     return _lp_cache
-
-
-def set_lp_relaxation_cache(cache: LPRelaxationCache) -> LPRelaxationCache:
-    """Swap the process-wide LP cache (tests); returns the previous one."""
-    global _lp_cache
-    with _lp_cache_lock:
-        previous, _lp_cache = _lp_cache, cache
-        return previous
 
 
 def _candidate_thresholds(S_frac: np.ndarray, scheme: str, num_samples: int,
@@ -322,21 +260,3 @@ def solve_rounding_portfolio(
         solver_status="ok-cancelled" if cancelled else "ok",
         generate_plan=generate_plan, peak_memory=best_peak, extra=extra,
     )
-
-
-def _scheme_solver(scheme: str) -> Callable[..., ScheduledResult]:
-    def solve(graph: DFGraph, budget: Optional[float] = None,
-              **kwargs: object) -> ScheduledResult:
-        return solve_rounding_portfolio(graph, budget, scheme=scheme, **kwargs)
-
-    solve.__name__ = f"solve_portfolio_{scheme}"
-    solve.__qualname__ = solve.__name__
-    solve.__doc__ = (f"Portfolio scheme {scheme!r} behind the uniform "
-                     f"``solve(graph, budget, **options)`` contract.")
-    return solve
-
-
-solve_portfolio_threshold_sweep = _scheme_solver("threshold_sweep")
-solve_portfolio_random_threshold = _scheme_solver("random_threshold")
-solve_portfolio_fixed_half = _scheme_solver("fixed_half")
-solve_portfolio_randomized = _scheme_solver("randomized")

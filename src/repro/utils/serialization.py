@@ -179,6 +179,15 @@ def graph_from_wire(payload: dict) -> DFGraph:
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph payload: {type(exc).__name__}: "
                          f"{exc}") from None
+    # The two meta values that analyses, cost models and the executor trust.
+    n_forward = meta.get("n_forward")
+    if n_forward is not None and (isinstance(n_forward, bool)
+                                  or not isinstance(n_forward, int)):
+        raise ValueError("graph meta 'n_forward' must be an integer")
+    op_types = meta.get("op_types")
+    if op_types is not None and not (isinstance(op_types, list)
+                                     and all(isinstance(t, str) for t in op_types)):
+        raise ValueError("graph meta 'op_types' must be a list of strings")
     return DFGraph(nodes=nodes, deps=deps, input_memory=input_memory,
                    parameter_memory=parameter_memory,
                    name=str(payload.get("name", "graph")), meta=meta)

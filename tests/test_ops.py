@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.lint import lint_graph
 from repro.core import DFGraph, GraphError, NodeInfo
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, ServeAPIError, ServeClient, SolveServer
@@ -106,6 +107,10 @@ MALFORMED = {
     "preset-as-list": lambda g: {"preset": ["x"]},
     "nan-cost": lambda g: {"graph": _wire(
         g, nodes=[["n0", float("nan"), 1, False, None]], deps={"0": []})},
+    "meta-n-forward-string": lambda g: {"graph": _wire(
+        g, meta=dict(graph_to_wire(g)["meta"], n_forward="abc"))},
+    "meta-op-types-int": lambda g: {"graph": _wire(
+        g, meta=dict(graph_to_wire(g)["meta"], op_types=5))},
 }
 
 
@@ -115,6 +120,18 @@ def test_malformed_payload_is_rejected_with_400(name, case, client, chain5_train
     payload = dict(MALFORMED[case](chain5_train), strategy="checkpoint_all",
                    strategies=["checkpoint_all"])
     assert _status(client, name, payload) == 400
+
+
+@pytest.mark.parametrize("meta", [{"n_forward": "abc"},
+                                  {"grad_index": {"x": 1}}])
+def test_lint_reports_malformed_meta_values_as_m001(meta, chain5_train):
+    """A graph built in-process skips the wire check; the linter must still
+    report its bad ``meta`` values instead of raising."""
+    graph = DFGraph(nodes=chain5_train.nodes, deps=chain5_train.deps,
+                    meta=dict(chain5_train.meta, **meta))
+    report = lint_graph(graph)
+    assert not report.ok
+    assert any(d.code == "M001" for d in report.diagnostics)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

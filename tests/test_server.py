@@ -370,6 +370,16 @@ class TestHttpApi:
         client.wait(handle["job_id"], timeout=120)
         metrics = client.metrics()
         assert metrics["service"]["executions"] >= 1
+        # Every process-wide cache reports the same schema.
+        for name in ("cache", "formulation_cache", "lp_relaxation_cache",
+                     "lint_cache"):
+            stats = metrics["service"][name]
+            assert {"entries", "max_entries", "hits", "misses", "evictions",
+                    "hit_rate"} <= set(stats), name
+        assert "compiles" in metrics["service"]["formulation_cache"]
+        assert "solves" in metrics["service"]["lp_relaxation_cache"]
+        lint = metrics["service"]["lint_cache"]
+        assert lint["hits"] + lint["misses"] >= 1
 
     def test_result_conflict_while_pending(self, chain5_train):
         # A queued/running job answers 409, not a broken payload.
