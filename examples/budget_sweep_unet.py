@@ -45,16 +45,16 @@ def main() -> None:
     cold = time.perf_counter() - start
     print(format_sweep(points))
 
-    calls_before_rerun = service.stats.solver_calls
-    hits_before_rerun = service.stats.cache_hits
+    before = service.statistics()
     start = time.perf_counter()
     budget_sweep(graph, budgets, strategies=STRATEGIES,
                  ilp_time_limit_s=args.time_limit, service=service)
     warm = time.perf_counter() - start
-    print(f"\ncold sweep {cold:.2f}s ({calls_before_rerun} solver calls), "
+    after = service.statistics()
+    print(f"\ncold sweep {cold:.2f}s ({before['solver_calls']} solver calls), "
           f"warm rerun {warm:.3f}s "
-          f"({service.stats.cache_hits - hits_before_rerun} cache hits, "
-          f"{service.stats.solver_calls - calls_before_rerun} new solver calls)")
+          f"({after['cache_hits'] - before['cache_hits']} cache hits, "
+          f"{after['solver_calls'] - before['solver_calls']} new solver calls)")
 
     feasible_cm = [p for p in points if p.strategy == "checkmate_ilp" and p.feasible]
     if feasible_cm:

@@ -45,8 +45,9 @@ def main() -> None:
     print(f"maximum batch size within {args.budget_gib:.1f} GiB "
           f"and at most one extra forward pass\n")
     print(format_max_batch(results))
-    print(f"({service.stats.solver_calls} solver calls, "
-          f"{service.stats.cache_hits} cache hits)\n")
+    stats = service.statistics()
+    print(f"({stats['solver_calls']} solver calls, "
+          f"{stats['cache_hits']} cache hits)\n")
 
     for model in models:
         rows = {r.strategy: r for r in results if r.model == model}

@@ -220,6 +220,31 @@ class Histogram(_Instrument):
             cumulative.append(running)
         return cumulative, raw[-2], raw[-1]
 
+    def quantile(self, q: float, **labels) -> Optional[float]:
+        """Estimate the ``q``-quantile of one label set (``None`` when empty).
+
+        Interpolates linearly inside the bucket holding rank ``q * count``,
+        as Prometheus ``histogram_quantile`` does, so the estimate always
+        lies in the bucket of the true nearest-rank quantile.  A rank in the
+        ``+Inf`` bucket returns the last finite bound.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        cumulative, _, count = self.snapshot(**labels)
+        if not count:
+            return None
+        rank = q * count
+        below = 0.0
+        for i, bound in enumerate(self.buckets):
+            # ``> 0`` skips leading empty buckets, so q=0 lands in the first
+            # occupied one instead of dividing by an empty bucket's count.
+            if cumulative[i] >= rank and cumulative[i] > 0:
+                lower = self.buckets[i - 1] if i else min(0.0, bound)
+                return lower + (bound - lower) * (rank - below) / (
+                    cumulative[i] - below)
+            below = cumulative[i]
+        return self.buckets[-1]
+
     def samples(self) -> List[Tuple[str, Tuple[str, ...], float]]:
         rows: List[Tuple[str, Tuple[str, ...], float]] = []
         with self._lock:

@@ -17,9 +17,7 @@ front of the solvers:
   :mod:`repro.utils.serialization` wire format or addressed by experiment
   preset name;
 * :mod:`repro.server.client` -- :class:`ServeClient`: the urllib client the
-  ``repro`` CLI, the tests and the examples drive the daemon with;
-* :mod:`repro.server.metrics` -- the latency window behind the p50/p95
-  numbers in ``/v1/metrics``.
+  ``repro`` CLI, the tests and the examples drive the daemon with.
 
 Quick use::
 
@@ -38,7 +36,6 @@ From the shell: ``repro serve`` (see ``repro --help``).
 from .client import ServeAPIError, ServeClient
 from .http import DEFAULT_PORT, SolveServer, serve
 from .jobs import Job, JobQueue, JobState
-from .metrics import LatencyWindow
 
 __all__ = [
     "ServeAPIError",
@@ -49,5 +46,4 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobState",
-    "LatencyWindow",
 ]

@@ -37,6 +37,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..obs.logging import get_logger
@@ -358,28 +359,15 @@ class ProcessBackend(WorkerBackend):
     def _cached(self, work: SolveWork):
         """The parent cache's answer for ``work`` (``None`` on a miss) and
         a callback storing a fresh result under the same key and family."""
-        from ..service import PlanCacheKey, graph_content_hash
-        from ..service.solve import _cacheable
-
         service = self.service
         if service.cache is None:
             return None, lambda result: None
         spec = service.registry.get(work.strategy)
         options = (work.options if work.options is not None
                    else service.default_options)
-        graph_hash = graph_content_hash(work.graph)
-        token = options.cache_token(spec.option_map)
-        key = PlanCacheKey.build(graph_hash, spec.key, work.budget, token)
-        cached = service.cache.get(key, work.graph)
-        if cached is not None:
-            service.stats.record(solver_call=False, cache_hit=True)
-
-        def store(result) -> None:
-            if _cacheable(result):
-                service.cache.put(key, result, budget=work.budget,
-                                  family="|".join((graph_hash, spec.key, token)))
-
-        return cached, store
+        key, family, cached = service._plan_lookup(work.graph, spec,
+                                                   work.budget, options)
+        return cached, partial(service._plan_store, key, family, work.budget)
 
     # ------------------------------ observability --------------------- #
     def _harvest_stats(self, response: dict) -> None:

@@ -38,15 +38,19 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.dfgraph import DFGraph
 from ..obs.logging import get_logger
+from ..obs.metrics import Histogram
 from ..obs.trace import get_tracer
 from ..service import SolveCancelledError, SolveService, graph_content_hash
 from .backends import RemoteSolveError, WorkerBackend, WorkerCrashError, make_backend
-from .metrics import LatencyWindow
 from .ops import OPERATIONS
 
 __all__ = ["JobState", "Job", "JobQueue", "QueueFullError"]
 
 _log = get_logger("server.jobs")
+
+#: The ``/v1/metrics`` latency keys the queued operations feed.
+_LATENCY_KEYS = tuple(dict.fromkeys(
+    op.latency for op in OPERATIONS.values() if op.queued))
 
 
 class JobState(str, Enum):
@@ -177,7 +181,6 @@ class JobQueue:
     def __init__(self, service: Optional[SolveService] = None, *,
                  num_workers: Optional[int] = None,
                  max_history: int = 4096,
-                 latency_window: int = 1024,
                  backend: Union[str, WorkerBackend] = "thread",
                  max_queue_depth: Optional[int] = None,
                  default_deadline_s: Optional[float] = None) -> None:
@@ -199,10 +202,11 @@ class JobQueue:
         self.default_deadline_s = (None if default_deadline_s is None
                                    else float(default_deadline_s))
         self.max_history = int(max_history)
-        #: One window per ``/v1/metrics`` latency key the operations feed.
-        self.latency: Dict[str, LatencyWindow] = {
-            op.latency: LatencyWindow(maxlen=latency_window)
-            for op in OPERATIONS.values() if op.queued}
+        #: Flight run time per ``/v1/metrics`` latency key the operations
+        #: feed; per queue, so it stays out of the process-wide registry.
+        self.latency = Histogram("repro_flight_seconds",
+                                 "Run time of successful flights",
+                                 ("key",))
         self.started_at = time.time()
 
         self._lock = threading.Lock()
@@ -347,8 +351,7 @@ class JobQueue:
     def _retry_after_locked(self) -> float:
         """Estimate seconds until a queue slot frees: depth drains at about
         one flight per worker per median solve latency."""
-        snapshot = self.latency["solve_latency"].snapshot()
-        p50 = snapshot.get("p50_s") or 1.0
+        p50 = self.latency.quantile(0.5, key="solve_latency") or 1.0
         estimate = p50 * (len(self._heap) + 1) / max(self.num_workers, 1)
         return min(max(estimate, 1.0), 30.0)
 
@@ -399,10 +402,19 @@ class JobQueue:
             "max_queue_depth": self.max_queue_depth,
             "jobs_by_state": by_state,
             "jobs": counters,
-            **{name: window.snapshot() for name, window in self.latency.items()},
+            **{key: self._latency_summary(key) for key in _LATENCY_KEYS},
             "service": self.service.statistics(),
             "backend": self.backend.stats(),
         }
+
+    def _latency_summary(self, key: str) -> dict:
+        """Count, total and p50/p95/p99 estimates of one latency key."""
+        _, total, count = self.latency.snapshot(key=key)
+        quantile = self.latency.quantile
+        return {"count": int(count), "total_s": total,
+                "p50_s": quantile(0.50, key=key),
+                "p95_s": quantile(0.95, key=key),
+                "p99_s": quantile(0.99, key=key)}
 
     # ------------------------------------------------------------------ #
     # Worker internals
@@ -452,8 +464,9 @@ class JobQueue:
                 self._finish_flight(flight, JobState.FAILED,
                                     error=f"{type(exc).__name__}: {exc}")
             else:
-                self.latency[OPERATIONS[flight.members[0].kind].latency].record(
-                    time.monotonic() - t_start)
+                self.latency.observe(
+                    time.monotonic() - t_start,
+                    key=OPERATIONS[flight.members[0].kind].latency)
                 self._finish_flight(flight, JobState.DONE, result=result)
 
     def _run_flight(self, tracer, flight: _FlightGroup):

@@ -6,10 +6,10 @@ Every operation the solve daemon serves -- ``solve``, ``sweep``,
 (``POST /v1/<name>``).  An entry holds the operation's work type (whose
 fields are its request schema), the service call that runs the work, the
 result encoder and body key, and -- for queued operations -- the flight key
-that single-flights identical submissions and the latency window the
+that single-flights identical submissions and the latency key the
 flight's run time feeds.  The other layers derive from the table: the HTTP
 routes and result bodies (:mod:`repro.server.http`), flight keys and
-latency windows (:mod:`repro.server.jobs`), backend dispatch and the
+latency histograms (:mod:`repro.server.jobs`), backend dispatch and the
 process-worker request format (:mod:`repro.server.backends`),
 :meth:`~repro.server.client.ServeClient.post` and the ``repro`` verbs, which
 run an entry locally or through a daemon and render the same body.
@@ -289,7 +289,7 @@ class Operation:
     ``flight(service, work, graph_hash)`` returns the normalized work and
     its flight key; operations without one run synchronously.
     ``decode(wire, graph)`` inverts ``encode``, which lets worker processes
-    run the operation.  ``latency`` names the ``/v1/metrics`` window fed.
+    run the operation.  ``latency`` names the ``/v1/metrics`` latency key fed.
     """
 
     name: str
@@ -365,8 +365,8 @@ OPERATIONS: Dict[str, Operation] = {op.name: op for op in (
         encode=lambda front: front.to_dict(),
         result_key="front",
         flight=_pareto_flight,
-        # Whole-frontier traces are many solves each; their own window keeps
-        # them out of the per-solve quantiles.
+        # Whole-frontier traces are many solves each; their own latency key
+        # keeps them out of the per-solve quantiles.
         latency="pareto_latency"),
     Operation(
         "lint", LintWork,

@@ -36,7 +36,6 @@ from .registry import Solver, SolverRegistry, SolverSpec, default_registry
 from .solve import (
     SolveCancelledError,
     SolveService,
-    SolveStats,
     SweepCell,
     get_default_service,
     parallel_map,
@@ -60,7 +59,6 @@ __all__ = [
     "SolverSpec",
     "default_registry",
     "SolveService",
-    "SolveStats",
     "SweepCell",
     "get_default_service",
     "parallel_map",

@@ -27,8 +27,8 @@ Two tiers:
   one ``cache_dir``) can never interleave partial JSON.
 
 The cache's counters (:meth:`PlanCache.stats`) feed the serve daemon's
-``/v1/metrics``; unlike :class:`~repro.service.solve.SolveStats` they count
-every lookup, not only solves routed through one service.
+``/v1/metrics``; unlike the counters of ``SolveService.statistics()`` they
+count every lookup, not only solves routed through one service.
 
 Cached results are shared, not copied: an in-memory hit returns the *same*
 :class:`ScheduledResult` object to every caller (including duplicate cells of

@@ -146,7 +146,7 @@ def trace_pareto_frontier(
         raise ValueError("resolution must be positive")
 
     evaluated: Dict[float, ScheduledResult] = {}
-    calls_before = service.stats.solver_calls
+    calls_before = service.statistics()["solver_calls"]
     time_spent = 0.0
 
     def probe(budget: float) -> ScheduledResult:
@@ -205,6 +205,6 @@ def trace_pareto_frontier(
         high=high,
         resolution=resolution,
         points=points,
-        solver_calls=service.stats.solver_calls - calls_before,
+        solver_calls=service.statistics()["solver_calls"] - calls_before,
         solve_time_s=time_spent,
     )

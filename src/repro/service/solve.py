@@ -7,8 +7,8 @@ the one entry point for that workload:
 * :meth:`SolveService.solve` -- solve one (graph, strategy, budget, options)
   cell through the unified registry, consulting the content-addressed plan
   cache first.  A warm cache answers without invoking any solver at all
-  (``stats.solver_calls`` counts real invocations, which is how the tests
-  assert cache effectiveness).
+  (``statistics()["solver_calls"]`` counts real invocations, which is how
+  the tests assert cache effectiveness).
 * :meth:`SolveService.sweep` -- fan a list of independent cells out over a
   thread pool (``concurrent.futures``) and return results in *cell order*.
   The underlying HiGHS solves release the GIL, so independent MILP/LP cells
@@ -33,11 +33,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, StrategyNotApplicableError
+from ..obs.metrics import Counter
 from ..obs.trace import get_tracer
 from ..solvers.compiled import compiled_formulation_enabled, get_formulation_cache
 from ..solvers.warm import WarmSeed, warm_seed_from_result
@@ -46,7 +47,7 @@ from .hashing import graph_content_hash
 from .options import SolverOptions
 from .registry import SolverRegistry, SolverSpec, default_registry
 
-__all__ = ["SolveStats", "SweepCell", "SolveService", "SolveCancelledError",
+__all__ = ["SweepCell", "SolveService", "SolveCancelledError",
            "get_default_service", "set_default_service", "parallel_map"]
 
 logger = logging.getLogger(__name__)
@@ -82,137 +83,6 @@ def parallel_map(fn: Callable, items: Sequence, *, max_workers: Optional[int] = 
     with ThreadPoolExecutor(max_workers=workers,
                             thread_name_prefix=thread_name_prefix) as pool:
         return list(pool.map(fn, items))
-
-
-@dataclass
-class SolveStats:
-    """Counters describing what the service actually did (thread safe).
-
-    ``cache_hits``/``cache_misses`` only count solves that consulted the
-    cache; with caching disabled (``cache=None`` or ``use_cache=False``)
-    neither counter moves.  ``executions`` counts :meth:`SolveService.execute`
-    runs (each also shows up as a solve or a cache hit).
-
-    The warm-start effectiveness counters only move on *fresh* solver
-    invocations (cache hits replay a result, not a solve):
-
-    * ``warm_seeds`` -- solves that were handed a usable warm seed;
-    * ``incumbent_prunes`` -- the seed was proven optimal and reused outright,
-      skipping the solver entirely;
-    * ``bound_skips`` -- the seed was certified by a bound (ILP: LP-relaxation
-      certificate; branch-and-bound: cutoff exhausted the tree) without a full
-      integer solve;
-    * ``infeasible_shortcuts`` -- cells answered by the budget-floor /
-      learned-infeasibility pre-checks without reaching HiGHS.
-    """
-
-    solver_calls: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    executions: int = 0
-    warm_seeds: int = 0
-    incumbent_prunes: int = 0
-    bound_skips: int = 0
-    infeasible_shortcuts: int = 0
-    lint_runs: int = 0
-    lint_errors: int = 0
-    lint_warnings: int = 0
-    canonical_solves: int = 0
-    canonical_nodes_removed: int = 0
-    races: int = 0
-    race_wins: int = 0
-    race_no_feasible: int = 0
-    race_deadline_hits: int = 0
-    race_entrants_finished: int = 0
-    race_entrants_cancelled: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record(self, *, solver_call: bool, cache_hit: Optional[bool]) -> None:
-        with self._lock:
-            if solver_call:
-                self.solver_calls += 1
-            if cache_hit is True:
-                self.cache_hits += 1
-            elif cache_hit is False:
-                self.cache_misses += 1
-
-    def record_warm(self, result: ScheduledResult) -> None:
-        """Update warm/shortcut counters from a *fresh* solve's result markers."""
-        warm = result.extra.get("warm_start") if result.extra else None
-        shortcut = result.extra.get("infeasible_shortcut") if result.extra else None
-        if not warm and not shortcut:
-            return
-        with self._lock:
-            if warm and warm.get("used"):
-                self.warm_seeds += 1
-                kind = warm.get("kind")
-                if kind == "incumbent_prune":
-                    self.incumbent_prunes += 1
-                elif kind == "bound_skip":
-                    self.bound_skips += 1
-            if shortcut:
-                self.infeasible_shortcuts += 1
-
-    def record_execution(self) -> None:
-        with self._lock:
-            self.executions += 1
-
-    def record_race(self, result: ScheduledResult) -> None:
-        """Update race counters from a fresh race solve's ``extra`` provenance.
-
-        ``race_entrants_finished`` counts entrants that returned a verdict
-        before the deadline; ``race_entrants_cancelled`` counts the stragglers
-        the deadline (or a caller cancel) reaped before they started.
-        """
-        race = result.extra.get("race") if result.extra else None
-        if not isinstance(race, dict):
-            return
-        lanes = race.get("entrants") or []
-        finished = sum(1 for lane in lanes
-                       if lane.get("wall_s") is not None)
-        cancelled = sum(1 for lane in lanes
-                        if "cancelled" in str(lane.get("status", ""))
-                        or lane.get("status") == "not-started")
-        with self._lock:
-            self.races += 1
-            if race.get("feasible"):
-                self.race_wins += 1
-            else:
-                self.race_no_feasible += 1
-            if race.get("deadline_hit"):
-                self.race_deadline_hits += 1
-            self.race_entrants_finished += finished
-            self.race_entrants_cancelled += cancelled
-
-    def record_lint(self, report) -> None:
-        """Count one pre-solve lint gate run and its findings.
-
-        ``lint_runs`` counts gate *consultations* (memoized reports replayed
-        by :func:`~repro.analysis.lint.lint_graph_cached` included), so the
-        errors/warnings totals track what solves were exposed to, not how
-        many distinct graphs were analyzed.
-        """
-        with self._lock:
-            self.lint_runs += 1
-            self.lint_errors += report.errors
-            self.lint_warnings += report.warnings
-
-    def record_canonical(self, nodes_removed: int) -> None:
-        with self._lock:
-            self.canonical_solves += 1
-            self.canonical_nodes_removed += int(nodes_removed)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.solver_calls = self.cache_hits = self.cache_misses = 0
-            self.executions = 0
-            self.warm_seeds = self.incumbent_prunes = 0
-            self.bound_skips = self.infeasible_shortcuts = 0
-            self.lint_runs = self.lint_errors = self.lint_warnings = 0
-            self.canonical_solves = self.canonical_nodes_removed = 0
-            self.races = self.race_wins = self.race_no_feasible = 0
-            self.race_deadline_hits = 0
-            self.race_entrants_finished = self.race_entrants_cancelled = 0
 
 
 @dataclass(frozen=True)
@@ -254,6 +124,20 @@ def _cacheable(result: ScheduledResult) -> bool:
 
 _UNSET_CACHE = object()
 
+#: The counters :meth:`SolveService.statistics` reports, by section (``None``
+#: is the top level).  Each name is an ``event`` label of the service counter.
+_COUNTED = {
+    None: ("solver_calls", "cache_hits", "cache_misses", "executions",
+           "warm_seeds", "incumbent_prunes", "bound_skips",
+           "infeasible_shortcuts"),
+    "analysis": ("lint_runs", "lint_errors", "lint_warnings",
+                 "canonical_solves", "canonical_nodes_removed"),
+    "race": ("races", "wins", "no_feasible", "deadline_hits",
+             "entrants_finished", "entrants_cancelled"),
+}
+_WARM_KIND_EVENTS = {"incumbent_prune": "incumbent_prunes",
+                     "bound_skip": "bound_skips"}
+
 
 class SolveService:
     """Registry + cache + executor behind one ``solve``/``sweep`` API.
@@ -274,7 +158,10 @@ class SolveService:
             PlanCache() if cache is _UNSET_CACHE else cache  # type: ignore[assignment]
         )
         self.default_options = default_options or SolverOptions()
-        self.stats = SolveStats()
+        # Per service, not in the process-wide registry: two services in one
+        # process keep separate counts.
+        self._events = Counter("repro_service_events_total",
+                               "Solve service events by kind", ("event",))
 
     # ------------------------------------------------------------------ #
     # Single solve
@@ -332,15 +219,9 @@ class SolveService:
             # enter/exit) while misses open the usual "solve" span below,
             # before any solver work.
             lookup_start = time.perf_counter()
-            graph_hash = graph_content_hash(graph)
-            options_token = options.cache_token(spec.option_map)
-            key = PlanCacheKey.build(graph_hash, spec.key, budget,
-                                     options_token)
-            if warm_ok:
-                family = "|".join((graph_hash, spec.key, options_token))
-            cached = self.cache.get(key, graph)
+            key, family, cached = self._plan_lookup(graph, spec, budget,
+                                                    options)
             if cached is not None:
-                self.stats.record(solver_call=False, cache_hit=True)
                 if tracer.enabled:
                     end_s = time.perf_counter()
                     if not tracer.record_child_span(
@@ -377,25 +258,81 @@ class SolveService:
                 warm_start=warm_start if warm_ok else None,
                 should_cancel=should_cancel,
             )
-            self.stats.record(solver_call=True,
-                              cache_hit=False if key is not None else None)
-            # Warm counters move only here, after a fresh invocation: a cache hit
-            # replays a stored result and must not re-count its warm markers.
-            self.stats.record_warm(result)
-            self.stats.record_race(result)
+            self._events.inc(event="solver_calls")
+            if key is not None:
+                self._events.inc(event="cache_misses")
+            self._count_fresh(result)
             # "not-applicable" placeholders (the strategy raised before solving) are
             # never cached: they cost nothing to reproduce, and caching them would
             # make a later strict=True call return a placeholder instead of raising.
-            if key is not None and applicable and _cacheable(result):
-                self.cache.put(key, result, family=family, budget=budget)
+            if key is not None and applicable:
+                self._plan_store(key, family, budget, result)
             return result
+
+    def _plan_lookup(self, graph: DFGraph, spec: SolverSpec,
+                     budget: Optional[float], options: SolverOptions):
+        """``(key, family, cached)``: a cell's plan-cache key, its warm-start
+        family and the cached result (``None`` on a miss; a hit is counted).
+
+        The one derivation of a cell's cache identity, shared by
+        :meth:`solve` and the process backend's parent-cache tier.
+        ``family`` groups the cell with its other budgets, and is ``None``
+        unless the strategy takes warm starts and the cell has a budget.
+        """
+        graph_hash = graph_content_hash(graph)
+        options_token = options.cache_token(spec.option_map)
+        key = PlanCacheKey.build(graph_hash, spec.key, budget, options_token)
+        family = None
+        if spec.warm_start_capable and budget is not None:
+            family = "|".join((graph_hash, spec.key, options_token))
+        cached = self.cache.get(key, graph)
+        if cached is not None:
+            self._events.inc(event="cache_hits")
+        return key, family, cached
+
+    def _plan_store(self, key: PlanCacheKey, family: Optional[str],
+                    budget: Optional[float], result: ScheduledResult) -> None:
+        """Cache a fresh result under :meth:`_plan_lookup`'s key, unless its
+        verdict is load-dependent."""
+        if _cacheable(result):
+            self.cache.put(key, result, family=family, budget=budget)
+
+    def _count_fresh(self, result: ScheduledResult) -> None:
+        """Count a fresh solve's warm-start, shortcut and race markers.
+
+        Only fresh invocations count: a cache hit replays a stored result
+        and must not re-count its markers.
+        """
+        extra = result.extra or {}
+        count = self._events.inc
+        warm = extra.get("warm_start")
+        if warm and warm.get("used"):
+            count(event="warm_seeds")
+            kind_event = _WARM_KIND_EVENTS.get(warm.get("kind"))
+            if kind_event is not None:
+                count(event=kind_event)
+        if extra.get("infeasible_shortcut"):
+            count(event="infeasible_shortcuts")
+        race = extra.get("race")
+        if isinstance(race, dict):
+            lanes = race.get("entrants") or []
+            count(event="races")
+            count(event="wins" if race.get("feasible") else "no_feasible")
+            if race.get("deadline_hit"):
+                count(event="deadline_hits")
+            count(sum(1 for lane in lanes if lane.get("wall_s") is not None),
+                  event="entrants_finished")
+            count(sum(1 for lane in lanes
+                      if "cancelled" in str(lane.get("status", ""))
+                      or lane.get("status") == "not-started"),
+                  event="entrants_cancelled")
 
     def _lint_gate(self, graph: DFGraph, budget: Optional[float],
                    tracer) -> None:
         """Run the graph linter before a fresh solve; warn, never fail.
 
         Diagnostics are logged (errors and warnings at ``WARNING`` level) and
-        counted in :class:`SolveStats`; the solve proceeds regardless -- a
+        counted in :meth:`statistics`; the solve proceeds regardless -- a
         questionable graph still deserves the solver's verdict, and the
         linter itself must never be the reason a solve dies.
         """
@@ -407,7 +344,9 @@ class SolveService:
         except Exception:  # pragma: no cover - defensive: lint is advisory
             logger.exception("graph lint failed; continuing with the solve")
             return
-        self.stats.record_lint(report)
+        self._events.inc(event="lint_runs")
+        self._events.inc(report.errors, event="lint_errors")
+        self._events.inc(report.warnings, event="lint_warnings")
         if report.errors or report.warnings:
             worst = [d for d in report.diagnostics if d.severity != "info"]
             logger.warning("%s; first: [%s] %s", report.summary(),
@@ -487,7 +426,9 @@ class SolveService:
             inner = self.solve(opt.graph, strategy, budget, options,
                                use_cache=use_cache, strict=strict,
                                should_cancel=should_cancel)
-            self.stats.record_canonical(opt.stats.get("nodes_removed", 0))
+            self._events.inc(event="canonical_solves")
+            self._events.inc(int(opt.stats.get("nodes_removed", 0)),
+                             event="canonical_nodes_removed")
             analysis = dict(opt.stats)
             extra = dict(inner.extra or {})
             if not inner.feasible or inner.matrices is None:
@@ -569,7 +510,7 @@ class SolveService:
             with tracer.span("tensor-execute"):
                 report = build_execution_report(numeric, result,
                                                 record_outputs=record_outputs)
-            self.stats.record_execution()
+            self._events.inc(event="executions")
             return report
 
     # ------------------------------------------------------------------ #
@@ -782,39 +723,34 @@ class SolveService:
     def statistics(self) -> dict:
         """One merged snapshot of service activity and cache effectiveness.
 
+        This is the payload behind the serve daemon's ``/v1/metrics``.  The
+        counters (:data:`_COUNTED`) come from the service's event counter:
+
+        * ``cache_hits``/``cache_misses`` only count solves that consulted
+          the cache; with caching disabled neither moves.  ``executions``
+          counts :meth:`execute` runs (each also shows up as a solve or a
+          cache hit).
+        * The warm-start and race counters only move on fresh solver
+          invocations: ``warm_seeds`` (handed a usable seed),
+          ``incumbent_prunes`` (the seed was proven optimal and reused),
+          ``bound_skips`` (the seed was certified by a bound without a full
+          integer solve), ``infeasible_shortcuts`` (answered by the
+          budget-floor / learned-infeasibility pre-checks);
+          ``race.entrants_finished`` counts lanes that returned a verdict,
+          ``race.entrants_cancelled`` the stragglers reaped before starting.
+        * ``analysis.lint_runs`` counts pre-solve lint gate consultations
+          (memoized reports included), so the error/warning totals track
+          what solves were exposed to.
+
         The ``cache`` sub-dict comes straight from :meth:`PlanCache.stats`
-        (``None`` when caching is disabled); the top-level counters are this
-        service's :class:`SolveStats`.  This is the payload behind the serve
-        daemon's ``/v1/metrics``.
+        (``None`` when caching is disabled).
         """
-        with self.stats._lock:
-            snapshot = {
-                "solver_calls": self.stats.solver_calls,
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "executions": self.stats.executions,
-                "warm_seeds": self.stats.warm_seeds,
-                "incumbent_prunes": self.stats.incumbent_prunes,
-                "bound_skips": self.stats.bound_skips,
-                "infeasible_shortcuts": self.stats.infeasible_shortcuts,
-            }
-            analysis = {
-                "lint_runs": self.stats.lint_runs,
-                "lint_errors": self.stats.lint_errors,
-                "lint_warnings": self.stats.lint_warnings,
-                "canonical_solves": self.stats.canonical_solves,
-                "canonical_nodes_removed": self.stats.canonical_nodes_removed,
-            }
-            race = {
-                "races": self.stats.races,
-                "wins": self.stats.race_wins,
-                "no_feasible": self.stats.race_no_feasible,
-                "deadline_hits": self.stats.race_deadline_hits,
-                "entrants_finished": self.stats.race_entrants_finished,
-                "entrants_cancelled": self.stats.race_entrants_cancelled,
-            }
-        snapshot["analysis"] = analysis
-        snapshot["race"] = race
+        counts = {labels[0]: int(value)
+                  for _, labels, value in self._events.samples()}
+        snapshot: dict = {name: counts.get(name, 0) for name in _COUNTED[None]}
+        for section in ("analysis", "race"):
+            snapshot[section] = {name: counts.get(name, 0)
+                                 for name in _COUNTED[section]}
         snapshot["registered_solvers"] = len(self.registry)
         snapshot["cache"] = self.cache.stats() if self.cache is not None else None
         # The process-wide caches (shared by every service in the process),

@@ -23,8 +23,8 @@ Deadline discipline is belt and braces:
 The returned result carries structured ``extra["race"]`` provenance --
 per-entrant wall time, status and objective, the winner, and whether the
 deadline fired -- which flows through ``result_to_wire`` into ``POST
-/v1/solve`` responses, and into ``statistics()`` / ``/v1/metrics`` via
-:meth:`~repro.service.solve.SolveStats.record_race`.
+/v1/solve`` responses, and into the ``race`` counters of
+``SolveService.statistics()`` / ``/v1/metrics``.
 
 Caching note: a feasible race result is a valid schedule and caches like any
 other, but the cache key includes ``deadline_s`` (it is part of the race's

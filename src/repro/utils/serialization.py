@@ -158,6 +158,27 @@ def graph_to_wire(graph: DFGraph) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(valid):
+    return lambda value: isinstance(value, list) and all(map(valid, value))
+
+
+#: The meta values that analyses, cost models and the executor trust:
+#: ``name -> (check, description)``.
+_META_CHECKS = {
+    "n_forward": (_is_int, "an integer"),
+    "op_types": (_list_of(lambda t: isinstance(t, str)), "a list of strings"),
+    "grad_index": (lambda v: isinstance(v, dict) and all(
+        _is_int(k) and _is_int(i) for k, i in v.items()),
+        "a map of integers to integers"),
+    "shapes": (_list_of(_list_of(_is_int)), "a list of integer lists"),
+    "op_attrs": (_list_of(lambda a: isinstance(a, dict)), "a list of objects"),
+}
+
+
 def graph_from_wire(payload: dict) -> DFGraph:
     """Reconstruct a :class:`DFGraph` from :func:`graph_to_wire` output."""
     if not isinstance(payload, dict) or payload.get("format") != GRAPH_FORMAT:
@@ -179,15 +200,10 @@ def graph_from_wire(payload: dict) -> DFGraph:
     except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph payload: {type(exc).__name__}: "
                          f"{exc}") from None
-    # The two meta values that analyses, cost models and the executor trust.
-    n_forward = meta.get("n_forward")
-    if n_forward is not None and (isinstance(n_forward, bool)
-                                  or not isinstance(n_forward, int)):
-        raise ValueError("graph meta 'n_forward' must be an integer")
-    op_types = meta.get("op_types")
-    if op_types is not None and not (isinstance(op_types, list)
-                                     and all(isinstance(t, str) for t in op_types)):
-        raise ValueError("graph meta 'op_types' must be a list of strings")
+    for name, (valid, what) in _META_CHECKS.items():
+        value = meta.get(name)
+        if value is not None and not valid(value):
+            raise ValueError(f"graph meta {name!r} must be {what}")
     return DFGraph(nodes=nodes, deps=deps, input_memory=input_memory,
                    parameter_memory=parameter_memory,
                    name=str(payload.get("name", "graph")), meta=meta)

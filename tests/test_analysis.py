@@ -389,7 +389,8 @@ class TestServiceIntegration:
         service = SolveService()
         result = service.solve_canonicalized(chain5_train, "checkpoint_all")
         assert result.feasible
-        assert service.stats.canonical_solves == 0  # no rewrite, plain solve
+        # No rewrite: a plain solve.
+        assert service.statistics()["analysis"]["canonical_solves"] == 0
 
     def test_decoded_schedule_executes_bit_exact(self):
         from repro.execution import build_execution_report

@@ -155,9 +155,12 @@ class TestProcessBackend:
         first = process_queue.submit_solve(mlp_train, "checkmate_ilp", budget)
         assert first.wait(120) and first.state is JobState.DONE
         shipped = process_queue.backend.stats()["tasks_shipped"]
+        hits = process_queue.service.statistics()["cache_hits"]
         again = process_queue.submit_solve(mlp_train, "checkmate_ilp", budget)
         assert again.wait(60) and again.state is JobState.DONE
         assert process_queue.backend.stats()["tasks_shipped"] == shipped
+        # The parent-cache tier counts through the service's counter.
+        assert process_queue.service.statistics()["cache_hits"] == hits + 1
         assert again.result.compute_cost == first.result.compute_cost
 
     def test_byte_identical_schedule_thread_vs_process(self, process_queue,

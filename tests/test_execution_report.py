@@ -176,10 +176,10 @@ def test_execute_uses_plan_cache(mlp_numeric):
     service = SolveService()
     budget = tight_budget(mlp_numeric.graph, 0.75)
     first = service.execute(mlp_numeric, "checkmate_approx", budget)
-    calls_after_first = service.stats.solver_calls
+    calls_after_first = service.statistics()["solver_calls"]
     second = service.execute(mlp_numeric, "checkmate_approx", budget)
-    assert service.stats.solver_calls == calls_after_first  # warm cache
-    assert service.stats.executions == 2
+    assert service.statistics()["solver_calls"] == calls_after_first  # warm cache
+    assert service.statistics()["executions"] == 2
     assert first.measured_peak_bytes == second.measured_peak_bytes
     assert service.statistics()["executions"] == 2
 

@@ -4,12 +4,14 @@ Covers the span lifecycle (nesting, buffering-until-flush, thread affinity,
 sampling), trace propagation through the JobQueue, the Prometheus text
 exposition (label escaping, histogram bucket monotonicity, the strict
 validator), the Chrome trace-event export and its round-trip through
-``span_tree``/``spans_from_tree``, and the LatencyWindow quantile edge cases.
+``span_tree``/``spans_from_tree``, and the histogram quantile estimates.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import random
 import threading
 
 import pytest
@@ -30,7 +32,6 @@ from repro.obs import (
 )
 from repro.obs.trace import TraceStore
 from repro.server import JobQueue
-from repro.server.metrics import LatencyWindow
 from repro.service import SolveService
 
 
@@ -357,44 +358,44 @@ class TestExport:
 
 
 # --------------------------------------------------------------------------- #
-# LatencyWindow quantiles
+# Histogram quantile estimates
 # --------------------------------------------------------------------------- #
-class TestLatencyWindow:
-    def test_empty_window(self):
-        window = LatencyWindow()
-        assert window.quantile(0.5) is None
-        snap = window.snapshot()
-        assert snap["count"] == 0 and snap["p99_s"] is None
+class TestHistogramQuantile:
+    BUCKETS = (0.001, 0.01, 0.1, 1.0)
 
-    def test_single_sample_every_quantile(self):
-        window = LatencyWindow()
-        window.record(0.25)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert window.quantile(q) == pytest.approx(0.25)
-
-    def test_extreme_quantiles_hit_min_and_max(self):
-        window = LatencyWindow()
-        for v in (3.0, 1.0, 2.0):
-            window.record(v)
-        assert window.quantile(0.0) == pytest.approx(1.0)
-        assert window.quantile(1.0) == pytest.approx(3.0)
+    def test_empty_returns_none(self):
+        hist = Histogram("h", labelnames=("key",), buckets=self.BUCKETS)
+        assert hist.quantile(0.5, key="a") is None
         with pytest.raises(ValueError):
-            window.quantile(1.5)
+            hist.quantile(1.5, key="a")
 
-    def test_window_slides_but_totals_accumulate(self):
-        window = LatencyWindow(maxlen=2)
-        for v in (10.0, 1.0, 2.0):
-            window.record(v)
-        snap = window.snapshot()
-        assert snap["count"] == 3 and snap["window"] == 2
-        assert snap["total_s"] == pytest.approx(13.0)
-        assert window.quantile(1.0) == pytest.approx(2.0)  # 10.0 rotated out
+    def test_single_observation_interpolates_inside_its_bucket(self):
+        hist = Histogram("h", buckets=self.BUCKETS)
+        hist.observe(0.05)
+        assert hist.quantile(0.0) == pytest.approx(0.01)
+        assert hist.quantile(0.5) == pytest.approx(0.055)
+        assert hist.quantile(1.0) == pytest.approx(0.1)
 
-    def test_p99_tracks_tail(self):
-        window = LatencyWindow()
-        for _ in range(99):
-            window.record(0.01)
-        window.record(5.0)
-        assert window.quantile(0.99) == pytest.approx(0.01)
-        assert window.quantile(1.0) == pytest.approx(5.0)
-        assert window.snapshot()["p99_s"] == pytest.approx(0.01)
+    def test_value_beyond_last_finite_bucket(self):
+        hist = Histogram("h", buckets=self.BUCKETS)
+        hist.observe(0.005)
+        hist.observe(7.0)
+        assert hist.quantile(0.99) == pytest.approx(1.0)  # last finite bound
+        assert hist.quantile(0.25) == pytest.approx(0.0055)
+
+    def test_monotone_and_inside_the_nearest_rank_bucket(self):
+        rng = random.Random(7)
+        values = sorted(rng.lognormvariate(-4.0, 2.0) for _ in range(257))
+        hist = Histogram("h")
+        for value in values:
+            hist.observe(value)
+        bounds = (0.0,) + hist.buckets + (math.inf,)
+        previous = -math.inf
+        for step in range(101):
+            q = step / 100
+            estimate = hist.quantile(q)
+            assert estimate >= previous
+            previous = estimate
+            true = values[max(0, math.ceil(q * len(values)) - 1)]
+            upper = next(i for i, b in enumerate(bounds) if true <= b)
+            assert bounds[upper - 1] <= estimate <= bounds[upper]

@@ -111,6 +111,12 @@ MALFORMED = {
         g, meta=dict(graph_to_wire(g)["meta"], n_forward="abc"))},
     "meta-op-types-int": lambda g: {"graph": _wire(
         g, meta=dict(graph_to_wire(g)["meta"], op_types=5))},
+    "meta-grad-index-list": lambda g: {"graph": _wire(
+        g, meta=dict(graph_to_wire(g)["meta"], grad_index=[1, 2]))},
+    "meta-shapes-string": lambda g: {"graph": _wire(
+        g, meta=dict(graph_to_wire(g)["meta"], shapes="x"))},
+    "meta-op-attrs-int": lambda g: {"graph": _wire(
+        g, meta=dict(graph_to_wire(g)["meta"], op_attrs=3))},
 }
 
 

@@ -174,8 +174,8 @@ def test_race_deadline_exhausted_verdict_is_not_cached():
         result = service.solve(graph, "race", budget, options)
         assert not result.feasible
         assert result.solver_status == "race-deadline-exhausted"
-    assert service.stats.solver_calls == 2, "second solve replayed from cache"
-    assert service.stats.cache_hits == 0
+    assert service.statistics()["solver_calls"] == 2, "second solve replayed from cache"
+    assert service.statistics()["cache_hits"] == 0
     assert len(service.cache) == 0
 
 
@@ -191,15 +191,15 @@ def test_feasible_race_result_is_cached_per_deadline():
     again = service.solve(graph, "race", budget, SolverOptions(
         deadline_s=60.0, entrants=entrants, generate_plan=False))
     assert first.feasible and again.feasible
-    assert service.stats.solver_calls == 1
-    assert service.stats.cache_hits == 1
+    assert service.statistics()["solver_calls"] == 1
+    assert service.statistics()["cache_hits"] == 1
 
     # A different SLO is a different cache cell: deadline_s is in the race's
     # option map, so results raced under different deadlines never alias.
     other = service.solve(graph, "race", budget, SolverOptions(
         deadline_s=90.0, entrants=entrants, generate_plan=False))
     assert other.feasible
-    assert service.stats.solver_calls == 2
+    assert service.statistics()["solver_calls"] == 2
     assert len(service.cache) == 2
 
 

@@ -13,6 +13,7 @@ import threading
 import pytest
 
 from repro.baselines import solve_checkpoint_all
+from repro.obs import validate_prometheus_text
 from repro.server import (
     Job,
     JobQueue,
@@ -599,26 +600,35 @@ class TestSingleFlightE2E:
             assert cache["hit_rate"] > 0
             assert metrics["solve_latency"]["p50_s"] is not None
             assert metrics["solve_latency"]["p95_s"] is not None
+            # The keys ``repro serve-status``, CI's server smoke and
+            # examples/serve_and_submit.py read.
+            assert {"workers", "queue_depth", "running", "jobs"} <= set(metrics)
+            assert metrics["jobs"]["done"] >= 1
+            assert metrics["service"]["solver_calls"] >= 1
+            assert {"entries", "hits", "misses", "evictions",
+                    "hit_rate"} <= set(cache)
+            assert set(metrics["solve_latency"]) == {
+                "count", "total_s", "p50_s", "p95_s", "p99_s"}
+            assert metrics["solve_latency"]["count"] >= 1
+            families = validate_prometheus_text(client.metrics_prometheus())
+            assert "repro_solve_latency_p50_s" in families
+            assert "repro_service_race_wins" in families
 
 
-class TestLatencyWindow:
-    def test_quantiles(self):
-        from repro.server import LatencyWindow
-        window = LatencyWindow(maxlen=100)
-        assert window.quantile(0.5) is None
+class TestLatencyHistogram:
+    def test_summary_reports_histogram_quantiles(self):
+        queue = JobQueue(SolveService(), num_workers=1)
+        assert queue.metrics()["solve_latency"] == {
+            "count": 0, "total_s": 0.0,
+            "p50_s": None, "p95_s": None, "p99_s": None}
         for v in range(1, 101):
-            window.record(v / 100.0)
-        snap = window.snapshot()
-        assert snap["count"] == 100
-        assert snap["p50_s"] == pytest.approx(0.5, abs=0.02)
-        assert snap["p95_s"] == pytest.approx(0.95, abs=0.02)
-
-    def test_window_bounded(self):
-        from repro.server import LatencyWindow
-        window = LatencyWindow(maxlen=10)
-        for v in range(1000):
-            window.record(float(v))
-        snap = window.snapshot()
-        assert snap["count"] == 1000
-        assert snap["window"] == 10
-        assert snap["p50_s"] >= 990  # only recent samples remain
+            queue.latency.observe(v / 1000.0, key="solve_latency")
+        summary = queue.metrics()["solve_latency"]
+        assert summary["count"] == 100
+        assert summary["total_s"] == pytest.approx(5.05)
+        for q in (50, 95, 99):
+            assert summary[f"p{q}_s"] == pytest.approx(
+                queue.latency.quantile(q / 100, key="solve_latency"))
+        # True p50 is 0.050, in the (0.025, 0.05] bucket.
+        assert 0.025 <= summary["p50_s"] <= 0.05
+        assert queue.metrics()["pareto_latency"]["count"] == 0

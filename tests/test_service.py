@@ -1,5 +1,8 @@
 """Tests for the unified solve-service layer (registry, cache, sweep)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -167,21 +170,46 @@ class TestSolveAndCache:
         budget = tight_budget(graph, 0.6)
         service = fresh_service()
         service.solve(graph, "linearized_greedy", budget)
-        assert service.stats.solver_calls == 1
-        assert service.stats.cache_misses == 1
+        assert service.statistics()["solver_calls"] == 1
+        assert service.statistics()["cache_misses"] == 1
         service.solve(graph, "linearized_greedy", budget)
-        assert service.stats.solver_calls == 1  # answered from cache
-        assert service.stats.cache_hits == 1
+        assert service.statistics()["solver_calls"] == 1  # answered from cache
+        assert service.statistics()["cache_hits"] == 1
         # Different budget -> different cell -> miss.
         service.solve(graph, "linearized_greedy", budget + 1)
-        assert service.stats.solver_calls == 2
+        assert service.statistics()["solver_calls"] == 2
+
+    def test_counters_lose_no_updates_across_threads(self):
+        graph = make_chain_train()
+        budget = tight_budget(graph, 0.6)
+        service = fresh_service()
+        service.solve(graph, "linearized_greedy", budget)
+
+        def hammer():
+            for _ in range(100):
+                service.solve(graph, "linearized_greedy", budget)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        stats = service.statistics()
+        assert stats["cache_hits"] == 800
+        assert stats["solver_calls"] == 1
 
     def test_cache_shared_across_reconstructed_graphs(self):
         service = fresh_service()
         budget = tight_budget(make_chain_train(), 0.6)
         service.solve(make_chain_train(), "checkmate_approx", budget)
         result = service.solve(make_chain_train(), "checkmate_approx", budget)
-        assert service.stats.solver_calls == 1
+        assert service.statistics()["solver_calls"] == 1
         assert result.feasible
 
     def test_options_participate_in_cache_key(self):
@@ -190,7 +218,7 @@ class TestSolveAndCache:
         service = fresh_service()
         service.solve(graph, "checkmate_approx", budget, SolverOptions(allowance=0.1))
         service.solve(graph, "checkmate_approx", budget, SolverOptions(allowance=0.3))
-        assert service.stats.solver_calls == 2
+        assert service.statistics()["solver_calls"] == 2
 
     def test_use_cache_false_always_solves(self):
         graph = make_chain_train()
@@ -198,7 +226,7 @@ class TestSolveAndCache:
         service = fresh_service()
         service.solve(graph, "linearized_greedy", budget, use_cache=False)
         service.solve(graph, "linearized_greedy", budget, use_cache=False)
-        assert service.stats.solver_calls == 2
+        assert service.statistics()["solver_calls"] == 2
 
     def test_disabled_cache_service(self):
         graph = make_chain_train()
@@ -206,10 +234,10 @@ class TestSolveAndCache:
         budget = tight_budget(graph, 0.6)
         service.solve(graph, "linearized_greedy", budget)
         service.solve(graph, "linearized_greedy", budget)
-        assert service.stats.solver_calls == 2
+        assert service.statistics()["solver_calls"] == 2
         # No cache was consulted, so neither hit nor miss counters move.
-        assert service.stats.cache_hits == 0
-        assert service.stats.cache_misses == 0
+        assert service.statistics()["cache_hits"] == 0
+        assert service.statistics()["cache_misses"] == 0
 
     def test_lru_eviction(self):
         graph = make_chain_train()
@@ -218,7 +246,7 @@ class TestSolveAndCache:
         service.solve(graph, "linearized_greedy", b1)
         service.solve(graph, "linearized_greedy", b2)  # evicts b1
         service.solve(graph, "linearized_greedy", b1)
-        assert service.stats.solver_calls == 3
+        assert service.statistics()["solver_calls"] == 3
 
     def test_infeasible_results_cached_too(self):
         graph = make_chain_train()
@@ -228,7 +256,7 @@ class TestSolveAndCache:
         assert not result.feasible
         again = service.solve(graph, "checkmate_ilp", 1, SolverOptions(time_limit_s=5))
         assert not again.feasible
-        assert service.stats.solver_calls == 1
+        assert service.statistics()["solver_calls"] == 1
 
     def test_timeout_without_incumbent_not_cached(self):
         # "No incumbent at the wall-clock limit" is load-dependent; replaying
@@ -248,7 +276,7 @@ class TestSolveAndCache:
         service = fresh_service(registry=registry)
         service.solve(graph, "flaky", 100)
         service.solve(graph, "flaky", 100)
-        assert service.stats.solver_calls == 2  # never answered from cache
+        assert service.statistics()["solver_calls"] == 2  # never answered from cache
 
     def test_unserializable_result_does_not_fail_disk_store(self, tmp_path):
         # A custom solver with exotic (non-JSON) result fields must not abort
@@ -309,13 +337,13 @@ class TestSolveAndCache:
         service = fresh_service()
         budget = ample_budget(diamond_train)
         service.solve(diamond_train, "griewank_logn", budget)
-        assert service.stats.cache_hits == 0
+        assert service.statistics()["cache_hits"] == 0
         with pytest.raises(ValueError):
             service.solve(diamond_train, "griewank_logn", budget, strict=True)
         # And the non-strict path re-derives it rather than hitting the cache.
         again = service.solve(diamond_train, "griewank_logn", budget)
         assert "not-applicable" in again.solver_status
-        assert service.stats.cache_hits == 0
+        assert service.statistics()["cache_hits"] == 0
 
     def test_extra_solvers_through_service(self):
         graph = make_chain_train(4)
@@ -335,13 +363,13 @@ class TestDiskCache:
         budget = tight_budget(graph, 0.6)
         first = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         original = first.solve(graph, "checkmate_approx", budget)
-        assert first.stats.solver_calls == 1
+        assert first.statistics()["solver_calls"] == 1
 
         # A new process would start with an empty in-memory tier but the same
         # directory: the plan must come back from disk, not from a solver.
         second = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         restored = second.solve(graph, "checkmate_approx", budget)
-        assert second.stats.solver_calls == 0
+        assert second.statistics()["solver_calls"] == 0
         assert restored.feasible == original.feasible
         assert restored.compute_cost == pytest.approx(original.compute_cost)
         assert np.array_equal(restored.matrices.R, original.matrices.R)
@@ -361,7 +389,7 @@ class TestDiskCache:
         second = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         restored = second.solve(graph, "checkmate_approx", budget,
                                 SolverOptions(generate_plan=False))
-        assert second.stats.solver_calls == 0
+        assert second.statistics()["solver_calls"] == 0
         assert restored.plan is None
 
     def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
@@ -373,7 +401,7 @@ class TestDiskCache:
             path.write_text("{not json")
         fresh = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         result = fresh.solve(graph, "linearized_greedy", budget)
-        assert fresh.stats.solver_calls == 1
+        assert fresh.statistics()["solver_calls"] == 1
         assert result.feasible
 
 
@@ -414,7 +442,7 @@ class TestSweep:
         service = fresh_service()
         with pytest.raises(KeyError):
             service.sweep(graph, [("checkpoint_all", None), ("nope", None)])
-        assert service.stats.solver_calls == 0
+        assert service.statistics()["solver_calls"] == 0
 
     def test_empty_cells(self):
         assert fresh_service().sweep(make_chain_train(), []) == []
@@ -428,7 +456,7 @@ class TestSweep:
         results = service.sweep(graph, [("checkmate_approx", budget)] * 4,
                                 max_workers=4)
         assert len(results) == 4
-        assert service.stats.solver_calls == 1
+        assert service.statistics()["solver_calls"] == 1
         assert all(r is results[0] for r in results)
 
     def test_warm_cache_sweep_is_solver_free(self):
@@ -437,12 +465,12 @@ class TestSweep:
         service = fresh_service()
         cells = service.grid(("checkpoint_all", "checkmate_approx"), budgets)
         service.sweep(graph, cells)
-        calls_after_cold = service.stats.solver_calls
+        calls_after_cold = service.statistics()["solver_calls"]
         # checkpoint_all has no budget knob but distinct budgets are distinct
         # cells; every cell must have invoked a solver exactly once.
         assert calls_after_cold == len(cells)
         service.sweep(graph, cells)
-        assert service.stats.solver_calls == calls_after_cold
+        assert service.statistics()["solver_calls"] == calls_after_cold
 
 
 class TestBudgetSweepThroughService:
@@ -501,10 +529,10 @@ class TestBudgetSweepThroughService:
                 for p in points] == expected
 
         # Warm rerun: identical points, zero solver invocations.
-        calls_after_cold = service.stats.solver_calls
+        calls_after_cold = service.statistics()["solver_calls"]
         assert calls_after_cold > 0
         again = budget_sweep(graph, budgets, strategies=strategies, service=service)
-        assert service.stats.solver_calls == calls_after_cold
+        assert service.statistics()["solver_calls"] == calls_after_cold
         assert [(p.strategy, p.budget, p.feasible, p.compute_cost, p.peak_memory)
                 for p in again] == expected
 

@@ -279,8 +279,8 @@ class TestWarmSweepService:
             assert w.feasible == c.feasible
             if w.feasible:
                 assert_costs_close(w.compute_cost, c.compute_cost)
-        assert warm_svc.stats.warm_seeds > 0
-        assert cold_svc.stats.warm_seeds == 0
+        assert warm_svc.statistics()["warm_seeds"] > 0
+        assert cold_svc.statistics()["warm_seeds"] == 0
 
     def test_parallel_equals_sequential(self):
         g = make_chain_train()
@@ -298,7 +298,7 @@ class TestWarmSweepService:
                 assert_costs_close(s.compute_cost, p.compute_cost)
                 assert s.peak_memory == p.peak_memory
 
-    def test_warm_counters_and_reset(self):
+    def test_warm_counters_move(self):
         g = make_chain_train()
         svc = SolveService()
         hi = float(ample_budget(g))
@@ -307,12 +307,6 @@ class TestWarmSweepService:
         stats = svc.statistics()
         assert stats["warm_seeds"] >= 1
         assert stats["incumbent_prunes"] + stats["bound_skips"] >= 1
-        svc.stats.reset()
-        stats = svc.statistics()
-        assert stats["warm_seeds"] == 0
-        assert stats["incumbent_prunes"] == 0
-        assert stats["bound_skips"] == 0
-        assert stats["infeasible_shortcuts"] == 0
 
     def test_infeasible_shortcut_counter_moves(self):
         set_formulation_cache(FormulationCache())
