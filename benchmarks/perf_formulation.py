@@ -576,7 +576,7 @@ def deadline_curve_bench(preset: str, deadlines, fraction: float = PR10_FRACTION
     t0 = time.perf_counter()
     ceiling = ceiling_service.solve(
         graph, "checkmate_ilp", budget,
-        SolverOptions(time_limit_s=PR10_CEILING_LIMIT_S, generate_plan=False))
+        SolverOptions(time_limit_s=PR10_CEILING_LIMIT_S))
     ceiling_s = time.perf_counter() - t0
     ceiling_cost = float(ceiling.compute_cost) if ceiling.feasible else None
 
@@ -588,7 +588,7 @@ def deadline_curve_bench(preset: str, deadlines, fraction: float = PR10_FRACTION
         t0 = time.perf_counter()
         result = service.solve(
             graph, "race", budget,
-            SolverOptions(deadline_s=float(deadline), generate_plan=False))
+            SolverOptions(deadline_s=float(deadline)))
         wall = time.perf_counter() - t0
         race = (result.extra or {}).get("race", {})
         lanes = race.get("entrants", [])

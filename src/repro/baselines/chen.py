@@ -185,7 +185,7 @@ def solve_chen_greedy(
     return build_scheduled_result(
         strategy_name, graph, matrices, budget=int(budget) if budget is not None else None,
         feasible=True, solve_time_s=timer.elapsed, solver_status="ok",
-        generate_plan=False, peak_memory=peak,
+        peak_memory=peak,
         extra={"segment_budget": segment_budget, "checkpoints": sorted(ckpts),
                "search": evaluated},
     )

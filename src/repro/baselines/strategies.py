@@ -137,8 +137,7 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         description="Checkmate optimal MILP (Section 4).",
         general_graphs=True, cost_aware=True, memory_aware=True,
         solve=solve_ilp_rematerialization, in_table1=True,
-        option_map={"time_limit_s": "time_limit_s", "mip_gap": "mip_gap",
-                    "generate_plan": "generate_plan"},
+        option_map={"time_limit_s": "time_limit_s", "mip_gap": "mip_gap"},
         uses_formulation=True, warm_start_capable=True,
     ),
     SolverSpec(
@@ -152,7 +151,7 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         # ``lp_time_limit_s`` to bound the LP.
         option_map={"lp_time_limit_s": "lp_time_limit_s", "allowance": "allowance",
                     "rounding_mode": "mode", "num_samples": "num_samples",
-                    "seed": "seed", "generate_plan": "generate_plan"},
+                    "seed": "seed"},
         uses_formulation=True,
     ),
 )}

@@ -230,15 +230,15 @@ def checkpoint_last_node_schedule(graph: DFGraph) -> ScheduleMatrices:
 class ScheduledResult:
     """The result of running one rematerialization strategy on one graph.
 
-    This bundles everything the evaluation harness needs: the schedule itself,
-    the lowered execution plan, and the headline metrics (compute cost under
-    the graph's cost model, peak memory from the simulator, solver statistics).
+    This bundles everything the evaluation harness needs: the schedule itself
+    and the headline metrics (compute cost under the graph's cost model, peak
+    memory from the simulator, solver statistics).  The execution plan is not
+    stored: :attr:`plan` lowers it from ``(graph, matrices)`` on first access.
     """
 
     strategy: str
     graph: DFGraph
     matrices: Optional[ScheduleMatrices]
-    plan: Optional[ExecutionPlan]
     compute_cost: float
     peak_memory: int
     feasible: bool
@@ -246,6 +246,23 @@ class ScheduledResult:
     solve_time_s: float = 0.0
     solver_status: str = "ok"
     extra: Dict[str, object] = field(default_factory=dict)
+    _plan: Optional[ExecutionPlan] = field(default=None, init=False,
+                                           repr=False, compare=False)
+
+    @property
+    def plan(self) -> Optional[ExecutionPlan]:
+        """The schedule lowered to an execution plan (Algorithm 1), or
+        ``None`` when there are no matrices.
+
+        Lowered on first access and memoized.  No lock: the lowering is a
+        pure function of ``(graph, matrices)``, so two racing first accesses
+        only repeat the work.
+        """
+        if self._plan is None and self.matrices is not None:
+            from . import scheduler  # scheduler imports this module
+
+            self._plan = scheduler.generate_execution_plan(self.graph, self.matrices)
+        return self._plan
 
     @property
     def overhead(self) -> float:

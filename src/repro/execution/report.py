@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..core.schedule import ScheduledResult
-from ..core.scheduler import generate_execution_plan
 from ..core.simulator import simulate_plan
 from .executor import ExecutionResult, execute_checkpoint_all, execute_plan
 from .ops import NumericGraph
@@ -156,9 +155,8 @@ def build_execution_report(
     """Execute ``result``'s plan over ``numeric`` and cross-check everything.
 
     Infeasible results (or results without matrices) come back with
-    ``executed=False`` and the solver status in ``error``; feasible results
-    whose plan was not lowered (``generate_plan=False`` solves) are lowered
-    here from the ``(R, S)`` matrices.
+    ``executed=False`` and the solver status in ``error``; for feasible ones
+    reading ``result.plan`` lowers the ``(R, S)`` matrices on first use.
 
     ``record_outputs`` restricts which node outputs are retained and compared
     against checkpoint-all execution (default: every node the plan computes).
@@ -180,9 +178,6 @@ def build_execution_report(
         return report
 
     plan = result.plan
-    if plan is None:
-        plan = generate_execution_plan(graph, result.matrices)
-
     trace = simulate_plan(graph, plan)
     measured = execute_plan(numeric, plan, record_outputs=record_outputs)
     reference = execute_checkpoint_all(numeric)

@@ -83,7 +83,7 @@ def integrality_gap_experiment(
     graph = graph if graph is not None else unit_linear_training_graph(8)
 
     part_ilp = solve_ilp_rematerialization(graph, budget, time_limit_s=time_limit_s,
-                                           frontier_advancing=True, generate_plan=False)
+                                           frontier_advancing=True)
     part_lp = solve_lp_relaxation(graph, budget, frontier_advancing=True)
 
     unpart_cost = unpart_lp_cost = None
@@ -92,7 +92,7 @@ def integrality_gap_experiment(
         stages = unpartitioned_stages or graph.size
         unpart_ilp = solve_ilp_rematerialization(
             graph, budget, time_limit_s=time_limit_s, frontier_advancing=False,
-            num_stages=stages, generate_plan=False,
+            num_stages=stages,
         )
         unpart_lp = solve_lp_relaxation(graph, budget, frontier_advancing=False,
                                         num_stages=stages)

@@ -75,7 +75,7 @@ def memory_timeline(
                            budget, SolverOptions(time_limit_s=ilp_time_limit_s))
 
     remat_trace = None
-    if result.feasible and result.plan is not None:
+    if result.feasible:
         remat_trace = simulate_plan(graph, result.plan)
 
     return MemoryTimeline(

@@ -83,7 +83,7 @@ def rounding_comparison(
     lp = solve_lp_relaxation(graph, budget * (1 - allowance))
 
     det = solve_approx_lp_rounding(graph, budget, allowance=allowance, lp_result=lp,
-                                   mode="deterministic", generate_plan=False)
+                                   mode="deterministic")
     rand_points: List[Dict[str, float]] = []
     if lp.feasible:
         for sample in randomized_rounding_samples(graph, budget, lp,
@@ -105,8 +105,7 @@ def rounding_comparison(
         from ..solvers.rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
 
         options = SolverOptions(allowance=allowance, seed=seed,
-                                num_samples=num_randomized_samples,
-                                generate_plan=False)
+                                num_samples=num_randomized_samples)
         for key in PORTFOLIO_STRATEGY_KEYS:
             result = service.solve(graph, key, budget, options)
             portfolio_points[key] = (

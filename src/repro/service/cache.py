@@ -33,8 +33,10 @@ count every lookup, not only solves routed through one service.
 Cached results are shared, not copied: an in-memory hit returns the *same*
 :class:`ScheduledResult` object to every caller (including duplicate cells of
 one sweep), so treat results from the service as immutable -- mutating
-``matrices``/``extra``/``plan`` in place would poison every later hit on that
-key.  Derive variants via ``matrices.copy()`` instead.
+``matrices``/``extra`` in place would poison every later hit on that key.
+Derive variants via ``matrices.copy()`` instead.  (The plan a result lowers
+on first access is memoized on that shared object, which is safe: it is a
+pure function of the matrices.)
 
 Set ``PlanCache(max_entries=0, cache_dir=None)`` -- or pass ``cache=None`` to
 :class:`~repro.service.solve.SolveService` -- to disable caching entirely.

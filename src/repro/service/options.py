@@ -29,7 +29,9 @@ class SolverOptions:
 
     Every field defaults to ``None`` meaning "use the solver's own default".
     Only non-``None`` fields that appear in a solver's ``option_map`` are
-    forwarded to the underlying ``solve`` callable.
+    forwarded to the underlying ``solve`` callable.  There is no knob for the
+    execution plan: every result lowers it on first access to
+    ``ScheduledResult.plan``, so a solve never pays for it up front.
 
     Attributes
     ----------
@@ -49,9 +51,6 @@ class SolverOptions:
         Number of randomized-rounding samples to draw.
     seed:
         RNG seed for randomized rounding.
-    generate_plan:
-        Whether to lower schedules to execution plans (skipping it speeds up
-        large sweeps that only need cost/memory numbers).
     max_nodes:
         Node cap for the pure-Python branch-and-bound solver.
     checkpoints:
@@ -74,7 +73,6 @@ class SolverOptions:
     rounding_mode: Optional[str] = None
     num_samples: Optional[int] = None
     seed: Optional[int] = None
-    generate_plan: Optional[bool] = None
     max_nodes: Optional[int] = None
     checkpoints: Optional[Tuple[int, ...]] = None
     deadline_s: Optional[float] = None

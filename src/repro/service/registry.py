@@ -124,7 +124,6 @@ _PORTFOLIO_OPTIONS = {
     "allowance": "allowance",
     "num_samples": "num_samples",
     "seed": "seed",
-    "generate_plan": "generate_plan",
 }
 
 #: SolverOptions fields the race meta-solver understands: the portfolio's, the
@@ -171,7 +170,7 @@ def default_registry() -> SolverRegistry:
         key="checkmate_bnb",
         description="Reference LP-based branch-and-bound (exact, tiny graphs only).",
         solve=solve_branch_and_bound_schedule,
-        option_map={"max_nodes": "max_nodes", "generate_plan": "generate_plan"},
+        option_map={"max_nodes": "max_nodes"},
         uses_formulation=True,
         warm_start_capable=True,
     ))
@@ -182,7 +181,7 @@ def default_registry() -> SolverRegistry:
         cost_aware=False,
         memory_aware=False,
         has_budget_knob=False,
-        option_map={"checkpoints": "checkpoints", "generate_plan": "generate_plan"},
+        option_map={"checkpoints": "checkpoints"},
     ))
     for scheme in PORTFOLIO_SCHEMES:
         key = f"approx_{scheme}"

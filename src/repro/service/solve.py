@@ -40,7 +40,7 @@ from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, StrategyNotApplicableError
 from ..obs.metrics import Counter
 from ..obs.trace import get_tracer
-from ..solvers.compiled import compiled_formulation_enabled, get_formulation_cache
+from ..solvers.compiled import get_formulation_cache
 from ..solvers.warm import WarmSeed, warm_seed_from_result
 from .cache import PlanCache, PlanCacheKey
 from .hashing import graph_content_hash
@@ -600,9 +600,8 @@ class SolveService:
         # per process per graph -- the formulation cache is process-wide) is
         # the only work performed; the alternative, probing the plan cache for
         # every cell first, would cost more than it saves on any cold cell.
-        if compiled_formulation_enabled() and any(
-            self.registry.get(cell.strategy).uses_formulation for cell in normalized
-        ):
+        if any(self.registry.get(cell.strategy).uses_formulation
+               for cell in normalized):
             get_formulation_cache().get(graph)
 
         # Deduplicate identical cells: concurrent duplicates would all miss

@@ -17,11 +17,8 @@ from .common import build_scheduled_result
 from .compiled import (
     CompiledFormulation,
     FormulationCache,
-    compiled_formulation_enabled,
     formulation_and_arrays,
     get_formulation_cache,
-    legacy_formulation,
-    set_compiled_formulation_enabled,
     set_formulation_cache,
 )
 from .formulation import FormulationArrays, InfeasibleBudgetError, MILPFormulation
@@ -58,11 +55,8 @@ __all__ = [
     "build_scheduled_result",
     "CompiledFormulation",
     "FormulationCache",
-    "compiled_formulation_enabled",
     "formulation_and_arrays",
     "get_formulation_cache",
-    "legacy_formulation",
-    "set_compiled_formulation_enabled",
     "set_formulation_cache",
     "FormulationArrays",
     "InfeasibleBudgetError",

@@ -102,7 +102,6 @@ def solve_approx_lp_rounding(
     lp_result: Optional[LPRelaxationResult] = None,
     lp_time_limit_s: float = 600.0,
     strategy_name: str = APPROX_STRATEGY_NAME,
-    generate_plan: bool = True,
 ) -> ScheduledResult:
     """The Checkmate approximation: LP relaxation + two-phase rounding.
 
@@ -161,7 +160,7 @@ def solve_approx_lp_rounding(
     return build_scheduled_result(
         strategy_name, graph, best, budget=int(budget), feasible=True,
         solve_time_s=timer.elapsed + lp_result.solve_time_s, solver_status="ok",
-        generate_plan=generate_plan, peak_memory=best_peak,
+        peak_memory=best_peak,
         extra={"lp_objective": lp_result.objective, "rounding_mode": mode,
                "allowance": allowance, "peak_memory_rounded": best_peak},
     )

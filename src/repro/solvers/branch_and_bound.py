@@ -20,7 +20,7 @@ from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult
 from ..utils.timer import Timer
 from .common import build_scheduled_result
-from .compiled import CompiledFormulation, formulation_and_arrays
+from .compiled import formulation_and_arrays
 from .formulation import FormulationArrays, InfeasibleBudgetError
 
 __all__ = [
@@ -137,7 +137,6 @@ def solve_branch_and_bound_schedule(
     budget: float,
     *,
     max_nodes: int = 2000,
-    generate_plan: bool = True,
     strategy_name: str = "checkmate-bnb",
     warm_start: Optional["WarmSeed"] = None,
 ) -> ScheduledResult:
@@ -165,22 +164,20 @@ def solve_branch_and_bound_schedule(
             solver_status=f"infeasible-budget: {exc}",
         )
 
-    compiled = formulation if isinstance(formulation, CompiledFormulation) else None
-    if compiled is not None:
-        if compiled.known_infeasible_budget(budget, integral=True):
-            return build_scheduled_result(
-                strategy_name, graph, None, budget=int(budget), feasible=False,
-                solver_status="infeasible-memo",
-                extra={"infeasible_shortcut": "memo"},
-            )
-        floor = compiled.budget_floor()
-        if budget < floor - budget_floor_margin(graph):
-            compiled.note_infeasible_budget(budget, integral=True)
-            return build_scheduled_result(
-                strategy_name, graph, None, budget=int(budget), feasible=False,
-                solver_status="infeasible-below-floor",
-                extra={"infeasible_shortcut": "floor", "budget_floor": floor},
-            )
+    if formulation.known_infeasible_budget(budget, integral=True):
+        return build_scheduled_result(
+            strategy_name, graph, None, budget=int(budget), feasible=False,
+            solver_status="infeasible-memo",
+            extra={"infeasible_shortcut": "memo"},
+        )
+    floor = formulation.budget_floor()
+    if budget < floor - budget_floor_margin(graph):
+        formulation.note_infeasible_budget(budget, integral=True)
+        return build_scheduled_result(
+            strategy_name, graph, None, budget=int(budget), feasible=False,
+            solver_status="infeasible-below-floor",
+            extra={"infeasible_shortcut": "floor", "budget_floor": floor},
+        )
 
     seed = warm_start if (warm_start is not None and warm_start.fits(budget)) else None
     if seed is not None and seed.proven_optimal:
@@ -188,7 +185,7 @@ def solve_branch_and_bound_schedule(
         # so it is optimal here -- no search needed.
         return build_scheduled_result(
             strategy_name, graph, seed.matrices, budget=int(budget), feasible=True,
-            solver_status="warm-reused-optimal", generate_plan=generate_plan,
+            solver_status="warm-reused-optimal",
             extra={"nodes_explored": 0, "proven_optimal": True,
                    "warm_start": {"used": True, "kind": "incumbent_prune",
                                   "source_budget": seed.source_budget}},
@@ -208,7 +205,6 @@ def solve_branch_and_bound_schedule(
         return build_scheduled_result(
             strategy_name, graph, seed.matrices, budget=int(budget), feasible=True,
             solve_time_s=timer.elapsed, solver_status=status,
-            generate_plan=generate_plan,
             extra={"nodes_explored": res.nodes_explored,
                    "proven_optimal": res.proven_optimal,
                    "warm_start": {"used": True, "kind": "bound_skip",
@@ -228,5 +224,5 @@ def solve_branch_and_bound_schedule(
     return build_scheduled_result(
         strategy_name, graph, matrices, budget=int(budget), feasible=True,
         solve_time_s=timer.elapsed, solver_status=res.status,
-        generate_plan=generate_plan, extra=extra,
+        extra=extra,
     )

@@ -11,7 +11,6 @@ from ..core.schedule import (
     schedule_compute_cost,
     validate_correctness_constraints,
 )
-from ..core.scheduler import generate_execution_plan
 from ..core.simulator import schedule_peak_memory
 from ..obs.trace import get_tracer
 
@@ -27,8 +26,6 @@ def build_scheduled_result(
     feasible: bool = True,
     solve_time_s: float = 0.0,
     solver_status: str = "ok",
-    generate_plan: bool = True,
-    validate: bool = True,
     frontier_advancing: bool = True,
     extra: Optional[dict] = None,
     peak_memory: Optional[int] = None,
@@ -36,9 +33,10 @@ def build_scheduled_result(
     """Package a schedule into a :class:`ScheduledResult` with derived metrics.
 
     Computes the schedule's compute cost (objective 1a) and peak memory (via
-    the paper's ``U`` accounting), optionally lowers the schedule into an
-    execution plan, and -- by default -- asserts the correctness constraints so
-    that no infeasible schedule silently enters the evaluation pipeline.
+    the paper's ``U`` accounting) and asserts the correctness constraints so
+    that no infeasible schedule silently enters the evaluation pipeline.  The
+    execution plan is not lowered here: :attr:`ScheduledResult.plan` derives
+    it on first access.
 
     ``peak_memory`` lets callers that already simulated the schedule (every
     heuristic decides feasibility from the peak before packaging) pass the
@@ -49,7 +47,6 @@ def build_scheduled_result(
             strategy=strategy,
             graph=graph,
             matrices=None,
-            plan=None,
             compute_cost=float("inf"),
             peak_memory=0,
             feasible=False,
@@ -59,30 +56,22 @@ def build_scheduled_result(
             extra=extra or {},
         )
 
-    tracer = get_tracer()
-    if validate:
-        with tracer.span("validate"):
-            violations = validate_correctness_constraints(
-                graph, matrices, frontier_advancing=frontier_advancing
-            )
-        if violations:
-            raise ValueError(
-                f"strategy {strategy!r} produced an incorrect schedule: "
-                + "; ".join(violations[:5])
-            )
+    with get_tracer().span("validate"):
+        violations = validate_correctness_constraints(
+            graph, matrices, frontier_advancing=frontier_advancing
+        )
+    if violations:
+        raise ValueError(
+            f"strategy {strategy!r} produced an incorrect schedule: "
+            + "; ".join(violations[:5])
+        )
 
     cost = schedule_compute_cost(graph, matrices)
     peak = peak_memory if peak_memory is not None else schedule_peak_memory(graph, matrices)
-    if generate_plan:
-        with tracer.span("plan"):
-            plan = generate_execution_plan(graph, matrices)
-    else:
-        plan = None
     return ScheduledResult(
         strategy=strategy,
         graph=graph,
         matrices=matrices,
-        plan=plan,
         compute_cost=cost,
         peak_memory=peak,
         feasible=feasible,

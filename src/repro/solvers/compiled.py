@@ -45,16 +45,15 @@ stage by stage.  ``with_budget`` therefore returns arrays that are
 float-for-float equal to ``MILPFormulation(graph, budget).build()``.
 
 The module also hosts the per-process :class:`FormulationCache` (structural-hash
-keyed, single-flight, LRU) that the solvers consult, and the
-``set_compiled_formulation_enabled`` switch the perf harness uses to time the
-legacy loop-built path.
+keyed, single-flight, LRU) that the solvers consult.  ``MILPFormulation``
+stays as the reference oracle the equivalence tests and the perf harness
+compare against; no solver runs on it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -65,16 +64,13 @@ from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduleMatrices
 from ..obs.trace import get_tracer
 from ..utils.lru import SingleFlightLRU
-from .formulation import FormulationArrays, InfeasibleBudgetError, MILPFormulation
+from .formulation import FormulationArrays, InfeasibleBudgetError
 
 __all__ = [
     "CompiledFormulation",
     "FormulationCache",
     "get_formulation_cache",
     "set_formulation_cache",
-    "compiled_formulation_enabled",
-    "set_compiled_formulation_enabled",
-    "legacy_formulation",
     "formulation_and_arrays",
 ]
 
@@ -627,35 +623,6 @@ def set_formulation_cache(cache: FormulationCache) -> FormulationCache:
         return previous
 
 
-_compiled_enabled = True
-
-
-def compiled_formulation_enabled() -> bool:
-    return _compiled_enabled
-
-
-def set_compiled_formulation_enabled(enabled: bool) -> bool:
-    """Toggle the compiled fast path globally; returns the previous setting.
-
-    Disabling routes every solver through the loop-built
-    :class:`~repro.solvers.formulation.MILPFormulation` -- the reference
-    oracle the perf harness and the equivalence tests compare against.
-    """
-    global _compiled_enabled
-    previous, _compiled_enabled = _compiled_enabled, bool(enabled)
-    return previous
-
-
-@contextmanager
-def legacy_formulation():
-    """Context manager: run the enclosed solves on the loop-built path."""
-    previous = set_compiled_formulation_enabled(False)
-    try:
-        yield
-    finally:
-        set_compiled_formulation_enabled(previous)
-
-
 def formulation_and_arrays(
     graph: DFGraph,
     budget: float,
@@ -665,20 +632,12 @@ def formulation_and_arrays(
 ):
     """One entry point for the solvers: ``(formulation, solver-ready arrays)``.
 
-    On the (default) compiled path the formulation comes from the per-process
-    :class:`FormulationCache` and the arrays from :meth:`with_budget`; with the
-    fast path disabled a loop-built :class:`MILPFormulation` is constructed and
-    built.  Either way the first element exposes the uniform decode surface
-    (``decode_matrices`` / ``decode_fractional`` / ``objective_value`` /
-    ``describe``) and :class:`InfeasibleBudgetError` is raised for budgets
-    below the constant overhead.
+    The :class:`CompiledFormulation` comes from the per-process
+    :class:`FormulationCache` and the arrays from :meth:`with_budget`, which
+    raises :class:`InfeasibleBudgetError` for budgets below the constant
+    overhead.
     """
-    if compiled_formulation_enabled():
-        compiled = get_formulation_cache().get(
-            graph, frontier_advancing=frontier_advancing, num_stages=num_stages
-        )
-        return compiled, compiled.with_budget(budget)
-    legacy = MILPFormulation(
-        graph, budget, frontier_advancing=frontier_advancing, num_stages=num_stages
+    compiled = get_formulation_cache().get(
+        graph, frontier_advancing=frontier_advancing, num_stages=num_stages
     )
-    return legacy, legacy.build()
+    return compiled, compiled.with_budget(budget)

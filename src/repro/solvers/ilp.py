@@ -2,11 +2,11 @@
 
 :func:`solve_ilp_rematerialization` is the reproduction of Checkmate's core
 solver: it builds the MILP of Eq. (9) (or the unpartitioned Eq. (8) variant)
-with :class:`~repro.solvers.formulation.MILPFormulation` and hands it to the
+as a :class:`~repro.solvers.compiled.CompiledFormulation` and hands it to the
 HiGHS branch-and-cut solver bundled with SciPy -- the drop-in replacement for
 the Gurobi/COIN-OR solvers used in the paper.  The optimal ``(R, S)`` matrices
-are then lowered to an execution plan and packaged with their cost and peak
-memory.
+are then packaged with their cost and peak memory (the execution plan is
+lowered on first access to ``ScheduledResult.plan``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..core.schedule import ScheduledResult
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .common import build_scheduled_result
-from .compiled import CompiledFormulation, formulation_and_arrays
+from .compiled import formulation_and_arrays
 from .formulation import InfeasibleBudgetError
 
 __all__ = ["solve_ilp_rematerialization", "ILP_STRATEGY_NAME"]
@@ -44,7 +44,6 @@ def solve_ilp_rematerialization(
     mip_gap: float = 1e-4,
     frontier_advancing: bool = True,
     num_stages: Optional[int] = None,
-    generate_plan: bool = True,
     strategy_name: str = ILP_STRATEGY_NAME,
     warm_start: Optional["WarmSeed"] = None,
 ) -> ScheduledResult:
@@ -83,9 +82,9 @@ def solve_ilp_rematerialization(
     infeasibility or finds no incumbent within the limit.
     """
     try:
-        # Compiled fast path: the budget-independent arrays come from the
-        # per-process FormulationCache (one compile per graph, shared across
-        # a whole budget sweep); only the U-variable bounds are budget-bound.
+        # The budget-independent arrays come from the per-process
+        # FormulationCache (one compile per graph, shared across a whole
+        # budget sweep); only the U-variable bounds are budget-bound.
         formulation, arrays = formulation_and_arrays(
             graph, budget, frontier_advancing=frontier_advancing, num_stages=num_stages
         )
@@ -95,12 +94,11 @@ def solve_ilp_rematerialization(
             solver_status=f"infeasible-budget: {exc}",
         )
 
-    compiled = formulation if isinstance(formulation, CompiledFormulation) else None
-    if compiled is not None and frontier_advancing:
+    if frontier_advancing:
         # Learned-infeasibility memo and the arithmetic budget floor: both are
         # monotone in budget, so cells at or below a known-infeasible budget
         # (or meaningfully below the floor) never need to reach HiGHS.
-        if compiled.known_infeasible_budget(budget, integral=True):
+        if formulation.known_infeasible_budget(budget, integral=True):
             return build_scheduled_result(
                 strategy_name, graph, None, budget=int(budget), feasible=False,
                 solver_status="infeasible-memo",
@@ -108,9 +106,9 @@ def solve_ilp_rematerialization(
             )
         from .warm import budget_floor_margin
 
-        floor = compiled.budget_floor()
+        floor = formulation.budget_floor()
         if budget < floor - budget_floor_margin(graph):
-            compiled.note_infeasible_budget(budget, integral=True)
+            formulation.note_infeasible_budget(budget, integral=True)
             return build_scheduled_result(
                 strategy_name, graph, None, budget=int(budget), feasible=False,
                 solver_status="infeasible-below-floor",
@@ -123,7 +121,7 @@ def solve_ilp_rematerialization(
         # and fits this one, so it is (gap-)optimal here too.  Zero HiGHS work.
         return build_scheduled_result(
             strategy_name, graph, seed.matrices, budget=int(budget), feasible=True,
-            solver_status="warm-reused-optimal", generate_plan=generate_plan,
+            solver_status="warm-reused-optimal",
             frontier_advancing=frontier_advancing,
             extra={"formulation": formulation.describe(), "proven_optimal": True,
                    "warm_start": {"used": True, "kind": "incumbent_prune",
@@ -144,7 +142,7 @@ def solve_ilp_rematerialization(
             return build_scheduled_result(
                 strategy_name, graph, seed.matrices, budget=int(budget),
                 feasible=True, solve_time_s=lp.solve_time_s,
-                solver_status="warm-bound-skip", generate_plan=generate_plan,
+                solver_status="warm-bound-skip",
                 frontier_advancing=frontier_advancing,
                 extra={"formulation": formulation.describe(),
                        "objective_lower_bound": lp.objective,
@@ -178,10 +176,10 @@ def solve_ilp_rematerialization(
     status = status_map.get(res.status, f"solver-status-{res.status}")
 
     if res.x is None:
-        if status == "infeasible" and compiled is not None and frontier_advancing:
+        if status == "infeasible" and frontier_advancing:
             # Feed the learned-infeasibility memo: every budget at or below
             # this one is infeasible too and will short-circuit from now on.
-            compiled.note_infeasible_budget(budget, integral=True)
+            formulation.note_infeasible_budget(budget, integral=True)
         if seed is not None:
             # The seed is feasible at this budget, so "no incumbent within the
             # time limit" still has a valid schedule to fall back on.
@@ -189,7 +187,6 @@ def solve_ilp_rematerialization(
                 strategy_name, graph, seed.matrices, budget=int(budget),
                 feasible=True, solve_time_s=timer.elapsed,
                 solver_status=f"{status}-warm-incumbent",
-                generate_plan=generate_plan,
                 frontier_advancing=frontier_advancing,
                 extra={"formulation": formulation.describe(),
                        "warm_start": {"used": True, "kind": "seeded",
@@ -219,7 +216,6 @@ def solve_ilp_rematerialization(
                 strategy_name, graph, seed.matrices, budget=int(budget),
                 feasible=True, solve_time_s=timer.elapsed,
                 solver_status=f"{status}-warm-incumbent",
-                generate_plan=generate_plan,
                 frontier_advancing=frontier_advancing, extra=extra,
             )
     return build_scheduled_result(
@@ -230,7 +226,6 @@ def solve_ilp_rematerialization(
         feasible=True,
         solve_time_s=timer.elapsed,
         solver_status=status,
-        generate_plan=generate_plan,
         frontier_advancing=frontier_advancing,
         extra=extra,
     )

@@ -17,7 +17,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from ..core.dfgraph import DFGraph
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
-from .compiled import CompiledFormulation, formulation_and_arrays
+from .compiled import formulation_and_arrays
 from .formulation import InfeasibleBudgetError
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]
@@ -77,8 +77,7 @@ def solve_lp_relaxation(
             status=f"infeasible-budget: {exc}",
         )
 
-    compiled = formulation if isinstance(formulation, CompiledFormulation) else None
-    if compiled is not None and compiled.known_infeasible_budget(budget, integral=False):
+    if formulation.known_infeasible_budget(budget, integral=False):
         # Learned-infeasibility memo: a smaller-or-equal budget already proved
         # LP-infeasible, so this one is too.  Note the arithmetic budget floor
         # of the *integral* problem does NOT apply here -- fractional FREE lets
@@ -105,10 +104,10 @@ def solve_lp_relaxation(
 
     if res.x is None:
         proven_infeasible = res.status == 2
-        if proven_infeasible and compiled is not None:
+        if proven_infeasible:
             # LP-infeasible implies ILP-infeasible; record under both keys so
             # the integral solvers short-circuit as well.
-            compiled.note_infeasible_budget(budget, integral=False)
+            formulation.note_infeasible_budget(budget, integral=False)
         return LPRelaxationResult(
             graph_name=graph.name, budget=budget, R_fractional=None, S_fractional=None,
             objective=float("inf"), feasible=False, solve_time_s=timer.elapsed,

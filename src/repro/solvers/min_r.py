@@ -101,7 +101,6 @@ def solve_min_r_schedule(
     budget: Optional[float] = None,
     *,
     checkpoints: Iterable[int] = (),
-    generate_plan: bool = True,
     strategy_name: str = "min-r",
 ) -> "ScheduledResult":
     """Uniform-signature driver: min-R completion of an explicit checkpoint set.
@@ -126,6 +125,6 @@ def solve_min_r_schedule(
         budget=int(budget) if budget is not None else None,
         feasible=feasible, solve_time_s=timer.elapsed,
         solver_status="ok" if feasible else "over-budget",
-        generate_plan=generate_plan, peak_memory=peak,
+        peak_memory=peak,
         extra={"checkpoints": sorted(set(int(c) for c in checkpoints))},
     )

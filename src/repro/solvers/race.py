@@ -77,7 +77,6 @@ def solve_race(
     num_samples: Optional[int] = None,
     time_limit_s: Optional[float] = None,
     lp_time_limit_s: Optional[float] = None,
-    generate_plan: bool = True,
     should_cancel: Optional[Callable[[], bool]] = None,
     registry=None,
     max_workers: Optional[int] = None,
@@ -143,10 +142,9 @@ def solve_race(
         limit = remaining if time_limit_s is None else min(remaining, time_limit_s)
         lp_limit = remaining if lp_time_limit_s is None \
             else min(remaining, lp_time_limit_s)
-        # Entrants skip plan generation; only the winner is lowered, once.
         options = SolverOptions(
             time_limit_s=limit, lp_time_limit_s=lp_limit, allowance=allowance,
-            num_samples=num_samples, seed=seed, generate_plan=False)
+            num_samples=num_samples, seed=seed)
         kwargs = options.kwargs_for(spec.option_map)
         if spec.accepts_should_cancel:
             kwargs["should_cancel"] = reaped
@@ -261,6 +259,5 @@ def solve_race(
     return build_scheduled_result(
         strategy_name, graph, winner.matrices, budget=int(budget),
         feasible=True, solve_time_s=wall_s, solver_status="ok",
-        generate_plan=generate_plan, peak_memory=winner.peak_memory,
-        extra=extra,
+        peak_memory=winner.peak_memory, extra=extra,
     )

@@ -150,7 +150,6 @@ def solve_rounding_portfolio(
     seed: int = 0,
     lp_time_limit_s: float = 600.0,
     lp_result: Optional[LPRelaxationResult] = None,
-    generate_plan: bool = True,
     strategy_name: Optional[str] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
 ) -> ScheduledResult:
@@ -258,5 +257,5 @@ def solve_rounding_portfolio(
         strategy_name, graph, best, budget=int(budget), feasible=True,
         solve_time_s=timer.elapsed + lp_result.solve_time_s,
         solver_status="ok-cancelled" if cancelled else "ok",
-        generate_plan=generate_plan, peak_memory=best_peak, extra=extra,
+        peak_memory=best_peak, extra=extra,
     )

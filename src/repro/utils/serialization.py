@@ -321,7 +321,6 @@ def result_to_wire(result: ScheduledResult) -> dict:
         "solve_time_s": float(result.solve_time_s),
         "compute_cost": cost if math.isfinite(cost) else None,
         "peak_memory": int(result.peak_memory),
-        "has_plan": result.plan is not None,
         "extra": jsonable(result.extra),
         "schedule": (schedule_to_json(result.graph, result.matrices,
                                       strategy=result.strategy)
@@ -333,9 +332,11 @@ def result_from_wire(payload: dict, graph: DFGraph) -> ScheduledResult:
     """Rebuild a :class:`ScheduledResult` against the caller's ``graph``.
 
     The schedule matrices are re-validated and the derived metrics (compute
-    cost, peak memory, plan) recomputed from the graph, so a payload that
-    does not match the graph raises ``ValueError`` instead of producing a
-    wrong schedule.
+    cost, peak memory) recomputed from the graph, so a payload that does not
+    match the graph raises ``ValueError`` instead of producing a wrong
+    schedule.  The plan is lowered only if the caller reads ``.plan``.
+    Keys this function does not read are ignored, so disk-cache files that
+    still carry the old plan flag stay readable.
     """
     from ..solvers.common import build_scheduled_result
 
@@ -349,7 +350,5 @@ def result_from_wire(payload: dict, graph: DFGraph) -> ScheduledResult:
         feasible=bool(payload.get("feasible")),
         solve_time_s=float(payload.get("solve_time_s", 0.0)),
         solver_status=str(payload.get("solver_status", "cached")),
-        generate_plan=bool(payload.get("has_plan", True)),
-        validate=True,
         extra=payload.get("extra") or {},
     )

@@ -47,7 +47,6 @@ FULL_OPTIONS = SolverOptions(
     rounding_mode="deterministic",
     num_samples=3,
     seed=7,
-    generate_plan=True,
     max_nodes=500,
     checkpoints=(4, 1, 2),
     deadline_s=2.5,

@@ -12,11 +12,12 @@ compile the formulation exactly once per graph.
 import numpy as np
 import pytest
 
-from helpers import ample_budget, tight_budget
+from helpers import ample_budget, highs_milp, tight_budget
 
 from repro.core import (
     checkpoint_all_schedule,
     checkpoint_last_node_schedule,
+    schedule_compute_cost,
     validate_correctness_constraints,
 )
 from repro.core.simulator import (
@@ -30,7 +31,6 @@ from repro.solvers import (
     CompiledFormulation,
     InfeasibleBudgetError,
     MILPFormulation,
-    legacy_formulation,
     solve_branch_and_bound,
     solve_ilp_rematerialization,
 )
@@ -140,12 +140,14 @@ class TestDecodeEquivalence:
     def test_solver_results_identical_on_both_paths(self, varied_chain_train):
         budget = tight_budget(varied_chain_train, 0.6)
         fast = solve_ilp_rematerialization(varied_chain_train, budget)
-        with legacy_formulation():
-            slow = solve_ilp_rematerialization(varied_chain_train, budget)
-        assert fast.feasible and slow.feasible
-        assert np.array_equal(fast.matrices.R, slow.matrices.R)
-        assert np.array_equal(fast.matrices.S, slow.matrices.S)
-        assert fast.compute_cost == pytest.approx(slow.compute_cost)
+        legacy = MILPFormulation(varied_chain_train, budget)
+        res = highs_milp(legacy.build())
+        assert fast.feasible and res.x is not None
+        slow = legacy.decode_matrices(np.asarray(res.x))
+        assert np.array_equal(fast.matrices.R, slow.R)
+        assert np.array_equal(fast.matrices.S, slow.S)
+        assert fast.compute_cost == pytest.approx(
+            schedule_compute_cost(varied_chain_train, slow))
 
 
 class TestBranchAndBound:

@@ -96,14 +96,14 @@ def test_portfolio_differential_seed_matrix(chunk):
     for seed, layers, width, fraction in _CASES[chunk * _CHUNK:(chunk + 1) * _CHUNK]:
         graph = _case_graph(seed, layers, width)
         budget = tight_budget(graph, fraction)
-        ilp = solve_ilp_rematerialization(graph, budget, generate_plan=False)
+        ilp = solve_ilp_rematerialization(graph, budget)
         _assert_schedule_contract(ilp, graph, budget, None)
 
         results = {}
         for scheme in PORTFOLIO_SCHEMES:
             result = solve_rounding_portfolio(
                 graph, budget, scheme=scheme, num_samples=_SAMPLES,
-                seed=seed, generate_plan=False)
+                seed=seed)
             _assert_schedule_contract(result, graph, budget, ilp)
             results[scheme] = result
 
@@ -119,7 +119,7 @@ def test_portfolio_differential_seed_matrix(chunk):
         # two-phase rounding bit for bit (same LP, same threshold, same
         # min-R completion).
         legacy_det = solve_approx_lp_rounding(
-            graph, budget, mode="deterministic", generate_plan=False)
+            graph, budget, mode="deterministic")
         fixed = results["fixed_half"]
         assert fixed.feasible == legacy_det.feasible, \
             f"fixed_half vs legacy deterministic disagree on {graph.name}"
@@ -131,7 +131,7 @@ def test_portfolio_differential_seed_matrix(chunk):
         # draw stream, so equal seeds and sample counts round identically.
         legacy_rand = solve_approx_lp_rounding(
             graph, budget, mode="randomized", num_samples=_SAMPLES,
-            seed=seed, generate_plan=False)
+            seed=seed)
         randomized = results["randomized"]
         assert randomized.feasible == legacy_rand.feasible, \
             f"randomized vs legacy randomized disagree on {graph.name}"
@@ -172,24 +172,21 @@ if HAVE_HYPOTHESIS:
 def _options_for(spec, graph) -> SolverOptions:
     """Cheap options per strategy; min_r gets an explicit checkpoint set."""
     if spec.key == "min_r":
-        return SolverOptions(checkpoints=tuple(range(0, graph.size, 2)),
-                             generate_plan=False)
+        return SolverOptions(checkpoints=tuple(range(0, graph.size, 2)))
     if spec.key == "race":
-        return SolverOptions(deadline_s=30.0, num_samples=4, seed=0,
-                             generate_plan=False)
+        return SolverOptions(deadline_s=30.0, num_samples=4, seed=0)
     if spec.key == "checkmate_bnb":
         # The reference branch-and-bound explores one LP per node; cap the
         # tree so a dense random DAG cannot stall the whole suite.
-        return SolverOptions(max_nodes=64, generate_plan=False)
-    return SolverOptions(time_limit_s=60.0, num_samples=4, seed=0,
-                         generate_plan=False)
+        return SolverOptions(max_nodes=64)
+    return SolverOptions(time_limit_s=60.0, num_samples=4, seed=0)
 
 
 def _registry_contract_case(graph, fraction):
     """All registered strategies: valid, budget-honest, never beat the ILP."""
     budget = tight_budget(graph, fraction)
     ilp = _service.solve(graph, "checkmate_ilp", budget,
-                         SolverOptions(time_limit_s=60.0, generate_plan=False))
+                         SolverOptions(time_limit_s=60.0))
     for spec in _registry:
         if spec.key == "checkmate_ilp":
             result = ilp

@@ -139,13 +139,15 @@ def test_report_roundtrips_to_json(mlp_numeric, service):
     assert payload["measured_peak_bytes"] == report.measured_peak_bytes
 
 
-def test_report_detects_plan_schedule_divergence(mlp_numeric, service):
+def test_report_detects_plan_schedule_divergence(mlp_numeric, service,
+                                                 monkeypatch):
     # Adversarial: insert a spurious recompute (into the node's still-live
     # register -- structurally legal) right after the node's original compute.
     # The plan no longer matches the (R, S) matrices, and the report must say
     # so instead of blessing the run.
     import dataclasses
 
+    from repro.core import scheduler
     from repro.core.plan import ComputeNode, ExecutionPlan
 
     result = service.solve(mlp_numeric.graph, "checkpoint_all",
@@ -159,7 +161,12 @@ def test_report_detects_plan_schedule_divergence(mlp_numeric, service):
     tampered = ExecutionPlan(statements=statements,
                              graph_name=result.plan.graph_name)
     tampered.validate_structure()
-    doctored = dataclasses.replace(result, plan=tampered)
+    # A broken lowering: the doctored copy (its plan not yet memoized) lowers
+    # through the patched scheduler and gets the tampered plan.
+    monkeypatch.setattr(scheduler, "generate_execution_plan",
+                        lambda graph, matrices: tampered)
+    doctored = dataclasses.replace(result)
+    assert doctored.plan is tampered
     report = build_execution_report(mlp_numeric, doctored)
     assert report.executed
     assert not report.plan_matches_schedule

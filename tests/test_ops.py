@@ -9,6 +9,8 @@ boundary: malformed graphs and presets get a 4xx on every endpoint, never a
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.analysis.lint import lint_graph
@@ -126,6 +128,22 @@ def test_malformed_payload_is_rejected_with_400(name, case, client, chain5_train
     payload = dict(MALFORMED[case](chain5_train), strategy="checkpoint_all",
                    strategies=["checkpoint_all"])
     assert _status(client, name, payload) == 400
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, op in OPERATIONS.items()
+    if "options" in {f.name for f in fields(op.work)}))
+def test_generate_plan_option_is_unknown(name, client):
+    """The plan is lowered on demand; there is no option to turn it off,
+    so the old knob is an unknown solver option like any other."""
+    graph = build_training_graph("linear_mlp")  # executable, for /v1/execute
+    payload = {"graph": graph_to_wire(graph), "strategy": "checkpoint_all",
+               "strategies": ["checkpoint_all"],
+               "options": {"generate_plan": False}}
+    with pytest.raises(ServeAPIError) as err:
+        client._request("POST", f"/v1/{name}", payload)
+    assert err.value.status == 400
+    assert "unknown solver options" in err.value.message
 
 
 @pytest.mark.parametrize("meta", [{"n_forward": "abc"},

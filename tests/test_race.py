@@ -65,7 +65,7 @@ def test_race_returns_best_so_far_under_slow_entrant():
     start = time.monotonic()
     result = solve_race(graph, budget, deadline_s=3.0,
                         entrants=("approx_fixed_half", "slow_stub"),
-                        registry=registry, generate_plan=False)
+                        registry=registry)
     elapsed = time.monotonic() - start
 
     assert result.feasible, result.solver_status
@@ -86,7 +86,7 @@ def test_race_deadline_zero_is_honored_literally():
     """``deadline_s=0`` starts nothing and reports the deadline as exhausted."""
     graph = _graph()
     budget = tight_budget(graph, 0.6)
-    result = solve_race(graph, budget, deadline_s=0.0, generate_plan=False)
+    result = solve_race(graph, budget, deadline_s=0.0)
     assert not result.feasible
     assert result.solver_status == "race-deadline-exhausted"
     race = result.extra["race"]
@@ -116,7 +116,7 @@ def test_race_caller_cancel_returns_best_so_far_or_cancelled_verdict():
     try:
         result = solve_race(graph, budget, deadline_s=60.0,
                             entrants=("approx_fixed_half", "slow_stub"),
-                            registry=registry, generate_plan=False,
+                            registry=registry,
                             should_cancel=should_cancel)
     finally:
         trigger.join()
@@ -137,10 +137,10 @@ def test_race_objective_not_worse_than_any_entrant():
     budget = tight_budget(graph, 0.6)
     registry = default_registry()
     race = solve_race(graph, budget, deadline_s=120.0, seed=0,
-                      num_samples=4, generate_plan=False, registry=registry)
+                      num_samples=4, registry=registry)
     assert race.feasible, race.solver_status
 
-    options = SolverOptions(num_samples=4, seed=0, generate_plan=False)
+    options = SolverOptions(num_samples=4, seed=0)
     for key in DEFAULT_ENTRANTS:
         spec = registry.get(key)
         entrant = spec.solve(graph, budget, **options.kwargs_for(spec.option_map))
@@ -169,7 +169,7 @@ def test_race_deadline_exhausted_verdict_is_not_cached():
     service = SolveService(cache=PlanCache(max_entries=8))
     graph = _graph()
     budget = tight_budget(graph, 0.6)
-    options = SolverOptions(deadline_s=0.0, generate_plan=False)
+    options = SolverOptions(deadline_s=0.0)
     for _ in range(2):
         result = service.solve(graph, "race", budget, options)
         assert not result.feasible
@@ -187,9 +187,9 @@ def test_feasible_race_result_is_cached_per_deadline():
     entrants = ("approx_fixed_half",)
 
     first = service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=60.0, entrants=entrants, generate_plan=False))
+        deadline_s=60.0, entrants=entrants))
     again = service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=60.0, entrants=entrants, generate_plan=False))
+        deadline_s=60.0, entrants=entrants))
     assert first.feasible and again.feasible
     assert service.statistics()["solver_calls"] == 1
     assert service.statistics()["cache_hits"] == 1
@@ -197,7 +197,7 @@ def test_feasible_race_result_is_cached_per_deadline():
     # A different SLO is a different cache cell: deadline_s is in the race's
     # option map, so results raced under different deadlines never alias.
     other = service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=90.0, entrants=entrants, generate_plan=False))
+        deadline_s=90.0, entrants=entrants))
     assert other.feasible
     assert service.statistics()["solver_calls"] == 2
     assert len(service.cache) == 2
@@ -232,9 +232,9 @@ def test_race_statistics_flow_into_service_counters():
     graph = _graph()
     budget = tight_budget(graph, 0.6)
     service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=60.0, entrants=("approx_fixed_half",), generate_plan=False))
+        deadline_s=60.0, entrants=("approx_fixed_half",)))
     service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=0.0, generate_plan=False))
+        deadline_s=0.0))
     snap = service.statistics()["race"]
     assert snap["races"] == 2
     assert snap["wins"] == 1

@@ -289,7 +289,7 @@ class TestSolveAndCache:
             # budget={1,2} breaks json.dump; solve_time_s=None breaks payload
             # construction itself (float(None)) -- both must be survivable.
             return ScheduledResult(strategy="exotic", graph=g, matrices=None,
-                                   plan=None, compute_cost=1.0, peak_memory=0,
+                                   compute_cost=1.0, peak_memory=0,
                                    feasible=False, budget={1, 2},
                                    solve_time_s=None,
                                    solver_status="infeasible")
@@ -378,19 +378,6 @@ class TestDiskCache:
         assert restored.extra["lp_objective"] == pytest.approx(
             original.extra["lp_objective"])
         assert (restored.plan is None) == (original.plan is None)
-
-    def test_plan_flag_roundtrips(self, tmp_path):
-        graph = make_chain_train()
-        budget = ample_budget(graph)
-        first = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
-        original = first.solve(graph, "checkmate_approx", budget,
-                               SolverOptions(generate_plan=False))
-        assert original.plan is None
-        second = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
-        restored = second.solve(graph, "checkmate_approx", budget,
-                                SolverOptions(generate_plan=False))
-        assert second.statistics()["solver_calls"] == 0
-        assert restored.plan is None
 
     def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
         graph = make_chain_train()
@@ -568,3 +555,115 @@ class TestStrategyMatrixFromRegistry:
         assert len(rows) == 10
         keys = {r[0] for r in rows}
         assert "checkmate_bnb" not in keys and "min_r" not in keys
+
+
+class TestLazyPlan:
+    """``ScheduledResult.plan`` is lowered on first access, never by a solve."""
+
+    @staticmethod
+    def count_lowerings(monkeypatch) -> list:
+        from repro.core import scheduler
+
+        calls = []
+        lower = scheduler.generate_execution_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lower(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "generate_execution_plan", counting)
+        return calls
+
+    def test_every_feasible_result_has_a_plan(self, tiny_vgg_train):
+        graph = tiny_vgg_train
+        budget = tight_budget(graph, 0.6)
+        service = fresh_service(cache=None)
+        # allowance=0 keeps the LP-rounding budget above the constant
+        # overhead; the node-capped branch-and-bound may find nothing.
+        default = SolverOptions(time_limit_s=60.0, allowance=0.0,
+                                num_samples=4, seed=0)
+        options = {
+            "min_r": SolverOptions(checkpoints=tuple(range(0, graph.size, 3))),
+            "race": SolverOptions(deadline_s=30.0, num_samples=4, seed=0),
+            "checkmate_bnb": SolverOptions(max_nodes=8),
+        }
+        registry = default_registry()
+        feasible = set()
+        for spec in registry:
+            result = service.solve(graph, spec.key, budget,
+                                   options.get(spec.key, default), strict=False)
+            if not result.feasible:
+                continue
+            feasible.add(spec.key)
+            assert result.plan is not None, spec.key
+            assert result.plan.total_computations() == int(result.matrices.R.sum()), \
+                spec.key
+        assert {spec.key for spec in registry} - {"checkmate_bnb"} <= feasible
+
+    def test_solve_and_wire_roundtrip_lower_nothing(self, monkeypatch):
+        from repro.utils.serialization import result_from_wire, result_to_wire
+
+        calls = self.count_lowerings(monkeypatch)
+        graph = make_chain_train()
+        service = fresh_service(cache=None)
+        result = service.solve(graph, "checkmate_ilp", tight_budget(graph, 0.6))
+        restored = result_from_wire(result_to_wire(result), graph)
+        assert result.feasible and restored.feasible
+        infeasible = service.solve(graph, "checkmate_ilp",
+                                   float(graph.constant_overhead))
+        assert not infeasible.feasible and infeasible.plan is None
+        assert calls == []
+
+        plan = restored.plan
+        assert plan is not None and len(calls) == 1
+        assert restored.plan is plan and len(calls) == 1  # memoized
+        assert plan.total_computations() == int(restored.matrices.R.sum())
+
+    def test_racing_first_accesses_agree(self):
+        # No lock guards the memo: racing first reads may each lower the plan,
+        # but every reader must get a complete plan of the same schedule.
+        graph = make_chain_train()
+        result = fresh_service(cache=None).solve(graph, "checkmate_ilp",
+                                                 tight_budget(graph, 0.6))
+        plans = []
+        barrier = threading.Barrier(8)
+
+        def read():
+            barrier.wait(timeout=10)
+            plans.append(result.plan)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plans) == 8
+        expected = {node: int(count) for node, count in
+                    enumerate(result.matrices.recomputation_counts()) if count}
+        assert all(plan.compute_counts() == expected for plan in plans)
+        assert any(result.plan is plan for plan in plans)  # memoized
+
+    def test_payload_with_old_plan_flag_still_decodes(self, monkeypatch):
+        from repro.utils.serialization import (
+            RESULT_FORMAT,
+            result_from_wire,
+            result_to_wire,
+        )
+
+        calls = self.count_lowerings(monkeypatch)
+        graph = make_chain_train()
+        result = fresh_service(cache=None).solve(graph, "checkpoint_all")
+        # Disk-cache files written before the plan became lazy carry a
+        # ``has_plan`` flag; ``false`` meant "no plan was lowered".
+        payload = dict(result_to_wire(result), has_plan=False)
+        assert payload["format"] == RESULT_FORMAT == "repro.checkmate.result/v1"
+        restored = result_from_wire(payload, graph)
+        assert calls == []
+        assert restored.plan is not None and len(calls) == 1
+        assert restored.plan.total_computations() == graph.size

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import ample_budget
+from helpers import ample_budget, highs_milp
 
 from repro.autodiff import make_training_graph
 from repro.core import linear_graph
@@ -29,10 +29,10 @@ from repro.experiments import build_training_graph
 from repro.service import SolveService, SweepCell, trace_pareto_frontier
 from repro.solvers import (
     FormulationCache,
+    MILPFormulation,
     WarmSeed,
     budget_floor_margin,
     min_feasible_budget_floor,
-    set_compiled_formulation_enabled,
     set_formulation_cache,
     solve_branch_and_bound_schedule,
     solve_ilp_rematerialization,
@@ -93,17 +93,14 @@ class TestTightenSchedule:
 # --------------------------------------------------------------------------- #
 class TestBudgetFloor:
     def test_floor_agrees_with_legacy_solver(self):
-        # Ground truth without the pre-check: the legacy (non-compiled)
-        # formulation has no floor shortcut, so it exercises HiGHS for real.
+        # Ground truth without the pre-check: HiGHS on the loop-built legacy
+        # arrays, with no floor shortcut or memo in between.
         g = make_chain_train(salt=0.125)
         floor = min_feasible_budget_floor(g)
         below = floor - budget_floor_margin(g) - 1.0
-        set_compiled_formulation_enabled(False)
-        try:
-            raw = solve_ilp_rematerialization(g, below)
-        finally:
-            set_compiled_formulation_enabled(True)
-        assert not raw.feasible  # the arithmetic floor never contradicts HiGHS
+        raw = highs_milp(MILPFormulation(g, below).build())
+        # The arithmetic floor never contradicts HiGHS: status 2 is infeasible.
+        assert raw.x is None and raw.status == 2
 
     def test_floor_shortcut_then_memo(self):
         set_formulation_cache(FormulationCache())  # isolate the memo
