@@ -97,9 +97,11 @@ def replay(base_url: str, requests: list, rate_per_s: float,
 
     def submit(request):
         try:
+            # wait_s=None: open-loop arrivals are fire-and-forget.
             handle = client.submit_solve(strategy=STRATEGY,
                                          preset=request["preset"],
-                                         budget=request["budget"])
+                                         budget=request["budget"],
+                                         wait_s=None)
             with lock:
                 submitted.append((request, handle["job_id"]))
         except ServeAPIError as exc:

@@ -157,7 +157,11 @@ def _run_operation(args, name: str, render, **fields) -> int:
     source = dict(graph=graph if args.graph is not None else None,
                   preset=args.preset, scale=args.scale,
                   batch_size=args.batch_size, cost_model=args.cost_model)
-    handle = client.post(name, **source, priority=args.priority, **fields)
+    # Without --no-wait the job may settle inside the submit exchange; then
+    # ``wait`` and ``result`` below answer without another request.
+    handle = client.post(name, **source, priority=args.priority,
+                         wait_s=None if args.no_wait else args.timeout,
+                         **fields)
     job = f"{args.command} job {handle['job_id']}"
     dedup = (" (deduplicated: riding an identical in-flight job)"
              if handle["deduplicated"] else "")

@@ -16,8 +16,10 @@ front of the solvers:
   ``/v1/metrics``, ...) with graphs uploaded in the
   :mod:`repro.utils.serialization` wire format or addressed by experiment
   preset name;
-* :mod:`repro.server.client` -- :class:`ServeClient`: the urllib client the
-  ``repro`` CLI, the tests and the examples drive the daemon with.
+* :mod:`repro.server.client` -- :class:`ServeClient`: the stdlib client the
+  ``repro`` CLI, the tests and the examples drive the daemon with; one
+  keep-alive connection per thread, and a solve that settles within its
+  ``wait_s`` takes a single HTTP exchange.
 
 Quick use::
 
@@ -27,7 +29,7 @@ Quick use::
         client = ServeClient(server.url)
         handle = client.submit_solve(preset="unet", strategy="checkmate_approx",
                                      budget=2 * 2**30)
-        client.wait(handle["job_id"])
+        client.wait(handle["job_id"])          # answered from the submit
         print(client.result(handle["job_id"])["result"]["compute_cost"])
 
 From the shell: ``repro serve`` (see ``repro --help``).

@@ -1,23 +1,31 @@
 """JSON-over-HTTP API for the solve daemon (stdlib only).
 
 ``POST /v1/<name>`` serves every entry of :data:`repro.server.ops.OPERATIONS`
-(see that table): queued operations answer 202 with a job handle, and
-``GET /v1/jobs/{id}/result`` returns the result under the entry's body key;
-synchronous ones answer 200 with the result.  The job, health, metrics,
-trace, strategy and preset routes are in :meth:`_Handler._route`.
+(see that table).  Synchronous operations answer 200 with the result.  A
+queued operation enqueues a job; if the request carries ``wait_s`` (positive
+seconds, capped at :data:`~repro.server.ops.MAX_WAIT_S`) and the job settles
+within it, the answer is 200 with the job handle, its status under ``"job"``
+and, when done, the result under the entry's body key -- one exchange for a
+whole solve.  Otherwise it is 202 with the handle: ``GET /v1/jobs/{id}``
+(long-polling with ``?wait_s=``) follows the job and
+``GET /v1/jobs/{id}/result`` returns the result body.  The job, health,
+metrics, trace, strategy and preset routes are in :meth:`_Handler._route`.
 
 Graphs enter a request **by value** (``"graph"``: a
 :func:`repro.utils.serialization.graph_to_wire` dict) or **by preset**
 (``"preset": "unet"`` plus optional ``"scale"``/``"batch_size"``/
 ``"cost_model"``), built server-side so shell clients never construct one.
-Request handling is concurrent and cheap (a ``ThreadingHTTPServer``);
-solver work runs on the :class:`~repro.server.jobs.JobQueue` worker pool.
+Connections are HTTP/1.1 keep-alive and request handling is concurrent (a
+thread per connection); solver work runs on the
+:class:`~repro.server.jobs.JobQueue` worker pool.  Preset graphs are built
+once per (preset, scale, batch size, cost model) and shared.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -29,9 +37,17 @@ from ..obs.logging import get_logger
 from ..obs.metrics import flatten_numeric, get_metrics_registry
 from ..obs.trace import chrome_trace, get_tracer, span_tree
 from ..service import SolveService
+from ..utils.lru import SingleFlightLRU
 from ..utils.serialization import graph_from_wire
 from .jobs import Job, JobQueue, JobState, QueueFullError
-from .ops import OPERATIONS, ApiError, Operation, queue_fields
+from .ops import (
+    MAX_WAIT_S,
+    OPERATIONS,
+    ApiError,
+    Operation,
+    queue_fields,
+    seconds,
+)
 
 __all__ = ["SolveServer", "DEFAULT_PORT", "serve"]
 
@@ -51,6 +67,12 @@ def _queue_full(exc: QueueFullError) -> ApiError:
                     extra={"retry_after_s": exc.retry_after_s,
                            "queue_depth": exc.depth,
                            "max_queue_depth": exc.limit})
+
+
+#: Preset graphs by ``(preset, scale, batch_size, cost_model)``.  Requests
+#: naming one cell share one instance, so its content hash is computed once
+#: (the digest is memoized per graph object); graphs are never mutated.
+_PRESET_GRAPHS: SingleFlightLRU[tuple, DFGraph] = SingleFlightLRU(64)
 
 
 def _build_graph(payload: dict) -> DFGraph:
@@ -85,8 +107,11 @@ def _build_graph(payload: dict) -> DFGraph:
                                    or batch_size < 1):
         raise ApiError(400, "'batch_size' must be a positive integer")
     try:
-        return build_training_graph(preset, scale=scale, batch_size=batch_size,
-                                    cost_model=COST_MODELS[cost_model_name]())
+        return _PRESET_GRAPHS.get_or_compute(
+            (preset, scale, batch_size, cost_model_name),
+            lambda: build_training_graph(
+                preset, scale=scale, batch_size=batch_size,
+                cost_model=COST_MODELS[cost_model_name]()))
     except (ValueError, TypeError, KeyError) as exc:
         raise ApiError(400, f"failed to build preset graph: {exc}") from None
 
@@ -107,11 +132,13 @@ class _App:
 
     def post(self, op: Operation, payload: dict) -> Tuple[int, dict]:
         """``POST /v1/<op>``: run a synchronous operation, or enqueue a
-        queued one and answer 202 with the job handle."""
+        queued one.  A job that settles within the request's ``wait_s``
+        answers 200 with its status and (when done) its result; otherwise
+        the answer is 202 with the job handle."""
         work = op.parse(payload, _build_graph(payload))
         if not op.queued:
             return 200, op.encode(op.run(self.queue.service, work, None))
-        priority, deadline_s = queue_fields(payload)
+        priority, deadline_s, wait_s = queue_fields(payload)
         try:
             job = self.queue.submit(op.name, work, priority=priority,
                                     deadline_s=deadline_s)
@@ -121,7 +148,12 @@ class _App:
             raise _queue_full(exc) from None
         except ValueError as exc:
             raise ApiError(400, str(exc)) from None
-        return 202, self._job_accepted(job)
+        if wait_s is None or not job.wait(wait_s):
+            return 202, self._job_accepted(job)
+        body = dict(self._job_accepted(job), job=job.to_dict())
+        if job.state is JobState.DONE:
+            body[op.result_key] = op.encode(job.result)
+        return 200, body
 
     @staticmethod
     def _job_accepted(job: Job) -> dict:
@@ -149,8 +181,18 @@ class _App:
                 raise ApiError(400, f"unknown state filter {state!r}") from None
         return 200, {"jobs": [j.to_dict() for j in self.queue.jobs(state_filter)]}
 
-    def get_job(self, job_id: str) -> Tuple[int, dict]:
-        return 200, self._job(job_id).to_dict()
+    def get_job(self, job_id: str,
+                wait_s: Optional[str] = None) -> Tuple[int, dict]:
+        """``GET /v1/jobs/{id}``; with ``?wait_s=`` a long-poll that answers
+        once the job settles or the wait (capped at ``MAX_WAIT_S``) ends."""
+        job = self._job(job_id)
+        if wait_s is not None:
+            try:
+                wait = float(wait_s)
+            except ValueError:
+                wait = None
+            job.wait(min(seconds(wait, "wait_s"), MAX_WAIT_S))
+        return 200, job.to_dict()
 
     def get_result(self, job_id: str) -> Tuple[int, dict]:
         job = self._job(job_id)
@@ -255,6 +297,10 @@ class _Handler(BaseHTTPRequestHandler):
     # mid-request (or idles on a keep-alive connection) releases its handler
     # thread instead of pinning it forever on the long-lived daemon.
     timeout = 60
+    # TCP_NODELAY: a response leaves in two writes (headers, then body), and
+    # on a kept-alive connection Nagle's algorithm would hold the body back
+    # until the client's delayed ACK of the headers, about 40 ms.
+    disable_nagle_algorithm = True
 
     # Set by SolveServer via the server instance.
     @property
@@ -354,7 +400,8 @@ class _Handler(BaseHTTPRequestHandler):
             if match and match.group("sub") in (None, "/result"):
                 if match.group("sub") == "/result":
                     return app.get_result(match.group("job_id"))
-                return app.get_job(match.group("job_id"))
+                return app.get_job(match.group("job_id"),
+                                   params.get("wait_s"))
         elif method == "POST":
             prefix, _, name = path.rpartition("/")
             if prefix == f"/{API_VERSION}" and name in OPERATIONS:
@@ -376,6 +423,38 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that can end its kept-alive connections."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        """Stop reading every open connection: an idle one closes at once,
+        a busy one once its response is sent."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
 
 
 class SolveServer:
@@ -405,10 +484,9 @@ class SolveServer:
         self.queue = (queue if queue is not None
                       else JobQueue(service, **queue_options))
         self.app = _App(self.queue)
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.app = self.app  # type: ignore[attr-defined]
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._serving = False
         self._closed = False
@@ -448,7 +526,11 @@ class SolveServer:
             self.stop()
 
     def stop(self) -> None:
-        """Stop accepting requests and shut the worker pool down (idempotent)."""
+        """Stop accepting requests and shut the worker pool down (idempotent).
+
+        Kept-alive connections take no further request; a submit waiting
+        inline still gets its job's terminal status (queued jobs are
+        cancelled)."""
         if self._closed:
             return
         self._closed = True
@@ -456,6 +538,7 @@ class SolveServer:
             # shutdown() only returns once a serve_forever loop acknowledges;
             # calling it with no loop running would block forever.
             self._httpd.shutdown()
+        self._httpd.end_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join()

@@ -15,8 +15,8 @@ process-worker request format (:mod:`repro.server.backends`),
 run an entry locally or through a daemon and render the same body.
 
 Each request field name has one reader shared by every operation
-(:func:`queue_fields` reads ``priority`` and ``deadline_s``); the HTTP layer
-resolves the graph.
+(:func:`queue_fields` reads ``priority``, ``deadline_s`` and ``wait_s``); the
+HTTP layer resolves the graph.
 
 Adding an operation: a work dataclass (readers for any new field names), an
 entry here, a one-line ``submit_<name>`` on :class:`~repro.server.jobs.JobQueue`
@@ -44,9 +44,11 @@ __all__ = [
     "ExecuteWork",
     "ParetoWork",
     "LintWork",
+    "MAX_WAIT_S",
     "operation_for",
     "queue_fields",
     "request_fields",
+    "seconds",
 ]
 
 _OPTION_FIELDS = frozenset(SolverOptions.__dataclass_fields__)
@@ -133,16 +135,29 @@ def _bytes(value, name: str, *, positive: bool = False) -> Optional[float]:
     return float(value)
 
 
-def queue_fields(payload: dict) -> Tuple[int, Optional[float]]:
-    """A queued request's ``priority`` (default 0, lower runs first) and
-    ``deadline_s`` (positive seconds, or ``None``)."""
-    deadline = payload.get("deadline_s")
-    if deadline is not None and (
-            isinstance(deadline, bool) or not isinstance(deadline, (int, float))
-            or not 0 < deadline < math.inf):
-        raise ApiError(400, "'deadline_s' must be a positive number of seconds")
+#: Longest inline wait the server grants a ``wait_s`` request field or
+#: long-poll, whatever the request asks: below the client's default 30 s
+#: socket timeout, so a settled answer always beats the socket.
+MAX_WAIT_S = 10.0
+
+
+def seconds(value, name: str) -> float:
+    """A positive, finite number of seconds (``deadline_s``, ``wait_s``)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < math.inf):
+        raise ApiError(400, f"'{name}' must be a positive number of seconds")
+    return float(value)
+
+
+def queue_fields(payload: dict) -> Tuple[int, Optional[float], Optional[float]]:
+    """A queued request's ``priority`` (default 0, lower runs first),
+    ``deadline_s`` (positive seconds, or ``None``) and ``wait_s``: how long
+    the submit may block for the job to settle (positive seconds, capped at
+    :data:`MAX_WAIT_S`; ``None`` answers at once)."""
+    deadline, wait = payload.get("deadline_s"), payload.get("wait_s")
     return (_integer(payload.get("priority", 0), "priority"),
-            None if deadline is None else float(deadline))
+            None if deadline is None else seconds(deadline, "deadline_s"),
+            None if wait is None else min(seconds(wait, "wait_s"), MAX_WAIT_S))
 
 
 def _options(value, name: str = "options") -> Optional[SolverOptions]:

@@ -329,9 +329,11 @@ class TestAdmissionControl:
         server.start()
         try:
             client = ServeClient(server.url, max_retries=0)
-            client.submit_solve(strategy="gated", graph=chain5_train, budget=201.0)
+            client.submit_solve(strategy="gated", graph=chain5_train, budget=201.0,
+                                wait_s=None)
             time.sleep(0.2)  # let the first flight start running
-            client.submit_solve(strategy="gated", graph=chain5_train, budget=202.0)
+            client.submit_solve(strategy="gated", graph=chain5_train, budget=202.0,
+                                wait_s=None)
             with pytest.raises(ServeAPIError) as excinfo:
                 client.submit_solve(strategy="gated", graph=chain5_train,
                                     budget=203.0)

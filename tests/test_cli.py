@@ -171,6 +171,50 @@ class TestCliAgainstServer:
         matrices = schedule_from_json(schedule_path.read_text())
         assert matrices.num_stages == matrices.num_nodes
 
+    @staticmethod
+    def _record_requests(monkeypatch):
+        """Record the job requests the in-process server answers: each
+        ``POST`` with its payload, and every status or result fetch."""
+        from repro.server import http as server_http
+
+        seen = []
+        post = server_http._App.post
+
+        def recorded_post(app, op, payload):
+            seen.append(("post", dict(payload)))
+            return post(app, op, payload)
+
+        monkeypatch.setattr(server_http._App, "post", recorded_post)
+        for name in ("get_job", "get_result"):
+            def recorded(app, *args, _name=name,
+                         _original=getattr(server_http._App, name)):
+                seen.append((_name, None))
+                return _original(app, *args)
+            monkeypatch.setattr(server_http._App, name, recorded)
+        return seen
+
+    def test_submit_settles_in_one_exchange(self, server, monkeypatch):
+        seen = self._record_requests(monkeypatch)
+        proc = run_cli("submit", "--server", server.url,
+                       "--preset", "resnet_tiny", "--strategy", "ap_sqrt_n",
+                       "--budget", "8GiB")
+        assert proc.returncode == 0, proc.stderr
+        assert "done" in proc.stdout
+        assert [kind for kind, _ in seen] == ["post"]
+        assert seen[0][1]["wait_s"] > 0
+
+    def test_submit_no_wait_prints_the_handle(self, server, monkeypatch):
+        seen = self._record_requests(monkeypatch)
+        proc = run_cli("submit", "--server", server.url,
+                       "--preset", "resnet_tiny", "--strategy", "checkpoint_all",
+                       "--no-wait")
+        assert proc.returncode == 0, proc.stderr
+        words = proc.stdout.split()
+        assert words[:2] == ["submit", "job"]
+        assert words[3] in ("queued", "running", "done")
+        assert [kind for kind, _ in seen] == ["post"]
+        assert "wait_s" not in seen[0][1]
+
     def test_sweep_and_status(self, server):
         proc = run_cli("sweep", "--server", server.url,
                        "--preset", "resnet_tiny",

@@ -389,7 +389,7 @@ class TestHttpApi:
                          num_workers=1) as gated_srv:
             gated_client = ServeClient(gated_srv.url, timeout=30)
             handle = gated_client.submit_solve(graph=chain5_train,
-                                               strategy="gated")
+                                               strategy="gated", wait_s=None)
             assert gate.started.wait(30)
             with pytest.raises(ServeAPIError) as err:
                 gated_client.result(handle["job_id"])
@@ -401,10 +401,11 @@ class TestHttpApi:
         with SolveServer(port=0, service=SolveService(registry=registry),
                          num_workers=1) as srv:
             client = ServeClient(srv.url, timeout=30)
-            client.submit_solve(graph=chain5_train, strategy="gated")
+            client.submit_solve(graph=chain5_train, strategy="gated",
+                                wait_s=None)
             assert gate.started.wait(30)
             victim = client.submit_solve(graph=diamond_train,
-                                         strategy="checkpoint_all")
+                                         strategy="checkpoint_all", wait_s=None)
             assert client.cancel(victim["job_id"])["state"] == "cancelled"
             with pytest.raises(ServeAPIError) as err:
                 client.result(victim["job_id"])
@@ -497,8 +498,11 @@ class TestParetoApi:
         assert metrics["solve_latency"]["count"] == 0
 
     def test_pareto_deduplicates_identical_submissions(self, client, chain5_train):
-        first = client.submit_pareto(graph=chain5_train, strategy="checkmate_ilp")
-        second = client.submit_pareto(graph=chain5_train, strategy="checkmate_ilp")
+        # wait_s=None: the second submit must land while the first is live.
+        first = client.submit_pareto(graph=chain5_train, strategy="checkmate_ilp",
+                                     wait_s=None)
+        second = client.submit_pareto(graph=chain5_train, strategy="checkmate_ilp",
+                                      wait_s=None)
         client.wait(first["job_id"], timeout=60)
         client.wait(second["job_id"], timeout=60)
         assert (client.result(first["job_id"])["front"]
@@ -546,7 +550,8 @@ class TestSingleFlightE2E:
         with SolveServer(port=0, service=service, num_workers=1) as srv:
             client = ServeClient(srv.url, timeout=60)
             # Occupy the single worker so all 8 duplicates pile up queued.
-            client.submit_solve(preset="resnet_tiny", strategy="gated")
+            client.submit_solve(preset="resnet_tiny", strategy="gated",
+                                wait_s=None)
             assert gate.started.wait(30)
 
             budget = 2 * 2**30
@@ -556,7 +561,7 @@ class TestSingleFlightE2E:
                 try:
                     handles.append(client.submit_solve(
                         preset="unet", strategy="checkmate_approx",
-                        budget=budget, options={"seed": 0}))
+                        budget=budget, options={"seed": 0}, wait_s=None))
                 except Exception as exc:  # pragma: no cover - diagnostic
                     errors.append(exc)
 
@@ -632,3 +637,255 @@ class TestLatencyHistogram:
         # True p50 is 0.050, in the (0.025, 0.05] bucket.
         assert 0.025 <= summary["p50_s"] <= 0.05
         assert queue.metrics()["pareto_latency"]["count"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# One round trip per solve: keep-alive, inline settle, long-poll
+# --------------------------------------------------------------------------- #
+def _raw_post(server, path: str, payload: dict):
+    """One POST on a fresh raw connection: ``(status, decoded body)``."""
+    import http.client
+    import json as json_mod
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", path, body=json_mod.dumps(payload),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json_mod.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _count_requests(monkeypatch):
+    """Count ``HTTPConnection.request`` calls (one per HTTP exchange)."""
+    import http.client
+    calls = []
+    original = http.client.HTTPConnection.request
+
+    def counted(self, method, url, *args, **kwargs):
+        calls.append((method, url))
+        return original(self, method, url, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", counted)
+    return calls
+
+
+class TestKeepAlive:
+    def test_sequential_posts_on_one_connection_do_not_stall(self, server,
+                                                              chain5_train):
+        """A kept-alive connection must not pay Nagle plus delayed-ACK
+        (about 40 ms) per response: the handler sets TCP_NODELAY."""
+        import http.client
+        import json as json_mod
+        import time
+
+        from repro.utils.serialization import graph_to_wire
+
+        body = json_mod.dumps({"graph": graph_to_wire(chain5_train)})
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            conn.request("POST", "/v1/lint", body=body)  # warm up the route
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/v1/lint", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json_mod.loads(response.read())["ok"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive POSTs took {elapsed:.3f}s"
+
+    def test_idle_connection_closed_by_server_reconnects(self, monkeypatch):
+        import time
+
+        from repro.server import http as server_http
+
+        monkeypatch.setattr(server_http._Handler, "timeout", 0.2)
+        with SolveServer(port=0, num_workers=1) as srv:
+            client = ServeClient(srv.url, timeout=30)
+            assert client.healthz()["status"] == "ok"
+            first = client._connection().sock
+            time.sleep(0.5)  # the server drops the idle connection
+            assert client.healthz()["status"] == "ok"
+            assert client._connection().sock is not first
+
+    def test_unreachable_server_is_status_zero(self):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = ServeClient(f"http://127.0.0.1:{port}", timeout=5,
+                             max_retries=0)
+        with pytest.raises(ServeAPIError) as err:
+            client.healthz()
+        assert err.value.status == 0
+        assert "cannot reach" in err.value.message
+
+    def test_threads_sharing_a_client_use_their_own_connections(
+            self, client, chain5_train):
+        budget = ample_budget(chain5_train)
+        connections, results, errors = {}, {}, []
+
+        def solve(i):
+            try:
+                handle = client.submit_solve(graph=chain5_train,
+                                             strategy="checkpoint_all",
+                                             budget=budget + i)
+                assert client.wait(handle["job_id"])["state"] == "done"
+                results[i] = client.result(handle["job_id"])["result"]
+                connections[i] = client._connection()
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        assert len({id(c) for c in connections.values()}) == 4
+        for i, result in results.items():
+            assert result["feasible"] is True
+            assert result["budget"] == budget + i
+
+    def test_stop_during_inline_wait_answers_the_waiter(self, chain5_train,
+                                                        diamond_train):
+        import time
+
+        registry, gate, _ = counting_registry()
+        srv = SolveServer(port=0, service=SolveService(registry=registry),
+                          num_workers=1).start()
+        try:
+            srv.queue.submit_solve(chain5_train, "gated")
+            assert gate.started.wait(30)
+            client = ServeClient(srv.url, timeout=30)
+            answer = {}
+
+            def submit():
+                try:
+                    answer["body"] = client.submit_solve(
+                        graph=diamond_train, strategy="checkpoint_all",
+                        wait_s=10)
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    answer["error"] = exc
+
+            waiter = threading.Thread(target=submit)
+            waiter.start()
+            deadline = time.monotonic() + 10
+            while srv.queue.metrics()["queue_depth"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            stopper = threading.Thread(target=srv.stop)
+            start = time.monotonic()
+            stopper.start()
+            waiter.join(5)
+            assert not waiter.is_alive(), "inline waiter hung on stop()"
+            assert "error" not in answer, answer
+            assert answer["body"]["job"]["state"] == "cancelled"
+            gate.release.set()
+            stopper.join(10)
+            assert not stopper.is_alive()
+            assert time.monotonic() - start < 5
+        finally:
+            gate.release.set()
+            srv.stop()
+
+
+class TestInlineSettle:
+    def test_cached_cell_settles_in_one_exchange(self, server, client,
+                                                 chain5_train, monkeypatch):
+        from repro.utils.serialization import graph_to_wire
+
+        budget = ample_budget(chain5_train)
+        payload = {"graph": graph_to_wire(chain5_train),
+                   "strategy": "checkpoint_all", "budget": budget}
+        client.wait(client.submit_solve(graph=chain5_train,
+                                        strategy="checkpoint_all",
+                                        budget=budget)["job_id"])
+        status, body = _raw_post(server, "/v1/solve", dict(payload, wait_s=5))
+        assert status == 200
+        assert body["job"]["state"] == "done"
+        assert body["state"] == "done"
+        assert body["result"]["feasible"] is True
+        # Without wait_s the answer is the 202 handle, as before.
+        status, body = _raw_post(server, "/v1/solve", payload)
+        assert status == 202
+        assert "job" not in body and "result" not in body
+
+        calls = _count_requests(monkeypatch)
+        handle = client.submit_solve(graph=chain5_train,
+                                     strategy="checkpoint_all", budget=budget)
+        assert client.wait(handle["job_id"])["state"] == "done"
+        result = client.result(handle["job_id"])
+        assert result["result"]["feasible"] is True
+        assert result["job"]["id"] == handle["job_id"]
+        assert len(calls) == 1
+        # The settled result is handed out once; again, it comes from the
+        # server, identical.
+        assert client.result(handle["job_id"]) == result
+        assert len(calls) == 2
+
+    def test_job_outlasting_wait_s_is_202_then_long_polled(self, chain5_train,
+                                                           monkeypatch):
+        registry, gate, _ = counting_registry()
+        with SolveServer(port=0, service=SolveService(registry=registry),
+                         num_workers=1) as srv:
+            client = ServeClient(srv.url, timeout=30)
+            handle = client.submit_solve(graph=chain5_train, strategy="gated",
+                                         wait_s=0.2)
+            assert "job" not in handle
+            assert handle["state"] in ("queued", "running")
+            calls = _count_requests(monkeypatch)
+            threading.Timer(0.3, gate.release.set).start()
+            status = client.wait(handle["job_id"], timeout=30)
+            assert status["state"] == "done"
+            # One long-poll, no sleep loop.
+            assert len(calls) == 1
+            assert "wait_s=" in calls[0][1]
+            assert client.result(handle["job_id"])["result"]["feasible"]
+            assert calls[-1] == ("GET", f"/v1/jobs/{handle['job_id']}/result")
+
+    def test_job_failing_inline(self, chain5_train, monkeypatch):
+        with SolveServer(port=0,
+                         service=SolveService(registry=failing_registry(),
+                                              cache=None),
+                         num_workers=1) as srv:
+            client = ServeClient(srv.url, timeout=30)
+            handle = client.submit_solve(graph=chain5_train, strategy="explode")
+            assert handle["job"]["state"] == "failed"
+            assert "result" not in handle
+            calls = _count_requests(monkeypatch)
+            status = client.wait(handle["job_id"])
+            assert status["state"] == "failed"
+            assert "synthetic solver crash" in status["error"]
+            assert calls == []
+            with pytest.raises(ServeAPIError) as err:
+                client.result(handle["job_id"])
+            assert err.value.status == 409
+
+    def test_settled_bodies_stay_bounded(self, client, chain5_train,
+                                         monkeypatch):
+        from repro.server import client as client_module
+
+        monkeypatch.setattr(client_module, "_SETTLED_MAX", 3)
+        budget = ample_budget(chain5_train)
+        handles = [client.submit_solve(graph=chain5_train,
+                                       strategy="checkpoint_all",
+                                       budget=budget + i) for i in range(6)]
+        assert all("job" in h for h in handles)
+        assert len(client._settled) == 3
+        # An evicted job still answers, from the server.
+        assert client.wait(handles[0]["job_id"])["state"] == "done"
+        assert client.result(handles[0]["job_id"])["result"]["feasible"]
+
+    def test_long_poll_rejects_bad_wait(self, client, chain5_train):
+        handle = client.submit_solve(graph=chain5_train,
+                                     strategy="checkpoint_all")
+        for bad in ("-1", "0", "nan", "inf", "soon"):
+            with pytest.raises(ServeAPIError) as err:
+                client._request("GET", f"/v1/jobs/{handle['job_id']}?wait_s={bad}")
+            assert err.value.status == 400
