@@ -7,23 +7,35 @@ HiGHS branch-and-cut solver bundled with SciPy -- the drop-in replacement for
 the Gurobi/COIN-OR solvers used in the paper.  The optimal ``(R, S)`` matrices
 are then packaged with their cost and peak memory (the execution plan is
 lowered on first access to ``ScheduledResult.plan``).
+
+Certify before searching.  A frontier-advancing solve first fetches the LP
+relaxation at the full budget (§5.1) from the process-wide single-flight
+:class:`~repro.solvers.rounding_portfolio.LPRelaxationCache`.  Its optimum is
+a lower bound on the integer optimum, and its two-phase rounding (§5.2, the
+portfolio's ``threshold_sweep``) is a feasible incumbent.  The incumbent is
+the cheaper of that rounding and any fitting warm seed; when it is within
+``mip_gap`` of the bound it is gap-optimal -- the same guarantee HiGHS stops
+at -- and is returned as ``gap-certified`` without branch-and-cut.  An
+LP-infeasible budget is ILP-infeasible too.  Only the remaining cells reach
+HiGHS, where the incumbent backstops a time-limit miss.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds
 
 from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduledResult
+from ..core.schedule import ScheduleMatrices, ScheduledResult
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .common import build_scheduled_result
 from .compiled import formulation_and_arrays
 from .formulation import InfeasibleBudgetError
+from .rounding_portfolio import get_lp_relaxation_cache, solve_rounding_portfolio
 
 __all__ = ["solve_ilp_rematerialization", "ILP_STRATEGY_NAME"]
 
@@ -34,6 +46,14 @@ _STATUS_OPTIMAL = 0
 _STATUS_LIMIT = 1
 _STATUS_INFEASIBLE = 2
 _STATUS_UNBOUNDED = 3
+
+
+class _Incumbent(NamedTuple):
+    """A feasible schedule in hand before HiGHS runs."""
+
+    matrices: ScheduleMatrices
+    cost: float
+    source: str  # "warm" (a fitting seed) or "rounding" (of the LP)
 
 
 def solve_ilp_rematerialization(
@@ -58,28 +78,35 @@ def solve_ilp_rematerialization(
     time_limit_s:
         Wall-clock limit handed to the branch-and-cut solver; the paper uses
         3600 s.  If the limit is hit with an incumbent, the incumbent schedule
-        is returned with ``solver_status='time_limit'``.
+        is returned with ``solver_status='time_limit'``.  The LP relaxation
+        gets the same limit.
     mip_gap:
-        Relative optimality gap at which the solver may stop.
+        Relative optimality gap at which the solver may stop, and at which an
+        incumbent is certified against the LP-relaxation lower bound.
     frontier_advancing:
         Use the partitioned formulation (§4.6).  Setting this to ``False``
-        reproduces the much slower unpartitioned baseline of Appendix A.
+        reproduces the much slower unpartitioned baseline of Appendix A, which
+        goes straight to HiGHS (no LP certificate).
     num_stages:
         Stage count for the unpartitioned variant (defaults to ``graph.size``).
     warm_start:
         A :class:`~repro.solvers.warm.WarmSeed` from a neighboring (larger)
         budget.  SciPy's ``milp`` cannot accept an incumbent, so the seed is
         exploited around the solver instead: a proven-optimal seed that fits is
-        reused outright (``warm-reused-optimal``); an unproven one is certified
-        against the cell's LP-relaxation lower bound and, when its objective
-        already matches within ``mip_gap``, the integer solve is skipped
-        (``warm-bound-skip``); otherwise the MILP runs cold and the seed only
-        backstops a time-limit miss.
+        reused outright (``warm-reused-optimal``, no LP).  An unproven fitting
+        seed is one more incumbent next to the LP rounding: it is tried first,
+        and the rounding only runs when the seed alone does not meet the
+        certificate.
 
     Returns
     -------
-    :class:`ScheduledResult`; ``feasible`` is ``False`` when the solver proves
-    infeasibility or finds no incumbent within the limit.
+    :class:`ScheduledResult`.  ``solver_status`` is ``gap-certified`` when the
+    cheapest incumbent met ``mip_gap`` against the LP bound (``extra`` then
+    holds ``objective_lower_bound`` and ``proven_optimal``); otherwise it is
+    HiGHS's verdict, suffixed ``-warm-incumbent`` / ``-rounding-incumbent``
+    when HiGHS stopped on nothing better than the incumbent.  ``feasible`` is
+    ``False`` when infeasibility is proven or no schedule was found within
+    the limit.
     """
     try:
         # The budget-independent arrays come from the per-process
@@ -127,29 +154,44 @@ def solve_ilp_rematerialization(
                    "warm_start": {"used": True, "kind": "incumbent_prune",
                                   "source_budget": seed.source_budget}},
         )
-    if seed is not None:
-        # LP-certificate fast exit: the relaxation's objective is a valid lower
-        # bound on the integer optimum.  If the unproven seed already matches
-        # it within the MIP gap, it is gap-optimal -- skip the integer solve.
-        from .lp_relaxation import solve_lp_relaxation
 
-        with get_tracer().span("lp-bound"):
-            lp = solve_lp_relaxation(
-                graph, budget, frontier_advancing=frontier_advancing,
-                num_stages=num_stages, time_limit_s=time_limit_s,
-            )
-        if lp.feasible and seed.objective <= lp.objective * (1.0 + mip_gap):
-            return build_scheduled_result(
-                strategy_name, graph, seed.matrices, budget=int(budget),
-                feasible=True, solve_time_s=lp.solve_time_s,
-                solver_status="warm-bound-skip",
-                frontier_advancing=frontier_advancing,
-                extra={"formulation": formulation.describe(),
-                       "objective_lower_bound": lp.objective,
-                       "proven_optimal": True,
-                       "warm_start": {"used": True, "kind": "bound_skip",
-                                      "source_budget": seed.source_budget}},
-            )
+    incumbent = (_Incumbent(seed.matrices, seed.objective, "warm")
+                 if seed is not None else None)
+
+    with Timer() as certify_timer:
+        if frontier_advancing:
+            lp = get_lp_relaxation_cache().get(graph, budget, time_limit_s=time_limit_s)
+            bound = lp.objective * (1.0 + mip_gap) if lp.status == "optimal" else None
+            if lp.status.startswith("infeasible"):
+                # LP-infeasible implies ILP-infeasible; solve_lp_relaxation
+                # has already fed the learned-infeasibility memo.
+                return build_scheduled_result(
+                    strategy_name, graph, None, budget=int(budget), feasible=False,
+                    solve_time_s=lp.solve_time_s, solver_status="infeasible-lp",
+                    extra={"formulation": formulation.describe()},
+                )
+            if lp.feasible and (incumbent is None or bound is None
+                                or incumbent.cost > bound):
+                rounding = solve_rounding_portfolio(
+                    graph, budget, scheme="threshold_sweep", allowance=0.0,
+                    lp_result=lp, strategy_name=strategy_name)
+                if rounding.feasible and (incumbent is None
+                                          or rounding.compute_cost < incumbent.cost):
+                    incumbent = _Incumbent(rounding.matrices, rounding.compute_cost,
+                                           "rounding")
+            if incumbent is not None and bound is not None and incumbent.cost <= bound:
+                extra = {"formulation": formulation.describe(),
+                         "objective_lower_bound": lp.objective,
+                         "proven_optimal": True}
+                if incumbent.source == "warm":
+                    extra["warm_start"] = {"used": True, "kind": "bound_skip",
+                                           "source_budget": seed.source_budget}
+                return build_scheduled_result(
+                    strategy_name, graph, incumbent.matrices, budget=int(budget),
+                    feasible=True, solve_time_s=certify_timer.elapsed,
+                    solver_status="gap-certified",
+                    frontier_advancing=frontier_advancing, extra=extra,
+                )
 
     constraints = LinearConstraint(arrays.A, arrays.constraint_lb, arrays.constraint_ub)
     bounds = Bounds(arrays.lb, arrays.ub)
@@ -166,6 +208,7 @@ def solve_ilp_rematerialization(
                 "presolve": True,
             },
         )
+    solve_time_s = certify_timer.elapsed + timer.elapsed
 
     status_map = {
         _STATUS_OPTIMAL: "optimal",
@@ -174,57 +217,53 @@ def solve_ilp_rematerialization(
         _STATUS_UNBOUNDED: "unbounded",
     }
     status = status_map.get(res.status, f"solver-status-{res.status}")
-
-    if res.x is None:
-        if status == "infeasible" and frontier_advancing:
-            # Feed the learned-infeasibility memo: every budget at or below
-            # this one is infeasible too and will short-circuit from now on.
-            formulation.note_infeasible_budget(budget, integral=True)
-        if seed is not None:
-            # The seed is feasible at this budget, so "no incumbent within the
-            # time limit" still has a valid schedule to fall back on.
-            return build_scheduled_result(
-                strategy_name, graph, seed.matrices, budget=int(budget),
-                feasible=True, solve_time_s=timer.elapsed,
-                solver_status=f"{status}-warm-incumbent",
-                frontier_advancing=frontier_advancing,
-                extra={"formulation": formulation.describe(),
-                       "warm_start": {"used": True, "kind": "seeded",
-                                      "source_budget": seed.source_budget}},
-            )
-        return build_scheduled_result(
-            strategy_name, graph, None, budget=int(budget), feasible=False,
-            solve_time_s=timer.elapsed, solver_status=status,
-            extra={"formulation": formulation.describe()},
-        )
-
-    with get_tracer().span("decode"):
-        matrices = formulation.decode_matrices(np.asarray(res.x))
-    extra = {
-        "formulation": formulation.describe(),
-        "objective_lower_bound": getattr(res, "mip_dual_bound", None),
-        "mip_gap": getattr(res, "mip_gap", None),
-        "mip_node_count": getattr(res, "mip_node_count", None),
-    }
+    extra = {"formulation": formulation.describe()}
     if seed is not None:
         extra["warm_start"] = {"used": True, "kind": "seeded",
                                "source_budget": seed.source_budget}
-        if formulation.objective_value(np.asarray(res.x)) > seed.objective:
-            # HiGHS stopped (time limit / gap) on an incumbent worse than the
-            # seed we already hold; keep the better schedule.
+
+    if res.x is None:
+        if incumbent is None:
+            if status == "infeasible" and frontier_advancing:
+                # Feed the learned-infeasibility memo: every budget at or
+                # below this one is infeasible too and will short-circuit.
+                formulation.note_infeasible_budget(budget, integral=True)
             return build_scheduled_result(
-                strategy_name, graph, seed.matrices, budget=int(budget),
-                feasible=True, solve_time_s=timer.elapsed,
-                solver_status=f"{status}-warm-incumbent",
-                frontier_advancing=frontier_advancing, extra=extra,
+                strategy_name, graph, None, budget=int(budget), feasible=False,
+                solve_time_s=solve_time_s, solver_status=status, extra=extra,
             )
+        # The incumbent is feasible at this budget, so "no solution within
+        # the time limit" still has a valid schedule to fall back on.
+        return build_scheduled_result(
+            strategy_name, graph, incumbent.matrices, budget=int(budget),
+            feasible=True, solve_time_s=solve_time_s,
+            solver_status=f"{status}-{incumbent.source}-incumbent",
+            frontier_advancing=frontier_advancing, extra=extra,
+        )
+
+    extra.update({
+        "objective_lower_bound": getattr(res, "mip_dual_bound", None),
+        "mip_gap": getattr(res, "mip_gap", None),
+        "mip_node_count": getattr(res, "mip_node_count", None),
+    })
+    if incumbent is not None and formulation.objective_value(np.asarray(res.x)) > incumbent.cost:
+        # HiGHS stopped (time limit / gap) on a schedule worse than the
+        # incumbent we already hold; keep the better one.
+        return build_scheduled_result(
+            strategy_name, graph, incumbent.matrices, budget=int(budget),
+            feasible=True, solve_time_s=solve_time_s,
+            solver_status=f"{status}-{incumbent.source}-incumbent",
+            frontier_advancing=frontier_advancing, extra=extra,
+        )
+    with get_tracer().span("decode"):
+        matrices = formulation.decode_matrices(np.asarray(res.x))
     return build_scheduled_result(
         strategy_name,
         graph,
         matrices,
         budget=int(budget),
         feasible=True,
-        solve_time_s=timer.elapsed,
+        solve_time_s=solve_time_s,
         solver_status=status,
         frontier_advancing=frontier_advancing,
         extra=extra,

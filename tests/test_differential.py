@@ -10,7 +10,10 @@ Two layers of randomized cross-checking:
   claims respect the budget, no approximation ever beats the exact optimum,
   ``approx_fixed_half`` is bit-identical to the legacy deterministic rounding
   and ``approx_randomized`` to the legacy randomized mode at equal seeds, and
-  the threshold sweep dominates the fixed threshold.
+  the threshold sweep dominates the fixed threshold.  Whenever the exact
+  ILP answers ``gap-certified`` (its LP rounding met the LP bound), the
+  certificate is checked against HiGHS run directly on the same formulation;
+  five model-preset cells check the same on real graphs.
 
 * A **hypothesis** layer (seeded, shrinkable) running *every* registered
   strategy -- heuristics, exact solvers, portfolio, race -- over random
@@ -31,19 +34,23 @@ except ImportError:  # pragma: no cover - the seed matrix still runs without it
     HAVE_HYPOTHESIS = False
 
 from repro.core import (
+    checkpoint_all_schedule,
     random_layered_dag,
     schedule_peak_memory,
     validate_correctness_constraints,
 )
+from repro.experiments import build_training_graph
 from repro.service import SolveService, SolverOptions, default_registry
 from repro.solvers import (
     PORTFOLIO_SCHEMES,
+    min_feasible_budget_floor,
     solve_rounding_portfolio,
 )
 from repro.solvers.approximation import solve_approx_lp_rounding
+from repro.solvers.compiled import formulation_and_arrays
 from repro.solvers.ilp import solve_ilp_rematerialization
 
-from helpers import tight_budget
+from helpers import highs_milp, tight_budget
 
 #: Objective comparisons tolerate solver-side rounding only.
 _TOL = 1e-6
@@ -90,6 +97,22 @@ def _assert_schedule_contract(result, graph, budget, ilp) -> None:
                 f"{ilp.compute_cost})"
 
 
+def _assert_certificate_sound(result, graph, budget, mip_gap=1e-4) -> None:
+    """A ``gap-certified`` result is valid, fits, and is within ``mip_gap`` of
+    the optimum HiGHS finds on the same formulation with no shortcut."""
+    if result.solver_status != "gap-certified":
+        return
+    label = f"certified {graph.name} at {budget}"
+    assert validate_correctness_constraints(graph, result.matrices) == [], label
+    assert schedule_peak_memory(graph, result.matrices) <= budget, label
+    formulation, arrays = formulation_and_arrays(graph, budget)
+    res = highs_milp(arrays, mip_gap=mip_gap)
+    assert res.x is not None, f"{label}: HiGHS finds no schedule"
+    optimum = formulation.objective_value(np.asarray(res.x))
+    assert result.compute_cost <= (1.0 + mip_gap) * optimum, \
+        f"{label}: cost {result.compute_cost} vs HiGHS optimum {optimum}"
+
+
 @pytest.mark.parametrize("chunk", range(_NUM_CHUNKS))
 def test_portfolio_differential_seed_matrix(chunk):
     """200 seeded random-graph cases: portfolio vs legacy oracle vs exact ILP."""
@@ -98,6 +121,7 @@ def test_portfolio_differential_seed_matrix(chunk):
         budget = tight_budget(graph, fraction)
         ilp = solve_ilp_rematerialization(graph, budget)
         _assert_schedule_contract(ilp, graph, budget, None)
+        _assert_certificate_sound(ilp, graph, budget)
 
         results = {}
         for scheme in PORTFOLIO_SCHEMES:
@@ -149,6 +173,26 @@ def test_portfolio_differential_seed_matrix(chunk):
             assert sweep.compute_cost <= fixed.compute_cost + _TOL, \
                 f"threshold_sweep worse than its own 0.5 candidate on " \
                 f"{graph.name}"
+
+
+#: Model presets at a small batch, each at a tightness of the serving
+#: benchmark's exact-cold cycle (0 = feasibility floor, 1 = checkpoint all).
+_PRESET_CELLS = (("linear_cnn", 0.1), ("linear_cnn", 0.3), ("resnet_tiny", 0.4),
+                 ("vgg16", 0.4), ("segnet", 0.5))
+
+
+@pytest.mark.parametrize("preset,tightness", _PRESET_CELLS)
+def test_certified_presets_match_highs(preset, tightness):
+    """Certify-first on real model graphs: every certified cell is valid,
+    fits, and costs at most ``1 + mip_gap`` times the HiGHS optimum."""
+    graph = build_training_graph(preset, batch_size=2)
+    floor = min_feasible_budget_floor(graph)
+    peak = schedule_peak_memory(graph, checkpoint_all_schedule(graph))
+    budget = float(int(floor + tightness * (peak - floor)))
+    result = solve_ilp_rematerialization(graph, budget)
+    assert result.feasible
+    _assert_schedule_contract(result, graph, budget, None)
+    _assert_certificate_sound(result, graph, budget)
 
 
 # --------------------------------------------------------------------------- #

@@ -151,3 +151,106 @@ class TestCrossSolverAgreement:
         ilp = solve_ilp_rematerialization(varied_chain_train, budget)
         assert lp.feasible and ilp.feasible
         assert lp.objective <= ilp.compute_cost + 1e-6
+
+
+class TestCertifyFirst:
+    """The LP certificate in front of HiGHS: sound, and never a dead end.
+
+    At 0.8 of its footprint the varied chain's LP rounding meets the LP bound
+    exactly, so the cell certifies unless something takes the bound away.
+    """
+
+    @pytest.fixture
+    def milp_calls(self, monkeypatch):
+        import repro.solvers.ilp as ilp_module
+
+        calls = []
+        real_milp = ilp_module.milp
+
+        def counting_milp(*args, **kwargs):
+            calls.append(kwargs.get("options"))
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(ilp_module, "milp", counting_milp)
+        return calls
+
+    @pytest.fixture
+    def truncated_lp(self, monkeypatch):
+        """A fresh LP cache whose relaxations all report a time-limit stop
+        while still carrying their fractional point."""
+        import dataclasses
+
+        import repro.solvers.rounding_portfolio as portfolio
+
+        real_lp = portfolio.solve_lp_relaxation
+
+        def time_limited_lp(*args, **kwargs):
+            return dataclasses.replace(real_lp(*args, **kwargs), status="status-1")
+
+        monkeypatch.setattr(portfolio, "_lp_cache", portfolio.LPRelaxationCache())
+        monkeypatch.setattr(portfolio, "solve_lp_relaxation", time_limited_lp)
+
+    def test_certified_result_carries_its_bound(self, varied_chain_train, milp_calls):
+        budget = tight_budget(varied_chain_train, 0.8)
+        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        assert result.solver_status == "gap-certified"
+        assert milp_calls == []
+        assert result.extra["proven_optimal"] is True
+        lower = result.extra["objective_lower_bound"]
+        assert lower <= result.compute_cost <= lower * (1 + 1e-4)
+        assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
+        assert schedule_peak_memory(varied_chain_train, result.matrices) <= budget
+
+    def test_certificate_respects_the_gap(self, varied_chain_train, milp_calls):
+        # At 0.6 the LP bound is 311.375 and the rounding costs 312: 0.2%
+        # above it, outside the default gap but inside a 1% one.
+        budget = tight_budget(varied_chain_train, 0.6)
+        strict = solve_ilp_rematerialization(varied_chain_train, budget)
+        assert strict.solver_status == "optimal"
+        assert len(milp_calls) == 1
+        loose = solve_ilp_rematerialization(varied_chain_train, budget, mip_gap=0.01)
+        assert loose.solver_status == "gap-certified"
+        assert len(milp_calls) == 1
+        assert loose.compute_cost <= loose.extra["objective_lower_bound"] * 1.01
+
+    def test_time_limited_lp_never_certifies(self, varied_chain_train, milp_calls,
+                                             truncated_lp):
+        budget = tight_budget(varied_chain_train, 0.8)
+        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        assert len(milp_calls) == 1
+        assert result.solver_status == "optimal"
+        assert "proven_optimal" not in result.extra
+
+    def test_lp_infeasible_budget_skips_highs(self, monkeypatch, milp_calls):
+        from repro.autodiff import make_training_graph
+        from repro.core import linear_graph
+        import repro.solvers.warm as warm
+
+        # Unique costs: a fresh compiled formulation and infeasibility memo.
+        graph = make_training_graph(linear_graph(4, cost=[3, 1, 4, 1.5], memory=4))
+        # Disable the arithmetic floor so the LP is what proves infeasibility.
+        monkeypatch.setattr(warm, "budget_floor_margin", lambda g: float("inf"))
+        budget = graph.constant_overhead + 1
+        first = solve_ilp_rematerialization(graph, budget)
+        assert not first.feasible and first.matrices is None
+        assert first.solver_status == "infeasible-lp"
+        # The LP verdict feeds the memo, which integral solves honour.
+        second = solve_ilp_rematerialization(graph, budget)
+        assert second.solver_status == "infeasible-memo"
+        assert milp_calls == []
+
+    def test_rounding_backstops_a_highs_time_limit(self, monkeypatch, varied_chain_train,
+                                                   truncated_lp):
+        import types
+
+        import repro.solvers.ilp as ilp_module
+
+        monkeypatch.setattr(ilp_module, "milp",
+                            lambda *a, **k: types.SimpleNamespace(x=None, status=1))
+        budget = tight_budget(varied_chain_train, 0.8)
+        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        assert result.feasible
+        assert result.solver_status == "time_limit-rounding-incumbent"
+        assert "proven_optimal" not in result.extra
+        assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
+        assert schedule_peak_memory(varied_chain_train, result.matrices) <= budget

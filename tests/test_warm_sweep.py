@@ -164,7 +164,7 @@ class TestWarmSolverPaths:
         budget = float(unproven.peak_memory)
         warm = solve_ilp_rematerialization(g, budget, warm_start=unproven)
         # The LP certificate proves the seed gap-optimal without a MILP solve.
-        assert warm.solver_status == "warm-bound-skip"
+        assert warm.solver_status == "gap-certified"
         assert warm.extra["warm_start"]["kind"] == "bound_skip"
         assert warm.extra["proven_optimal"] is True
         cold = solve_ilp_rematerialization(g, budget)
@@ -326,6 +326,17 @@ class TestWarmSweepService:
             if r.feasible and r.extra.get("warm_start", {}).get("kind") in (
                     "incumbent_prune", "bound_skip"):
                 assert r.solver_status in _PROVEN_OPTIMAL_STATUSES
+        # A cell the LP certificate settled seeds its neighbours as proven,
+        # so the next fitting budget reuses it with no LP at all.
+        certified = [r for r in results if r.solver_status == "gap-certified"]
+        assert certified
+        assert "gap-certified" in _PROVEN_OPTIMAL_STATUSES
+        seed = warm_seed_from_result(g, certified[0])
+        assert seed.proven_optimal
+        reused = solve_ilp_rematerialization(g, float(seed.peak_memory),
+                                             warm_start=seed)
+        assert reused.solver_status == "warm-reused-optimal"
+        assert_costs_close(reused.compute_cost, seed.objective)
 
     def test_cache_hits_do_not_recount_warm(self):
         g = make_chain_train()
