@@ -102,26 +102,33 @@ def simulate_schedule_memory(
 
     # Last position in each stage at which a value is (potentially) freed:
     # the latest computed member of {i} ∪ USERS(i); -1 when none is computed.
-    # O(T * |E|): the self position where R[t, i], then a scatter-max of every
-    # computed user's position onto its parent's column.
+    # O(T * |E|): the self position where R[t, i], then the edges grouped by
+    # parent (a stable sort keeps each group in ``edge_arrays``' child-major
+    # order) and every group's computed-user positions reduced with one
+    # ``maximum.reduceat`` -- no per-edge scatter.
     last_use = np.where(Rb, np.arange(n), -1)
     if parents.size:
-        user_pos = np.where(Rb[:, children], children, -1)  # (T, |E|)
-        rows = np.repeat(np.arange(T), parents.shape[0])
-        cols = np.tile(parents, T)
-        np.maximum.at(last_use, (rows, cols), user_pos.ravel())
+        order = np.argsort(parents, kind="stable")
+        grouped, users = parents[order], children[order]
+        starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+        owners = grouped[starts]
+        user_pos = np.where(Rb[:, users], users, -1)  # (T, |E|)
+        last_use[:, owners] = np.maximum(
+            last_use[:, owners], np.maximum.reduceat(user_pos, starts, axis=1))
 
     freed = last_use >= 0
     freed[:-1] &= S[1:] == 0  # values checkpointed into t+1 are not collected
 
     # Per-stage profile as one cumulative sum: +M_k at each computed position,
     # -M_i right after each value's last use (frees after the final position
-    # fall off the end of the stage).
-    delta = np.where(Rb, mem, 0.0)
+    # fall off the end of the stage).  Frees landing on the same cell are
+    # summed by one ``bincount`` over flat ``(t, position)`` indices.
     t_idx, i_idx = np.nonzero(freed)
     at = last_use[t_idx, i_idx] + 1
     inside = at < n
-    np.subtract.at(delta, (t_idx[inside], at[inside]), mem[i_idx[inside]])
+    frees = np.bincount(t_idx[inside] * n + at[inside],
+                        weights=mem[i_idx[inside]], minlength=T * n)
+    delta = np.where(Rb, mem, 0.0) - frees.reshape(T, n)
 
     U = np.zeros((T, n + 1), dtype=np.float64)
     U[:, 0] = graph.constant_overhead + S @ mem

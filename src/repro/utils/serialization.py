@@ -9,7 +9,13 @@ plan cache persists results across processes.  This module is the single wire
 format for all three:
 
 * :func:`schedule_to_json` / :func:`schedule_from_json` -- the ``(R, S)``
-  decision matrices plus enough metadata to detect mismatched graphs;
+  decision matrices plus enough metadata to detect mismatched graphs.  The
+  format is sparse (``repro.checkmate.schedule/v2``): each matrix is a list
+  with one entry per stage holding the strictly ascending column indices of
+  that stage's nonzeros, so encoding costs ``O(nnz)``, not ``O(T x n)`` --
+  a resnet50 ``R`` has a few hundred nonzeros among ~21k entries.  The dense
+  v1 format is not read: a v1 payload raises ``ValueError``, which the plan
+  cache treats as a miss;
 * :func:`graph_to_wire` / :func:`graph_from_wire` -- a complete
   :class:`DFGraph` (nodes, deps, memories, ``meta``).  Round-tripping
   preserves the content hash, so a graph uploaded to the solve server hits
@@ -22,11 +28,15 @@ format for all three:
 ``*_wire`` functions speak plain-JSON dicts (what an HTTP body or a cache
 file holds after ``json.loads``); ``*_json`` convenience wrappers speak
 strings.
+
+Every decoder raises ``ValueError`` on a malformed payload (wrong format,
+missing keys, wrong types), never ``KeyError``/``TypeError``/``IndexError``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -52,39 +62,85 @@ __all__ = [
     "jsonable",
 ]
 
-SCHEDULE_FORMAT = "repro.checkmate.schedule/v1"
+SCHEDULE_FORMAT = "repro.checkmate.schedule/v2"
 GRAPH_FORMAT = "repro.checkmate.dfgraph/v1"
 RESULT_FORMAT = "repro.checkmate.result/v1"
 OPTIONS_FORMAT = "repro.checkmate.options/v1"
 
 
+def _to_indices(matrix: np.ndarray) -> list:
+    """Per-stage lists of the ascending column indices of ``matrix``'s nonzeros."""
+    stages, cols = np.nonzero(matrix)
+    ends = np.cumsum(np.bincount(stages, minlength=matrix.shape[0])).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _from_indices(rows, n: int, name: str) -> np.ndarray:
+    """Dense ``uint8`` matrix from :func:`_to_indices` output; every index
+    must be an ``int`` in ``[0, n)`` and every row strictly ascending."""
+    if not isinstance(rows, list) or not all(type(r) is list for r in rows):
+        raise ValueError(f"schedule {name!r} must be a list of index lists")
+    flat = list(chain.from_iterable(rows))
+    if not all(type(c) is int for c in flat):
+        raise ValueError(f"schedule {name!r} indices must be integers")
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        raise ValueError(f"schedule {name!r} index out of range [0, {n})")
+    cols = np.array(flat, dtype=np.int64)
+    stages = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    if np.any(np.diff(cols)[stages[1:] == stages[:-1]] <= 0):
+        raise ValueError(f"schedule {name!r} rows must be strictly ascending")
+    dense = np.zeros((len(rows), n), dtype=np.uint8)
+    dense[stages, cols] = 1
+    return dense
+
+
 def schedule_to_json(graph: DFGraph, matrices: ScheduleMatrices, *, strategy: str = "") -> str:
-    """Serialize a schedule to a JSON string."""
+    """Serialize a schedule to a JSON string in the sparse v2 format.
+
+    ``R`` and ``S`` travel as one list per stage of the ascending column
+    indices of their nonzeros, so the payload grows with the schedule's
+    nonzeros rather than with ``T x n``.
+    """
     payload = {
         "format": SCHEDULE_FORMAT,
         "graph_name": graph.name,
         "graph_size": graph.size,
         "graph_num_edges": graph.num_edges,
         "strategy": strategy,
-        "R": matrices.R.astype(int).tolist(),
-        "S": matrices.S.astype(int).tolist(),
+        "R": _to_indices(matrices.R),
+        "S": _to_indices(matrices.S),
     }
-    return json.dumps(payload)
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def schedule_from_json(data: str, graph: Optional[DFGraph] = None) -> ScheduleMatrices:
-    """Load a schedule from JSON, optionally validating it against a graph."""
-    payload = json.loads(data)
-    if payload.get("format") != SCHEDULE_FORMAT:
+    """Load a sparse v2 schedule, optionally validating it against a graph.
+
+    Any malformed payload -- another format (including the dense v1), a
+    non-list row, a non-``int`` or out-of-range index, stage counts that
+    differ between ``R`` and ``S``, or a ``graph_size`` that does not match
+    ``graph`` -- raises ``ValueError``.
+    """
+    try:
+        payload = json.loads(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed schedule payload: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != SCHEDULE_FORMAT:
         raise ValueError("not a serialized repro schedule")
-    R = np.asarray(payload["R"], dtype=np.uint8)
-    S = np.asarray(payload["S"], dtype=np.uint8)
-    if graph is not None:
-        if payload["graph_size"] != graph.size or R.shape[1] != graph.size:
-            raise ValueError(
-                f"schedule was produced for a graph with {payload['graph_size']} nodes, "
-                f"but the supplied graph has {graph.size}"
-            )
+    n = payload.get("graph_size")
+    if type(n) is not int or n < 0:
+        raise ValueError("schedule 'graph_size' must be a non-negative integer")
+    if graph is not None and n != graph.size:
+        raise ValueError(
+            f"schedule was produced for a graph with {n} nodes, "
+            f"but the supplied graph has {graph.size}"
+        )
+    R = _from_indices(payload.get("R"), n, "R")
+    S = _from_indices(payload.get("S"), n, "S")
+    if R.shape != S.shape:
+        raise ValueError(f"schedule has {R.shape[0]} stages in 'R' but "
+                         f"{S.shape[0]} in 'S'")
     return ScheduleMatrices(R, S)
 
 
@@ -160,6 +216,10 @@ def graph_to_wire(graph: DFGraph) -> dict:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _list_of(valid):
@@ -303,6 +363,9 @@ def result_to_wire(result: ScheduledResult) -> dict:
     The graph itself is *not* embedded (the caller already has it -- a server
     client uploaded it, a cache lookup supplied it); the schedule payload
     carries the graph size so decode-time mismatches are detected.
+    ``"schedule"`` is the :func:`schedule_to_json` *string* -- the sparse v2
+    encoding of ``(R, S)``, a few KB even for resnet50 -- or ``None`` for
+    an infeasible result.
 
     ``compute_cost`` is ``None`` when not finite (infeasible results carry
     ``float("inf")``, which strict JSON per RFC 8259 cannot represent --
@@ -335,20 +398,32 @@ def result_from_wire(payload: dict, graph: DFGraph) -> ScheduledResult:
     cost, peak memory) recomputed from the graph, so a payload that does not
     match the graph raises ``ValueError`` instead of producing a wrong
     schedule.  The plan is lowered only if the caller reads ``.plan``.
-    Keys this function does not read are ignored, so disk-cache files that
-    still carry the old plan flag stay readable.
+    Every malformed payload -- a missing ``"strategy"``, a wrongly typed
+    field, a schedule in another format (the dense v1 included) -- raises
+    ``ValueError`` too.
     """
     from ..solvers.common import build_scheduled_result
 
     if not isinstance(payload, dict) or payload.get("format") != RESULT_FORMAT:
         raise ValueError("not a serialized repro solve result")
+    budget, extra = payload.get("budget"), payload.get("extra") or {}
+    if budget is not None and not _is_number(budget):
+        raise ValueError("result 'budget' must be a number or null")
+    if not isinstance(extra, dict):
+        raise ValueError("result 'extra' must be an object")
+    try:
+        strategy = str(payload["strategy"])
+        solve_time_s = float(payload.get("solve_time_s", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed result payload: {type(exc).__name__}: "
+                         f"{exc}") from None
     matrices = (schedule_from_json(payload["schedule"], graph)
                 if payload.get("schedule") else None)
     return build_scheduled_result(
-        str(payload["strategy"]), graph, matrices,
-        budget=payload.get("budget"),
+        strategy, graph, matrices,
+        budget=budget,
         feasible=bool(payload.get("feasible")),
-        solve_time_s=float(payload.get("solve_time_s", 0.0)),
+        solve_time_s=solve_time_s,
         solver_status=str(payload.get("solver_status", "cached")),
-        extra=payload.get("extra") or {},
+        extra=extra,
     )

@@ -11,10 +11,14 @@ compile the formulation exactly once per graph.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import ample_budget, highs_milp, tight_budget
 
 from repro.core import (
+    DFGraph,
+    NodeInfo,
+    ScheduleMatrices,
     checkpoint_all_schedule,
     checkpoint_last_node_schedule,
     schedule_compute_cost,
@@ -223,6 +227,51 @@ class TestVectorizedSimulator:
             fast = simulate_schedule_memory(graph, matrices)
             reference = simulate_schedule_memory_reference(graph, matrices)
             assert np.array_equal(fast, reference)
+
+    # The oracle must agree on *any* 0/1 (R, S), not just valid schedules:
+    # random DAGs with random matrices, including an edgeless graph, all-zero
+    # stages, nodes with several users and stage counts other than n.
+    @staticmethod
+    def random_case(n, density, stages, fill, seed):
+        rng = np.random.default_rng(seed)
+        graph = DFGraph(
+            nodes=[NodeInfo(f"v{j}", 1.0, int(rng.integers(1, 1 << 30)))
+                   for j in range(n)],
+            deps={j: [i for i in range(j) if rng.random() < density]
+                  for j in range(n)},
+            input_memory=int(rng.integers(0, 1 << 20)),
+            parameter_memory=int(rng.integers(0, 1 << 20)))
+        R = (rng.random((stages, n)) < fill).astype(np.uint8)
+        S = (rng.random((stages, n)) < fill).astype(np.uint8)
+        R[rng.integers(stages)] = 0  # one all-zero stage
+        return graph, ScheduleMatrices(R, S)
+
+    @pytest.mark.parametrize("n, density, stages, fill", [
+        (7, 0.0, 7, 0.5),    # edgeless graph
+        (8, 1.0, 8, 0.6),    # complete DAG: every node has several users
+        (9, 0.4, 3, 0.5),    # fewer stages than nodes
+        (6, 0.5, 10, 0.9),   # more stages than nodes
+        (5, 0.5, 5, 0.0),    # all-zero matrices
+        (5, 0.5, 5, 1.0),    # all-one matrices (a non-schedule)
+    ])
+    def test_matches_reference_on_named_cases(self, n, density, stages, fill):
+        for seed in range(5):
+            graph, matrices = self.random_case(n, density, stages, fill, seed)
+            assert np.array_equal(
+                simulate_schedule_memory(graph, matrices),
+                simulate_schedule_memory_reference(graph, matrices))
+
+    @given(n=st.integers(1, 12), density=st.floats(0.0, 1.0),
+           stages=st.integers(1, 14), fill=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_reference_on_random_matrices(self, n, density, stages,
+                                                  fill, seed):
+        graph, matrices = self.random_case(n, density, stages, fill, seed)
+        assert np.array_equal(
+            simulate_schedule_memory(graph, matrices),
+            simulate_schedule_memory_reference(graph, matrices))
 
 
 class TestVectorizedValidator:

@@ -391,6 +391,35 @@ class TestDiskCache:
         assert fresh.statistics()["solver_calls"] == 1
         assert result.feasible
 
+    def test_dense_v1_schedule_file_is_a_miss_and_is_overwritten(self, tmp_path):
+        import json
+
+        graph = make_chain_train()
+        budget = ample_budget(graph)
+        service = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
+        original = service.solve(graph, "linearized_greedy", budget)
+        (path,) = tmp_path.iterdir()
+        # Rewrite the entry as a file from before the sparse schedule format:
+        # the same result with dense 0/1 ``R``/``S`` rows.
+        payload = json.loads(path.read_text())
+        payload["schedule"] = json.dumps(dict(
+            json.loads(payload["schedule"]),
+            format="repro.checkmate.schedule/v1",
+            R=original.matrices.R.astype(int).tolist(),
+            S=original.matrices.S.astype(int).tolist()))
+        path.write_text(json.dumps(payload))
+
+        fresh = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
+        result = fresh.solve(graph, "linearized_greedy", budget)
+        assert fresh.statistics()["solver_calls"] == 1
+        assert np.array_equal(result.matrices.R, original.matrices.R)
+        rewritten = json.loads(json.loads(path.read_text())["schedule"])
+        assert rewritten["format"] == "repro.checkmate.schedule/v2"
+
+        third = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
+        third.solve(graph, "linearized_greedy", budget)
+        assert third.statistics()["solver_calls"] == 0
+
 
 class TestSweep:
     def test_parallel_identical_to_sequential(self):

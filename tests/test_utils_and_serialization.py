@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import checkpoint_all_schedule, linear_graph
+from repro.core import ScheduleMatrices, checkpoint_all_schedule, linear_graph
 from repro.service import SolveService, graph_content_hash
 from repro.utils import (
     Timer,
@@ -21,6 +22,16 @@ from repro.utils import (
     schedule_from_json,
     schedule_to_json,
 )
+from repro.utils.serialization import SCHEDULE_FORMAT
+
+
+def _edit_schedule(edit):
+    """A result-payload mutation that applies ``edit`` to the parsed schedule."""
+    def mutate(payload):
+        schedule = json.loads(payload["schedule"])
+        edit(schedule)
+        payload["schedule"] = json.dumps(schedule)
+    return mutate
 
 
 class TestFormatting:
@@ -73,6 +84,77 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             schedule_from_json('{"format": "something-else"}')
+
+    def test_wire_holds_ascending_indices_of_nonzeros(self):
+        g = linear_graph(5)
+        m = checkpoint_all_schedule(g)
+        payload = json.loads(schedule_to_json(g, m))
+        assert payload["format"] == SCHEDULE_FORMAT == "repro.checkmate.schedule/v2"
+        assert payload["graph_size"] == 5
+        assert payload["R"] == [np.flatnonzero(row).tolist() for row in m.R]
+        assert payload["S"] == [np.flatnonzero(row).tolist() for row in m.S]
+        assert payload["S"][0] == []
+
+    @given(stages=st.integers(1, 12), n=st.integers(1, 12),
+           fill=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=100)
+    def test_round_trip_property(self, stages, n, fill, seed):
+        # Arbitrary 0/1 matrices (empty rows included), not only schedules:
+        # the codec must not depend on schedule structure.
+        rng = np.random.default_rng(seed)
+        R = (rng.random((stages, n)) < fill).astype(np.uint8)
+        S = (rng.random((stages, n)) < fill).astype(np.uint8)
+        R[rng.integers(stages)] = 0
+        g = linear_graph(n)
+        restored = schedule_from_json(
+            schedule_to_json(g, ScheduleMatrices(R, S)), g)
+        assert restored.R.dtype == restored.S.dtype == np.uint8
+        assert np.array_equal(restored.R, R)
+        assert np.array_equal(restored.S, S)
+
+    @staticmethod
+    def v2_payload(**changes):
+        g = linear_graph(4)
+        payload = json.loads(schedule_to_json(g, checkpoint_all_schedule(g)))
+        payload.update(changes)
+        return payload
+
+    @pytest.mark.parametrize("changes", [
+        {"R": [[0], [0, 1], [1, 4], [2, 3]]},       # index out of range
+        {"R": [[0], [-1, 1], [1, 2], [2, 3]]},      # negative index
+        {"R": [[0], [0, 1.0], [1, 2], [2, 3]]},     # float index
+        {"R": [[0], [0, True], [1, 2], [2, 3]]},    # bool index
+        {"S": [[], ["0"], [1], [2]]},               # string index
+        {"R": [[0], 1, [1, 2], [2, 3]]},            # non-list row
+        {"R": {"0": [0]}},                          # non-list matrix
+        {"R": [[0], [1, 0], [1, 2], [2, 3]]},       # descending row
+        {"R": [[0], [0, 0, 1], [1, 2], [2, 3]]},    # duplicate index
+        {"S": [[], [0], [1]]},                      # stage counts differ
+        {"graph_size": 5},                          # graph_size mismatch
+        {"graph_size": "4"},
+        {"graph_size": None},
+        {"R": None},                                # missing matrix
+        {"format": "repro.checkmate.schedule/v1"},
+    ], ids=lambda changes: ",".join(f"{k}={v!r}" for k, v in changes.items()))
+    def test_malformed_v2_payload_raises_value_error(self, changes):
+        with pytest.raises(ValueError):
+            schedule_from_json(json.dumps(self.v2_payload(**changes)),
+                               linear_graph(4))
+
+    @pytest.mark.parametrize("data", ["[1, 2]", "{not json", "null"])
+    def test_non_object_payload_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            schedule_from_json(data)
+
+    def test_dense_v1_payload_raises_value_error(self):
+        g = linear_graph(4)
+        m = checkpoint_all_schedule(g)
+        v1 = {"format": "repro.checkmate.schedule/v1", "graph_name": g.name,
+              "graph_size": g.size, "graph_num_edges": g.num_edges,
+              "strategy": "", "R": m.R.astype(int).tolist(),
+              "S": m.S.astype(int).tolist()}
+        with pytest.raises(ValueError, match="not a serialized repro schedule"):
+            schedule_from_json(json.dumps(v1), g)
 
 
 class TestGraphWireFormat:
@@ -158,3 +240,27 @@ class TestResultWireFormat:
         restored = result_from_wire(payload, chain5_train)
         assert not restored.feasible
         assert restored.solver_status == original.solver_status
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.pop("strategy"),
+        lambda p: p.update(solve_time_s="fast"),
+        lambda p: p.update(solve_time_s=[1]),
+        lambda p: p.update(budget="8GiB"),
+        lambda p: p.update(budget=True),
+        lambda p: p.update(extra=[1, 2]),
+        lambda p: p.update(schedule={"R": []}),
+        lambda p: p.update(schedule=json.dumps({"format": SCHEDULE_FORMAT})),
+        _edit_schedule(lambda s: s.pop("R")),
+        _edit_schedule(lambda s: s.pop("graph_size")),
+        # A well-formed schedule that computes nothing fails validation.
+        _edit_schedule(lambda s: s.update(R=[[] for _ in s["R"]])),
+    ], ids=["no-strategy", "str-solve-time", "list-solve-time", "str-budget",
+            "bool-budget", "list-extra", "dict-schedule", "schedule-no-keys",
+            "schedule-no-R", "schedule-no-graph-size", "schedule-zeroed-R"])
+    def test_malformed_result_raises_value_error(self, mutate,
+                                                  chain5_train):
+        payload = result_to_wire(
+            SolveService(cache=None).solve(chain5_train, "chen_sqrt_n"))
+        mutate(payload)
+        with pytest.raises(ValueError):
+            result_from_wire(payload, chain5_train)
