@@ -9,12 +9,18 @@ through its :data:`~repro.server.ops.OPERATIONS` entry:
   shared in-process :class:`SolveService`: the cheapest dispatch, but every
   solve contends on one GIL for its Python-side work.
 * :class:`ProcessBackend` ships work whose operation has a result wire
-  format to a pool of long-lived worker *processes* -- the graph in the
-  :mod:`repro.utils.serialization` wire format plus the operation's request
-  fields -- so solves scale across cores.  Each worker builds its own
-  :class:`SolveService`; a shared on-disk plan-cache directory makes any
-  worker's solve a disk hit for the others and the parent.  Duplicates
-  collapse into one flight before the backend sees them.
+  format to a pool of long-lived worker *processes* -- the pickled
+  :class:`~repro.core.dfgraph.DFGraph` itself, content-hash memo included,
+  plus the operation's request fields -- so solves scale across cores.  The
+  graph crosses the process boundary without a wire-format encode or decode,
+  and the worker's plan-cache and lint lookups reuse the digest the parent
+  computed instead of re-hashing.  Wire formats stay at the HTTP and
+  disk-cache boundaries, and results still come back in the result wire
+  format: the parent decodes and validates every one through
+  :func:`~repro.utils.serialization.result_from_wire`.  Each worker builds
+  its own :class:`SolveService`; a shared on-disk plan-cache directory
+  makes any worker's solve a disk hit for the others and the parent.
+  Duplicates collapse into one flight before the backend sees them.
 
 Crash containment: a worker dying mid-task (``BrokenProcessPool``) becomes a
 structured :class:`WorkerCrashError` and a pool rebuild, so one crash costs
@@ -43,7 +49,7 @@ from typing import Callable, Dict, List, Optional
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
 from ..service import SolveCancelledError, SolveService
-from ..utils.serialization import graph_from_wire, graph_to_wire, options_to_wire
+from ..utils.serialization import options_to_wire
 from .ops import OPERATIONS, SolveWork, operation_for, request_fields
 
 __all__ = [
@@ -139,7 +145,7 @@ def _run_task(payload: dict) -> dict:
             _worker_init(None, 0)
             service = _WORKER_SERVICE
         op = OPERATIONS[payload["op"]]
-        work = op.parse(payload["request"], graph_from_wire(payload["graph"]))
+        work = op.parse(payload["request"], payload["graph"])
         options = getattr(work, "options", None)
         tracer = get_tracer()
         trace_id = None
@@ -292,11 +298,15 @@ class ProcessBackend(WorkerBackend):
         return result
 
     def _encode(self, work) -> dict:
-        """The task payload: the work as an HTTP-format request."""
+        """The task payload: the work's graph object and its request fields.
+
+        The executor pickles the payload; the graph's ``__dict__`` carries
+        its content-hash memo along, so the worker does not re-hash it.
+        """
         tracer = get_tracer()
         return {
             "op": operation_for(work).name,
-            "graph": graph_to_wire(work.graph),
+            "graph": work.graph,
             "request": request_fields(work),
             "trace": bool(tracer.enabled
                           and tracer.current_trace_id() is not None),

@@ -24,7 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+from operator import itemgetter
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.dfgraph import DFGraph
@@ -33,6 +37,10 @@ __all__ = ["graph_content_hash"]
 
 _HASH_ATTR = "_repro_content_hash"
 
+#: Types :func:`_canonical_meta` passes through unchanged (exact types only:
+#: subclasses such as ``IntEnum`` take the ``isinstance`` path below).
+_PLAIN = frozenset((str, int, bool, type(None)))
+
 
 def _canonical_meta(value):
     """Project a free-form ``meta`` value onto a canonical JSON-safe structure.
@@ -40,29 +48,39 @@ def _canonical_meta(value):
     ``meta`` is typed ``Dict[str, object]``, so values may be numpy arrays or
     scalars.  Arrays are expanded to (tag, shape, dtype, full contents) --
     ``repr`` would truncate large arrays, letting different contents collide
-    -- and everything else is reduced to plain comparable Python types, so
-    the memo-validation equality below can never hit numpy's ambiguous
-    elementwise ``==``.
-    """
-    import numpy as np
+    -- numpy booleans become ``bool`` (their ``repr`` differs across numpy
+    versions), and everything else is reduced to plain Python types.
 
+    Plain scalars are recognised by exact type first, and list elements and
+    dict values that are plain scalars are copied inline rather than through
+    a recursive call: ``meta`` is mostly long lists of ints and strings.
+    """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is float:
+        return repr(value)
     if isinstance(value, dict):
-        return {str(k): _canonical_meta(v) for k, v in sorted(value.items(),
-                                                              key=lambda kv: str(kv[0]))}
+        pairs = sorted(((str(k), v) for k, v in value.items()),
+                       key=itemgetter(0))
+        return {k: v if type(v) in _PLAIN else _canonical_meta(v)
+                for k, v in pairs}
     if isinstance(value, (list, tuple)):
-        return [_canonical_meta(v) for v in value]
+        return [v if type(v) in _PLAIN else _canonical_meta(v) for v in value]
     if isinstance(value, np.ndarray):
         return ["__ndarray__", list(value.shape), value.dtype.str, value.tolist()]
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if value is None or isinstance(value, (str, int, bool)):
+    if isinstance(value, (str, int)):
         return value
     return repr(value)
 
 
-def _canonical_payload(graph: "DFGraph") -> dict:
+def _canonical_payload(graph: "DFGraph", meta) -> dict:
     return {
         "format": "repro.dfgraph/v1",
         "name": graph.name,
@@ -74,8 +92,16 @@ def _canonical_payload(graph: "DFGraph") -> dict:
         "deps": {str(j): list(graph.deps[j]) for j in range(graph.size)},
         "input_memory": int(graph.input_memory),
         "parameter_memory": int(graph.parameter_memory),
-        "meta": _canonical_meta(graph.meta),
+        "meta": meta,
     }
+
+
+def _meta_snapshot(graph: "DFGraph"):
+    """``graph.meta`` as pickle bytes, or ``None`` if it does not pickle."""
+    try:
+        return pickle.dumps(graph.meta, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 - any pickling failure just skips the memo
+        return None
 
 
 def graph_content_hash(graph: "DFGraph") -> str:
@@ -84,19 +110,27 @@ def graph_content_hash(graph: "DFGraph") -> str:
     The digest is memoized on the graph instance: nodes, deps and the scalar
     fields are effectively immutable after ``__post_init__`` and every
     transformation (``with_costs``, ``scaled``, ``induced_subgraph``...)
-    returns a *new* instance.  The one mutable piece, ``meta``, is snapshotted
-    (in canonical form, so numpy values compare safely) at memoization time
-    and compared on lookup; mutating ``graph.meta`` after a solve therefore
-    invalidates the memo instead of serving a stale cache key.
+    returns a *new* instance.  The one mutable piece, ``meta``, is
+    snapshotted as ``pickle`` bytes at memoization time, and a lookup is a
+    byte compare against a fresh pickle; mutating ``graph.meta`` after a
+    solve therefore invalidates the memo instead of serving a stale cache
+    key.  Equal pickle bytes unpickle to equal values, so for the
+    containers, scalars and numpy values ``meta`` holds a hit returns the
+    digest a full walk would.  A ``meta`` that does not
+    pickle (a lock, a lambda) is never memoized: its digest is recomputed on
+    every call.
+
+    The memo lives in the instance ``__dict__``, so it travels with a
+    pickled graph: a worker process that receives a graph the parent has
+    hashed answers from the memo.
     """
-    meta_canonical = _canonical_meta(graph.meta)
+    snapshot = _meta_snapshot(graph)
     cached = graph.__dict__.get(_HASH_ATTR)
-    if cached is not None:
-        digest, meta_snapshot = cached
-        if meta_canonical == meta_snapshot:
-            return digest
-    payload = json.dumps(_canonical_payload(graph), sort_keys=True,
-                         separators=(",", ":"), default=repr)
+    if snapshot is not None and cached is not None and cached[1] == snapshot:
+        return cached[0]
+    payload = json.dumps(_canonical_payload(graph, _canonical_meta(graph.meta)),
+                         sort_keys=True, separators=(",", ":"), default=repr)
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    graph.__dict__[_HASH_ATTR] = (digest, meta_canonical)
+    if snapshot is not None:
+        graph.__dict__[_HASH_ATTR] = (digest, snapshot)
     return digest

@@ -153,7 +153,8 @@ def schedule_from_json(data: str, graph: Optional[DFGraph] = None) -> ScheduleMa
 # numpy arrays/scalars.  Both are encoded as tagged lists so that decoding
 # restores the exact Python types -- a round-tripped graph must produce the
 # same ``graph_content_hash`` as the original, and the baselines must keep
-# working on it.
+# working on it.  numpy scalars become their Python equivalents (``np.bool_``
+# becomes ``bool``), which the content hash does not tell apart.
 
 _DICT_TAG = "__kvdict__"
 _NDARRAY_TAG = "__ndarray__"
@@ -169,6 +170,8 @@ def _encode_meta(value):
         return [_NDARRAY_TAG, value.dtype.str, list(value.shape), value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_encode_meta(v) for v in value]
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):

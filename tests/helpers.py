@@ -9,6 +9,7 @@ import budget helpers from here instead.
 
 from __future__ import annotations
 
+import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core import DFGraph
@@ -36,3 +37,24 @@ def highs_milp(arrays, *, mip_gap: float = 1e-4):
         bounds=Bounds(arrays.lb, arrays.ub),
         options={"mip_rel_gap": mip_gap, "presolve": True},
     )
+
+
+def reference_canonical_meta(value):
+    """The original recursive ``meta`` canonicalization of the content hash,
+    kept as the reference ``repro.service.hashing._canonical_meta`` must
+    match byte for byte after ``json.dumps`` (numpy booleans aside: the
+    reference hashes them through their numpy-version-dependent ``repr``)."""
+    if isinstance(value, dict):
+        return {str(k): reference_canonical_meta(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [reference_canonical_meta(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return ["__ndarray__", list(value.shape), value.dtype.str, value.tolist()]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if value is None or isinstance(value, (str, int, bool)):
+        return value
+    return repr(value)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import threading
 import time
@@ -20,6 +21,7 @@ import pytest
 from repro.baselines import solve_checkpoint_all
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, JobState, ServeAPIError, ServeClient, SolveServer
+from repro.server import backends
 from repro.server.backends import (
     ProcessBackend,
     SolveWork,
@@ -27,7 +29,15 @@ from repro.server.backends import (
     make_backend,
 )
 from repro.server.jobs import QueueFullError
-from repro.service import PlanCache, SolverOptions, SolverSpec, SolveService, default_registry
+from repro.service import (
+    PlanCache,
+    SolverOptions,
+    SolverSpec,
+    SolveService,
+    default_registry,
+    graph_content_hash,
+    hashing,
+)
 from repro.utils.serialization import (
     OPTIONS_FORMAT,
     options_from_wire,
@@ -174,6 +184,22 @@ class TestProcessBackend:
         assert schedule_to_json(mlp_train, local.matrices, strategy="checkmate_ilp") \
             == schedule_to_json(mlp_train, remote.matrices, strategy="checkmate_ilp")
 
+    def test_unpicklable_meta_fails_one_flight_and_pool_serves_on(
+            self, process_queue, chain5_train):
+        """The pool ships the graph object: a graph whose ``meta`` does not
+        pickle fails its own flight cleanly, and the next one is served."""
+        graph = chain5_train
+        graph.meta["lock"] = threading.Lock()
+        budget = float(ample_budget(graph))
+        job = process_queue.submit_solve(graph, "checkpoint_all", budget)
+        assert job.wait(60)
+        assert job.state is JobState.FAILED
+        assert "pickle" in job.error
+        del graph.meta["lock"]
+        retry = process_queue.submit_solve(graph, "checkpoint_all", budget)
+        assert retry.wait(60)
+        assert retry.state is JobState.DONE, retry.error
+
     def test_metrics_expose_backend_and_workers(self, process_queue):
         metrics = process_queue.metrics()
         backend = metrics["backend"]
@@ -199,6 +225,64 @@ class TestProcessBackend:
     def test_make_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             make_backend("fibers", SolveService())
+
+
+class TestHashOnce:
+    """The task payload carries the graph object, and with it the parent's
+    content-hash memo: the worker's plan-cache and lint lookups are memo
+    hits, never a second canonical walk."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count full canonical walks and all hash calls, and give the
+        in-process worker a service with a plan cache (so ``_run_task``
+        runs the plan-cache lookup as a pool worker does)."""
+        counts = {"walks": 0, "hashes": 0}
+        walk, snapshot = hashing._canonical_meta, hashing._meta_snapshot
+
+        def counted_walk(value):
+            counts["walks"] += 1
+            return walk(value)
+
+        def counted_snapshot(graph):
+            counts["hashes"] += 1
+            return snapshot(graph)
+
+        monkeypatch.setattr(hashing, "_canonical_meta", counted_walk)
+        monkeypatch.setattr(hashing, "_meta_snapshot", counted_snapshot)
+        monkeypatch.setattr(backends, "_WORKER_SERVICE",
+                            SolveService(cache=PlanCache(max_entries=4)))
+        return counts
+
+    @staticmethod
+    def _round_trip(graph):
+        """Encode, pickle as the executor does, and run the task."""
+        backend = ProcessBackend(SolveService(cache=None))
+        work = SolveWork(graph, "chen_sqrt_n", float(ample_budget(graph)))
+        payload = pickle.loads(pickle.dumps(backend._encode(work)))
+        assert payload["graph"] is not graph
+        return payload, backends._run_task(payload)
+
+    def test_worker_does_no_walk_for_a_parent_hashed_graph(self, counted):
+        graph = build_training_graph("linear_cnn", batch_size=3)
+        digest = graph_content_hash(graph)
+        counted.update(walks=0, hashes=0)
+        payload, response = self._round_trip(graph)
+        assert response["ok"], response.get("error")
+        assert counted["hashes"] >= 2  # plan-cache lookup and lint
+        assert counted["walks"] == 0
+        assert graph_content_hash(payload["graph"]) == digest
+
+    def test_worker_walks_once_for_an_unhashed_graph(self, counted):
+        graph_content_hash(build_training_graph("linear_cnn", batch_size=5))
+        one_walk = counted["walks"]
+        assert one_walk > 0
+        counted.update(walks=0, hashes=0)
+        _, response = self._round_trip(
+            build_training_graph("linear_cnn", batch_size=5))
+        assert response["ok"], response.get("error")
+        assert counted["hashes"] >= 2
+        assert counted["walks"] == one_walk
 
 
 class TestSharedDiskCache:

@@ -1,12 +1,15 @@
 """Tests for the unified solve-service layer (registry, cache, sweep)."""
 
+import json
+import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import ample_budget, tight_budget
+from helpers import ample_budget, reference_canonical_meta, tight_budget
 
 from repro.autodiff import make_training_graph
 from repro.baselines import STRATEGIES
@@ -22,6 +25,7 @@ from repro.service import (
     default_registry,
     graph_content_hash,
 )
+from repro.service import hashing
 
 
 def fresh_service(**kwargs) -> SolveService:
@@ -101,6 +105,114 @@ class TestGraphHash:
         first_key = next(iter(g.meta["grad_index"]))
         g.meta["grad_index"][first_key] += 1
         assert graph_content_hash(g) != nested_before
+
+
+#: ``graph_content_hash`` of preset training graphs, as computed before the
+#: memo and canonicalization rewrite: any change to the canonical form (and
+#: so to every plan-cache key on disk) fails here.
+PINNED_DIGESTS = {
+    ("linear_cnn", 1): "71516e151261c9b9c4a4afa77c75c1be666890f3467760b3fd9295b95b97e0e5",
+    ("linear_cnn", 4): "81b4d8b61c4a8f9ca3e097a803c9d4820922d07752ea1e4d662e5d60c1b576f6",
+    ("resnet50", 1): "faf057e81cb6c23e7b9b22357847ab919d059588eb612424be7ad018c873886c",
+    ("resnet50", 4): "c2a92a9646d24be5be5665cdb8f41a9d15792eab2186ccdfc9da24bf45998e91",
+    ("unet", 1): "dde09d07528f7d95575958681dba656ef52305d24dcb5887b329dd6e855c119d",
+    ("unet", 4): "5cbdeaa9e4fd5b34360fd07e60870038cb45ebc277c5fcb325429bcb117e4ae5",
+    ("vgg16", 1): "29aa9117ad85fe145328ed9af1868ad1c1c2733f876257c6033e79f01d27f977",
+    ("vgg16", 4): "b81f3e043403b59dad4dea01ee79d600adb55642096c12492f1b0ac1ae5dea21",
+    ("segnet", 1): "8d6552a01d1cd1da2a8b56dbae5e49aa2b368a2fc0c3b1120fe6d79eaea3d577",
+    ("segnet", 4): "ac4a73958e85d54057ceafaeea235f8a9890b6474879491bf1acc399e9ae5664",
+}
+
+
+def _canonical_json(value) -> str:
+    """The bytes the content hash digests for a canonical ``meta``."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=repr)
+
+
+# Int keys and the strings they print as, so ``str(key)`` collisions occur.
+_meta_keys = st.one_of(st.integers(-2, 2), st.sampled_from(["-1", "0", "1"]),
+                       st.text(max_size=3))
+_meta_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, float("nan")]),
+    st.floats(allow_nan=True).map(np.float64),
+    st.text(max_size=4),
+    st.lists(st.integers(-99, 99), max_size=6).map(
+        lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.floats(allow_nan=True), min_size=2, max_size=6).map(
+        lambda xs: np.array(xs[:len(xs) // 2 * 2]).reshape(-1, 2)),
+)
+_meta_values = st.recursive(
+    _meta_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_meta_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestGraphHashStability:
+    @pytest.mark.parametrize("key,batch", sorted(PINNED_DIGESTS))
+    def test_preset_digest_pinned(self, key, batch):
+        graph = build_training_graph(key, batch_size=batch)
+        assert graph_content_hash(graph) == PINNED_DIGESTS[key, batch]
+        # The memo hit (a pickle byte compare) returns the same digest.
+        assert graph_content_hash(graph) == PINNED_DIGESTS[key, batch]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.text(max_size=4), _meta_values, max_size=5))
+    def test_canonical_meta_matches_reference_walk(self, meta):
+        assert (_canonical_json(hashing._canonical_meta(meta))
+                == _canonical_json(reference_canonical_meta(meta)))
+
+    def test_numpy_bool_hashes_as_bool(self):
+        def make(flag):
+            nodes = [NodeInfo("a", 1.0, 1), NodeInfo("b", 1.0, 1)]
+            return DFGraph(nodes=nodes, deps={0: [], 1: [0]},
+                           meta={"flag": flag, "flags": [flag, not flag]})
+
+        for flag in (True, False):
+            assert (graph_content_hash(make(np.bool_(flag)))
+                    == graph_content_hash(make(flag)))
+        assert graph_content_hash(make(True)) != graph_content_hash(make(False))
+
+    def test_unpicklable_meta_hashes_without_memo(self, monkeypatch):
+        walks = []
+        walk = hashing._canonical_meta
+        monkeypatch.setattr(hashing, "_canonical_meta",
+                            lambda value: walks.append(1) or walk(value))
+        g = make_chain_train()
+        g.meta["lock"] = threading.Lock()
+        g.meta["callback"] = lambda: None
+        digest = graph_content_hash(g)
+        first_walk = len(walks)
+        assert first_walk > 0
+        assert graph_content_hash(g) == digest
+        assert graph_content_hash(g) == digest
+        assert len(walks) == 3 * first_walk  # every call is a full walk
+        assert hashing._HASH_ATTR not in g.__dict__
+        del g.meta["lock"], g.meta["callback"]
+        assert graph_content_hash(g) == graph_content_hash(make_chain_train())
+
+    def test_memo_travels_with_pickle_and_mutation_still_invalidates(self):
+        g = make_chain_train()
+        digest = graph_content_hash(g)
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone.__dict__[hashing._HASH_ATTR][0] == digest
+        assert graph_content_hash(clone) == digest
+        first_key = next(iter(clone.meta["grad_index"]))
+        clone.meta["grad_index"][first_key] += 1
+        mutated = graph_content_hash(clone)
+        assert mutated != digest
+        fresh = make_chain_train()
+        fresh.meta["grad_index"][first_key] += 1
+        assert mutated == graph_content_hash(fresh)
 
 
 class TestRegistry:

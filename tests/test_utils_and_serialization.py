@@ -198,6 +198,19 @@ class TestGraphWireFormat:
         assert (restored.meta["weights"] == np.arange(6).reshape(2, 3)).all()
         assert restored.meta["scalar"] == 1.5
 
+    def test_meta_numpy_bool_round_trip(self, diamond_graph):
+        g = diamond_graph
+        g.meta["flag"] = np.bool_(True)
+        g.meta["flags"] = [np.bool_(False), np.bool_(True)]
+        try:
+            restored = graph_from_wire(json.loads(json.dumps(graph_to_wire(g))))
+            digest = graph_content_hash(g)
+        finally:
+            del g.meta["flag"], g.meta["flags"]
+        assert restored.meta["flag"] is True
+        assert restored.meta["flags"] == [False, True]
+        assert graph_content_hash(restored) == digest
+
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             graph_from_wire({"format": "something-else"})
