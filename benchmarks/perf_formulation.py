@@ -29,9 +29,10 @@ regression guard (relative check only; no flaky absolute-time assertions).
 ``--pr6`` switches the harness to the warm-start benchmarks and writes
 ``BENCH_PR6.json`` instead:
 
-* **warm sweep** -- the same 8-budget exact-ILP sweep run twice in the same
-  process against fresh plan caches: once cold (``sweep(warm_start=False)``,
-  the PR 3 behavior) and once with warm-started descending-budget chains.
+* **warm sweep** -- the same 8-budget exact-ILP sweep, below the graph's
+  no-recompute peak, run twice in the same process against fresh plan
+  caches: once cold (``sweep(warm_start=False)``) and once with
+  warm-started descending-budget chains.
   Objectives are compared cell-for-cell (within the MIP gap) so the speedup
   claim is only reported together with a result-identical check.
 * **pareto vs dense grid** -- ``SolveService.pareto()`` against a dense
@@ -294,25 +295,32 @@ def sweep_bench(preset: str, num_budgets: int, strategies, baseline_src) -> dict
 def warm_sweep_bench(preset: str, num_budgets: int) -> dict:
     """Same-process warm-vs-cold exact-ILP sweep over ``num_budgets`` cells.
 
-    The budgets are the repo's canonical :func:`budget_grid` -- the same grid
-    ``budget_sweep`` (and hence the PR 3 cold path) solves.  Both runs use
+    The budgets span the feasibility floor up to just below the graph's
+    no-recompute peak.  At or above that peak the liveness certificate
+    answers every cell in about a millisecond, warm or cold, so a sweep
+    there (the canonical :func:`budget_grid` lies entirely above it on the
+    smoke preset) measures no warm-start effect at all.  Below it the cold
+    sweep is real HiGHS work: about 80 s on the smoke preset on a 2-CPU
+    host, most of it in the near-floor cells.  Both runs use
     fresh plan caches and ``parallel=False`` (isolating the warm-chain effect
     from thread scheduling); the process-wide formulation cache is populated
     up front so neither run pays the one-off compile.  The cold run is
-    ``sweep(warm_start=False)``: per cell it is exactly the PR 3 behavior
-    (one full HiGHS solve), modulo the new below-floor shortcut, which fires
-    for cold cells too -- so the reported speedup *understates* the win over
-    a true PR 3 binary on grids that dip below the feasibility floor.
+    ``sweep(warm_start=False)``: per cell one LP certificate or HiGHS solve,
+    modulo the below-floor shortcut, which fires for cold cells too.
     """
-    from repro.experiments.budget_sweep import budget_grid
+    import numpy as np
+    from repro.core import no_recompute_schedule, schedule_peak_memory
     from repro.experiments.presets import build_training_graph
     from repro.service import SolveService, SweepCell
-    from repro.solvers import get_formulation_cache
+    from repro.solvers import (budget_floor_margin, get_formulation_cache,
+                               min_feasible_budget_floor)
 
     graph = build_training_graph(preset)
     get_formulation_cache().get(graph)
-    cells = [SweepCell("checkmate_ilp", float(b))
-             for b in budget_grid(graph, num_budgets)]
+    low = min_feasible_budget_floor(graph) + budget_floor_margin(graph)
+    high = schedule_peak_memory(graph, no_recompute_schedule(graph)) - 1
+    cells = [SweepCell("checkmate_ilp", float(int(b)))
+             for b in np.linspace(low, high, num_budgets)]
 
     cold_svc = SolveService()
     t0 = time.perf_counter()

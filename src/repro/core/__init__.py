@@ -24,6 +24,7 @@ from .schedule import (
     StrategyNotApplicableError,
     checkpoint_all_schedule,
     checkpoint_last_node_schedule,
+    no_recompute_schedule,
     schedule_compute_cost,
     validate_correctness_constraints,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "ScheduledResult",
     "StrategyNotApplicableError",
     "checkpoint_all_schedule",
+    "no_recompute_schedule",
     "checkpoint_last_node_schedule",
     "schedule_compute_cost",
     "validate_correctness_constraints",

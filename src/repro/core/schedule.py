@@ -10,8 +10,10 @@ Checkmate represents a rematerialization schedule by unrolling execution into
   after evaluating ``v_k`` (auxiliary accounting variable, §4.4).
 
 This module provides a small container for those matrices, the constraint
-checkers used by the tests and the approximation algorithm, and the canonical
-"checkpoint all" schedule that frameworks use by default.
+checkers used by the tests and the approximation algorithm, the canonical
+"checkpoint all" schedule that frameworks use by default, and the
+"no recompute" schedule that computes every node once and keeps each value
+only until its last consumer.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "StrategyNotApplicableError",
     "checkpoint_all_schedule",
     "checkpoint_last_node_schedule",
+    "no_recompute_schedule",
     "validate_correctness_constraints",
     "validate_correctness_constraints_reference",
     "schedule_compute_cost",
@@ -205,6 +208,25 @@ def checkpoint_all_schedule(graph: DFGraph) -> ScheduleMatrices:
     R = np.eye(n, dtype=np.uint8)
     S = np.tril(np.ones((n, n), dtype=np.uint8), k=-1)
     return ScheduleMatrices(R, S)
+
+
+def no_recompute_schedule(graph: DFGraph) -> ScheduleMatrices:
+    """Compute every node once and keep each value only while it is needed.
+
+    ``R = I`` and ``S[t, i] = 1`` iff ``i < t <= last_consumer(i)``, where a
+    node without users is its own last consumer (so it is never checkpointed).
+    It costs exactly ``sum(C)``, the least any frontier-advancing schedule
+    can cost since (8a) computes every node at least once.  It is the
+    checkpoint-all schedule with every dead value dropped, so its peak is at
+    most checkpoint-all's.
+    """
+    n = graph.size
+    parents, children = graph.edge_arrays
+    last = np.arange(n)
+    np.maximum.at(last, parents, children)
+    stage = np.arange(n)[:, None]
+    S = (stage > np.arange(n)) & (stage <= last)
+    return ScheduleMatrices(np.eye(n, dtype=np.uint8), S)
 
 
 def checkpoint_last_node_schedule(graph: DFGraph) -> ScheduleMatrices:

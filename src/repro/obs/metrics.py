@@ -318,15 +318,19 @@ class MetricsRegistry:
     def render_prometheus(
         self,
         extra_numeric: Optional[Dict[str, float]] = None,
+        extra_instruments: Sequence[_Instrument] = (),
     ) -> str:
         """The Prometheus text format (version 0.0.4) of every instrument.
 
         ``extra_numeric`` maps pre-flattened sample names (see
         :func:`flatten_numeric`) to values; they are emitted as gauges, which
         is how the daemon folds its JSON metrics snapshot into the scrape.
+        ``extra_instruments`` are rendered next to the registered ones, typed
+        (how per-service counters scrape without a process-wide registration).
         """
         lines: List[str] = []
-        for inst in sorted(self.instruments(), key=lambda i: i.name):
+        instruments = self.instruments() + list(extra_instruments)
+        for inst in sorted(instruments, key=lambda i: i.name):
             if inst.help:
                 # HELP text escapes backslash and newline (exposition 0.0.4).
                 escaped = inst.help.replace("\\", r"\\").replace("\n", r"\n")

@@ -219,8 +219,9 @@ class _App:
 
     def get_metrics(self, fmt: Optional[str] = None):
         """``/v1/metrics``: JSON, or with ``?format=prometheus`` the typed
-        instrument registry plus the JSON payload flattened into ``repro_*``
-        gauges (so every ``SolveService.statistics()`` counter scrapes)."""
+        instrument registry and the service's certificate counter, plus the
+        JSON payload flattened into ``repro_*`` gauges (so every
+        ``SolveService.statistics()`` counter scrapes)."""
         payload = self.queue.metrics()
         tracer = get_tracer()
         payload["tracing"] = dict(tracer.store.stats(),
@@ -232,7 +233,8 @@ class _App:
                                 "use 'json' or 'prometheus'")
         registry = get_metrics_registry()
         text = registry.render_prometheus(
-            extra_numeric=flatten_numeric(payload, prefix="repro"))
+            extra_numeric=flatten_numeric(payload, prefix="repro"),
+            extra_instruments=(self.queue.service.certificates,))
         return 200, text
 
     def get_trace(self, job_id: str, fmt: Optional[str] = None) -> Tuple[int, dict]:

@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..utils.serialization import META_TAGS, meta_list_tag
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..core.dfgraph import DFGraph
 
@@ -49,7 +51,9 @@ def _canonical_meta(value):
     scalars.  Arrays are expanded to (tag, shape, dtype, full contents) --
     ``repr`` would truncate large arrays, letting different contents collide
     -- numpy booleans become ``bool`` (their ``repr`` differs across numpy
-    versions), and everything else is reduced to plain Python types.
+    versions), and everything else is reduced to plain Python types.  A list
+    that starts with a reserved tag (:data:`META_TAGS`) is escaped the way
+    the wire format escapes it, so it never digests like an array.
 
     Plain scalars are recognised by exact type first, and list elements and
     dict values that are plain scalars are copied inline rather than through
@@ -66,9 +70,11 @@ def _canonical_meta(value):
         return {k: v if type(v) in _PLAIN else _canonical_meta(v)
                 for k, v in pairs}
     if isinstance(value, (list, tuple)):
-        return [v if type(v) in _PLAIN else _canonical_meta(v) for v in value]
+        items = [v if type(v) in _PLAIN else _canonical_meta(v) for v in value]
+        return [META_TAGS["list"], *items] if meta_list_tag(items) else items
     if isinstance(value, np.ndarray):
-        return ["__ndarray__", list(value.shape), value.dtype.str, value.tolist()]
+        return [META_TAGS["ndarray"], list(value.shape), value.dtype.str,
+                value.tolist()]
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):

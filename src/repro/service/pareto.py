@@ -16,6 +16,11 @@ automatically seeded from the nearest already-solved larger budget (the
 bisection order guarantees such a neighbor exists for every probe after the
 first).  The combination finds every knee to ``resolution`` precision with a
 fraction of the solver calls a dense grid at the same resolution would spend.
+
+The trace starts at the no-recompute peak: at and above it the no-recompute
+schedule fits, so the front is one flat step at ``sum(C)`` (the least a
+schedule can cost) and one point records it.  Bisection only covers the
+budgets below, where rematerialization actually trades compute for memory.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduledResult, checkpoint_all_schedule
+from ..core.schedule import (ScheduledResult, checkpoint_all_schedule,
+                             no_recompute_schedule)
 from ..core.simulator import schedule_peak_memory
 from ..solvers.warm import min_feasible_budget_floor
 from .options import SolverOptions
@@ -118,13 +124,20 @@ def trace_pareto_frontier(
 ) -> ParetoFront:
     """Trace the frontier of ``strategy`` on ``graph`` to ``resolution`` bytes.
 
-    Defaults: ``high`` is the checkpoint-all peak (above it the trade-off is
-    exhausted -- nothing needs recomputation), ``low`` is the arithmetic
-    minimum-feasible-budget floor of the integral formulation, and
+    Defaults: ``high`` is the no-recompute peak (at and above it nothing
+    needs recomputation, so the front is flat at ``sum(C)``), ``low`` is the
+    arithmetic minimum-feasible-budget floor of the integral formulation, and
     ``resolution`` is 1/64 of the span.  The recursion probes both endpoints,
     then splits any segment that (a) is wider than ``resolution`` and (b) is
     not provably flat -- endpoints feasible with equal cost -- nor provably
     empty (upper endpoint infeasible: by monotonicity the whole segment is).
+
+    An explicit ``high`` above the no-recompute peak is probed at the peak
+    first; when that probe costs ``sum(C)`` it is the one point of the flat
+    step up to ``high``, and ``high`` itself is not probed.  A strategy that
+    does not reach ``sum(C)`` there (a heuristic) gets ``high`` probed and
+    bisected as well, and the checkpoint-all peak then bounds its default.
+    The returned front's ``high`` is the top budget actually probed.
 
     The high endpoint is probed first so every later (smaller-budget) probe
     finds a cached larger neighbor to warm-seed from.
@@ -132,15 +145,18 @@ def trace_pareto_frontier(
     spec = service.registry.get(strategy)
     if not spec.has_budget_knob:
         raise ValueError(f"strategy {strategy!r} has no budget knob to trace")
-    if high is None:
-        high = float(schedule_peak_memory(graph, checkpoint_all_schedule(graph)))
+    ceiling = high
+    if ceiling is None:
+        ceiling = float(schedule_peak_memory(graph, checkpoint_all_schedule(graph)))
+    flat_from = float(schedule_peak_memory(graph, no_recompute_schedule(graph)))
     if low is None:
-        low = min(float(min_feasible_budget_floor(graph)), high)
-    low, high = float(low), float(high)
-    if high < low:
-        raise ValueError(f"pareto range is empty: low={low} > high={high}")
+        low = min(float(min_feasible_budget_floor(graph)), ceiling)
+    low, ceiling = float(low), float(ceiling)
+    if ceiling < low:
+        raise ValueError(f"pareto range is empty: low={low} > high={ceiling}")
+    top = min(max(flat_from, low), ceiling)
     if resolution is None:
-        resolution = max((high - low) / 64.0, 1.0)
+        resolution = max((top - low) / 64.0, 1.0)
     resolution = float(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -183,10 +199,16 @@ def trace_pareto_frontier(
 
     # Endpoint order matters: high first, so the floor probe (and every
     # midpoint) can warm-seed from a cached larger-budget incumbent.
-    probe(high)
+    high = top
+    at_top = probe(top)
+    if ceiling > top and not (at_top.feasible and at_top.compute_cost
+                              <= graph.total_cost() * (1 + FLAT_RTOL)):
+        high = ceiling
+        probe(ceiling)
+        bisect(top, ceiling)
     probe(low)
-    if high > low:
-        bisect(low, high)
+    if top > low:
+        bisect(low, top)
 
     points = [
         ParetoPoint(

@@ -137,6 +137,8 @@ _COUNTED = {
 }
 _WARM_KIND_EVENTS = {"incumbent_prune": "incumbent_prunes",
                      "bound_skip": "bound_skips"}
+#: The ``extra["certificate"]`` kinds an exact solve is answered by.
+CERTIFICATE_KINDS = ("liveness", "lp-gap")
 
 
 class SolveService:
@@ -162,6 +164,11 @@ class SolveService:
         # process keep separate counts.
         self._events = Counter("repro_service_events_total",
                                "Solve service events by kind", ("event",))
+        self.certificates = Counter(
+            "repro_service_certificates_total",
+            "Fresh exact solves answered by a certificate, by kind", ("kind",))
+        for kind in CERTIFICATE_KINDS:  # scrape zeros before the first one
+            self.certificates.inc(0, kind=kind)
 
     # ------------------------------------------------------------------ #
     # Single solve
@@ -298,13 +305,16 @@ class SolveService:
             self.cache.put(key, result, family=family, budget=budget)
 
     def _count_fresh(self, result: ScheduledResult) -> None:
-        """Count a fresh solve's warm-start, shortcut and race markers.
+        """Count a fresh solve's warm-start, shortcut, certificate and race
+        markers.
 
         Only fresh invocations count: a cache hit replays a stored result
         and must not re-count its markers.
         """
         extra = result.extra or {}
         count = self._events.inc
+        if extra.get("certificate") in CERTIFICATE_KINDS:
+            self.certificates.inc(kind=extra["certificate"])
         warm = extra.get("warm_start")
         if warm and warm.get("used"):
             count(event="warm_seeds")
@@ -737,6 +747,10 @@ class SolveService:
           budget-floor / learned-infeasibility pre-checks);
           ``race.entrants_finished`` counts lanes that returned a verdict,
           ``race.entrants_cancelled`` the stragglers reaped before starting.
+        * ``certificates`` counts fresh solves answered by a certificate
+          instead of branch-and-cut, by kind: ``liveness`` (the no-recompute
+          schedule fit) and ``lp-gap`` (a rounding met the LP bound).  The
+          same counts scrape as ``repro_service_certificates_total{kind}``.
         * ``analysis.lint_runs`` counts pre-solve lint gate consultations
           (memoized reports included), so the error/warning totals track
           what solves were exposed to.
@@ -750,6 +764,8 @@ class SolveService:
         for section in ("analysis", "race"):
             snapshot[section] = {name: counts.get(name, 0)
                                  for name in _COUNTED[section]}
+        snapshot["certificates"] = {kind: int(self.certificates.value(kind=kind))
+                                    for kind in CERTIFICATE_KINDS}
         snapshot["registered_solvers"] = len(self.registry)
         snapshot["cache"] = self.cache.stats() if self.cache is not None else None
         # The process-wide caches (shared by every service in the process),

@@ -8,16 +8,27 @@ the Gurobi/COIN-OR solvers used in the paper.  The optimal ``(R, S)`` matrices
 are then packaged with their cost and peak memory (the execution plan is
 lowered on first access to ``ScheduledResult.plan``).
 
-Certify before searching.  A frontier-advancing solve first fetches the LP
-relaxation at the full budget (§5.1) from the process-wide single-flight
-:class:`~repro.solvers.rounding_portfolio.LPRelaxationCache`.  Its optimum is
-a lower bound on the integer optimum, and its two-phase rounding (§5.2, the
-portfolio's ``threshold_sweep``) is a feasible incumbent.  The incumbent is
-the cheaper of that rounding and any fitting warm seed; when it is within
-``mip_gap`` of the bound it is gap-optimal -- the same guarantee HiGHS stops
-at -- and is returned as ``gap-certified`` without branch-and-cut.  An
-LP-infeasible budget is ILP-infeasible too.  Only the remaining cells reach
-HiGHS, where the incumbent backstops a time-limit miss.
+Certify before searching, cheapest certificate first.  Every
+frontier-advancing schedule computes each node at least once (Eq. 8a) and
+node costs are non-negative, so ``sum(C)`` is a lower bound on the optimum.
+
+1. **Liveness.**  The no-recompute schedule
+   (:func:`~repro.core.schedule.no_recompute_schedule`) costs exactly
+   ``sum(C)``; when its simulated peak fits the budget it is optimal, and it
+   is returned as ``gap-certified`` (``extra["certificate"] == "liveness"``)
+   before any formulation is compiled or LP solved.
+2. **LP gap.**  Otherwise the solve fetches the LP relaxation at the full
+   budget (§5.1) from the process-wide single-flight
+   :class:`~repro.solvers.rounding_portfolio.LPRelaxationCache`.  Its optimum
+   is a lower bound on the integer optimum, and its two-phase rounding (§5.2,
+   the portfolio's ``threshold_sweep``) is a feasible incumbent.  The
+   incumbent is the cheaper of that rounding and any fitting warm seed; when
+   it is within ``mip_gap`` of the bound it is gap-optimal -- the same
+   guarantee HiGHS stops at -- and is returned as ``gap-certified``
+   (``extra["certificate"] == "lp-gap"``) without branch-and-cut.  An
+   LP-infeasible budget is ILP-infeasible too.
+3. **HiGHS.**  Only the remaining cells reach branch-and-cut, where the
+   incumbent backstops a time-limit miss.
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds
 
 from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduleMatrices, ScheduledResult
+from ..core.schedule import ScheduleMatrices, ScheduledResult, no_recompute_schedule
+from ..core.simulator import schedule_peak_memory
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .common import build_scheduled_result
@@ -37,7 +49,8 @@ from .compiled import formulation_and_arrays
 from .formulation import InfeasibleBudgetError
 from .rounding_portfolio import get_lp_relaxation_cache, solve_rounding_portfolio
 
-__all__ = ["solve_ilp_rematerialization", "ILP_STRATEGY_NAME"]
+__all__ = ["solve_ilp_rematerialization", "liveness_certified_result",
+           "ILP_STRATEGY_NAME"]
 
 ILP_STRATEGY_NAME = "checkmate-ilp"
 
@@ -54,6 +67,29 @@ class _Incumbent(NamedTuple):
     matrices: ScheduleMatrices
     cost: float
     source: str  # "warm" (a fitting seed) or "rounding" (of the LP)
+
+
+def liveness_certified_result(graph: DFGraph, budget: float, *,
+                              strategy_name: str = ILP_STRATEGY_NAME
+                              ) -> Optional[ScheduledResult]:
+    """The no-recompute schedule as a proven-optimal result, if it fits.
+
+    It costs ``sum(C)``, which no frontier-advancing schedule undercuts, so
+    a fitting one is optimal.  ``None`` when its peak exceeds ``budget``.
+    """
+    with Timer() as timer:
+        matrices = no_recompute_schedule(graph)
+        peak = schedule_peak_memory(graph, matrices)
+    if peak > budget:
+        return None
+    return build_scheduled_result(
+        strategy_name, graph, matrices, budget=int(budget), feasible=True,
+        solve_time_s=timer.elapsed, solver_status="gap-certified",
+        peak_memory=peak,
+        extra={"certificate": "liveness",
+               "objective_lower_bound": graph.total_cost(),
+               "proven_optimal": True},
+    )
 
 
 def solve_ilp_rematerialization(
@@ -86,7 +122,7 @@ def solve_ilp_rematerialization(
     frontier_advancing:
         Use the partitioned formulation (§4.6).  Setting this to ``False``
         reproduces the much slower unpartitioned baseline of Appendix A, which
-        goes straight to HiGHS (no LP certificate).
+        goes straight to HiGHS (no certificate).
     num_stages:
         Stage count for the unpartitioned variant (defaults to ``graph.size``).
     warm_start:
@@ -101,13 +137,20 @@ def solve_ilp_rematerialization(
     Returns
     -------
     :class:`ScheduledResult`.  ``solver_status`` is ``gap-certified`` when the
-    cheapest incumbent met ``mip_gap`` against the LP bound (``extra`` then
-    holds ``objective_lower_bound`` and ``proven_optimal``); otherwise it is
-    HiGHS's verdict, suffixed ``-warm-incumbent`` / ``-rounding-incumbent``
-    when HiGHS stopped on nothing better than the incumbent.  ``feasible`` is
+    no-recompute schedule fits or the cheapest incumbent met ``mip_gap``
+    against the LP bound (``extra`` then holds ``certificate`` --
+    ``"liveness"`` or ``"lp-gap"`` -- ``objective_lower_bound`` and
+    ``proven_optimal``); otherwise it is HiGHS's verdict, suffixed
+    ``-warm-incumbent`` / ``-rounding-incumbent`` when HiGHS stopped on
+    nothing better than the incumbent.  ``feasible`` is
     ``False`` when infeasibility is proven or no schedule was found within
     the limit.
     """
+    if frontier_advancing:
+        certified = liveness_certified_result(graph, budget,
+                                              strategy_name=strategy_name)
+        if certified is not None:
+            return certified
     try:
         # The budget-independent arrays come from the per-process
         # FormulationCache (one compile per graph, shared across a whole
@@ -181,6 +224,7 @@ def solve_ilp_rematerialization(
                                            "rounding")
             if incumbent is not None and bound is not None and incumbent.cost <= bound:
                 extra = {"formulation": formulation.describe(),
+                         "certificate": "lp-gap",
                          "objective_lower_bound": lp.objective,
                          "proven_optimal": True}
                 if incumbent.source == "warm":

@@ -26,6 +26,12 @@ deadline fired -- which flows through ``result_to_wire`` into ``POST
 /v1/solve`` responses, and into the ``race`` counters of
 ``SolveService.statistics()`` / ``/v1/metrics``.
 
+Certificate first: when ``checkmate_ilp`` is an entrant and the
+no-recompute schedule fits the budget, that entrant's answer is known before
+any lane starts -- a proven-optimal ``sum(C)`` schedule no entrant can beat --
+so the race returns it without starting the pool (the other lanes report
+``skipped-certified``).
+
 Caching note: a feasible race result is a valid schedule and caches like any
 other, but the cache key includes ``deadline_s`` (it is part of the race's
 option map), so results raced under different SLOs never alias.  Infeasible
@@ -46,6 +52,7 @@ from ..core.schedule import ScheduledResult, StrategyNotApplicableError
 from ..obs.trace import get_tracer
 from ..utils.lru import SingleFlightLRU
 from .common import build_scheduled_result
+from .ilp import liveness_certified_result
 from .rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
 
 __all__ = ["RACE_STRATEGY_NAME", "DEFAULT_ENTRANTS", "solve_race"]
@@ -179,7 +186,19 @@ def solve_race(
 
     results: List[Optional[ScheduledResult]] = [None] * len(entrant_keys)
     deadline_hit = False
-    if deadline_s > 0:
+    certified = None
+    if deadline_s > 0 and "checkmate_ilp" in entrant_keys:
+        certified = liveness_certified_result(graph, budget)
+    if certified is not None:
+        index = entrant_keys.index("checkmate_ilp")
+        results[index] = certified
+        for lane in lanes:
+            lane["status"] = "skipped-certified"
+        lanes[index].update(status=certified.solver_status,
+                            wall_s=certified.solve_time_s, feasible=True,
+                            objective=float(certified.compute_cost),
+                            peak_memory=int(certified.peak_memory))
+    elif deadline_s > 0:
         workers = min(len(entrant_keys),
                       max_workers or max(2, os.cpu_count() or 1))
         with tracer.span("race", deadline_s=float(deadline_s),

@@ -60,6 +60,8 @@ __all__ = [
     "options_to_wire",
     "options_from_wire",
     "jsonable",
+    "META_TAGS",
+    "meta_list_tag",
 ]
 
 SCHEDULE_FORMAT = "repro.checkmate.schedule/v2"
@@ -156,8 +158,20 @@ def schedule_from_json(data: str, graph: Optional[DFGraph] = None) -> ScheduleMa
 # working on it.  numpy scalars become their Python equivalents (``np.bool_``
 # becomes ``bool``), which the content hash does not tell apart.
 
-_DICT_TAG = "__kvdict__"
-_NDARRAY_TAG = "__ndarray__"
+#: Reserved first elements of the tagged lists that spell ``meta`` values,
+#: shared by the wire format and the content hash.  A user list whose first
+#: element is one of them is escaped as ``[META_TAGS["list"], *items]``, so no
+#: plain list ever reads as a tagged value (and the escape tag escapes itself).
+META_TAGS = {"dict": "__kvdict__", "ndarray": "__ndarray__", "list": "__list__"}
+_RESERVED_TAGS = frozenset(META_TAGS.values())
+_DICT_TAG, _NDARRAY_TAG, _LIST_TAG = (META_TAGS["dict"], META_TAGS["ndarray"],
+                                      META_TAGS["list"])
+
+
+def meta_list_tag(items: list) -> Optional[str]:
+    """The reserved tag ``items`` starts with, or ``None``."""
+    head = items[0] if items else None
+    return head if isinstance(head, str) and head in _RESERVED_TAGS else None
 
 
 def _encode_meta(value):
@@ -169,7 +183,8 @@ def _encode_meta(value):
     if isinstance(value, np.ndarray):
         return [_NDARRAY_TAG, value.dtype.str, list(value.shape), value.tolist()]
     if isinstance(value, (list, tuple)):
-        return [_encode_meta(v) for v in value]
+        items = [_encode_meta(v) for v in value]
+        return [_LIST_TAG, *items] if meta_list_tag(items) else items
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -186,10 +201,15 @@ def _decode_meta(value):
     if isinstance(value, dict):
         return {k: _decode_meta(v) for k, v in value.items()}
     if isinstance(value, list):
-        if len(value) == 2 and value[0] == _DICT_TAG:
+        tag = meta_list_tag(value)
+        if tag == _LIST_TAG:
+            return [_decode_meta(v) for v in value[1:]]
+        if tag == _DICT_TAG and len(value) == 2:
             return {_decode_meta(k): _decode_meta(v) for k, v in value[1]}
-        if len(value) == 4 and value[0] == _NDARRAY_TAG:
+        if tag == _NDARRAY_TAG and len(value) == 4:
             return np.asarray(value[3], dtype=np.dtype(value[1])).reshape(value[2])
+        if tag is not None:
+            raise ValueError(f"malformed {tag!r} meta value")
         return [_decode_meta(v) for v in value]
     return value
 

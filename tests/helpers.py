@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.core import DFGraph
+from repro.core import DFGraph, no_recompute_schedule, schedule_peak_memory
+from repro.solvers.warm import min_feasible_budget_floor
 
 
 def ample_budget(graph: DFGraph) -> int:
@@ -23,6 +24,21 @@ def ample_budget(graph: DFGraph) -> int:
 def tight_budget(graph: DFGraph, fraction: float = 0.5) -> int:
     """A budget at ``fraction`` of the retained-activation footprint."""
     return int(graph.constant_overhead + graph.total_activation_memory() * fraction)
+
+
+def no_recompute_peak(graph: DFGraph) -> int:
+    """Peak of the no-recompute schedule: at or above it an exact
+    frontier-advancing solve is answered by the liveness certificate."""
+    return schedule_peak_memory(graph, no_recompute_schedule(graph))
+
+
+def below_liveness_budget(graph: DFGraph, fraction: float = 0.5) -> int:
+    """A budget ``fraction`` of the way from the integral budget floor up to
+    the no-recompute peak, and strictly below that peak: an exact solve there
+    skips the liveness certificate and reaches the LP certificate or HiGHS."""
+    floor = min_feasible_budget_floor(graph)
+    peak = no_recompute_peak(graph)
+    return min(int(floor + fraction * (peak - floor)), peak - 1)
 
 
 def highs_milp(arrays, *, mip_gap: float = 1e-4):

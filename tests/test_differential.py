@@ -12,8 +12,11 @@ Two layers of randomized cross-checking:
   and ``approx_randomized`` to the legacy randomized mode at equal seeds, and
   the threshold sweep dominates the fixed threshold.  Whenever the exact
   ILP answers ``gap-certified`` (its LP rounding met the LP bound), the
-  certificate is checked against HiGHS run directly on the same formulation;
-  five model-preset cells check the same on real graphs.
+  certificate is checked against HiGHS run directly on the same formulation
+  -- a liveness certificate (the no-recompute schedule fit) must also cost
+  exactly ``sum(C)``, which HiGHS must not undercut; six model-preset cells
+  check the same on real graphs, each pinned to the certificate (or HiGHS)
+  that answers it.
 
 * A **hypothesis** layer (seeded, shrinkable) running *every* registered
   strategy -- heuristics, exact solvers, portfolio, race -- over random
@@ -111,6 +114,11 @@ def _assert_certificate_sound(result, graph, budget, mip_gap=1e-4) -> None:
     optimum = formulation.objective_value(np.asarray(res.x))
     assert result.compute_cost <= (1.0 + mip_gap) * optimum, \
         f"{label}: cost {result.compute_cost} vs HiGHS optimum {optimum}"
+    if result.extra["certificate"] == "liveness":
+        total = graph.total_cost()
+        assert result.compute_cost == total == result.extra["objective_lower_bound"], label
+        assert optimum >= total - _TOL * total, \
+            f"{label}: HiGHS optimum {optimum} below sum(C) {total}"
 
 
 @pytest.mark.parametrize("chunk", range(_NUM_CHUNKS))
@@ -176,13 +184,17 @@ def test_portfolio_differential_seed_matrix(chunk):
 
 
 #: Model presets at a small batch, each at a tightness of the serving
-#: benchmark's exact-cold cycle (0 = feasibility floor, 1 = checkpoint all).
-_PRESET_CELLS = (("linear_cnn", 0.1), ("linear_cnn", 0.3), ("resnet_tiny", 0.4),
-                 ("vgg16", 0.4), ("segnet", 0.5))
+#: benchmark's exact-cold cycle (0 = feasibility floor, 1 = checkpoint all),
+#: plus a VGG16 cell below its no-recompute peak, with the certificate that
+#: answers each (``None``: HiGHS).
+_PRESET_CELLS = (("linear_cnn", 0.1, None), ("linear_cnn", 0.3, "liveness"),
+                 ("resnet_tiny", 0.4, "liveness"), ("vgg16", 0.4, "liveness"),
+                 ("segnet", 0.5, "liveness"), ("vgg16", 0.12, "lp-gap"))
 
 
-@pytest.mark.parametrize("preset,tightness", _PRESET_CELLS)
-def test_certified_presets_match_highs(preset, tightness):
+@pytest.mark.parametrize("preset,tightness,certificate", _PRESET_CELLS,
+                         ids=[f"{p}-{t}" for p, t, _ in _PRESET_CELLS])
+def test_certified_presets_match_highs(preset, tightness, certificate):
     """Certify-first on real model graphs: every certified cell is valid,
     fits, and costs at most ``1 + mip_gap`` times the HiGHS optimum."""
     graph = build_training_graph(preset, batch_size=2)
@@ -191,6 +203,7 @@ def test_certified_presets_match_highs(preset, tightness):
     budget = float(int(floor + tightness * (peak - floor)))
     result = solve_ilp_rematerialization(graph, budget)
     assert result.feasible
+    assert result.extra.get("certificate") == certificate
     _assert_schedule_contract(result, graph, budget, None)
     _assert_certificate_sound(result, graph, budget)
 

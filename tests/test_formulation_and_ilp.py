@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ample_budget, tight_budget
+from helpers import ample_budget, below_liveness_budget, no_recompute_peak, tight_budget
 
 from repro.core import (
     checkpoint_all_schedule,
@@ -156,9 +156,16 @@ class TestCrossSolverAgreement:
 class TestCertifyFirst:
     """The LP certificate in front of HiGHS: sound, and never a dead end.
 
-    At 0.8 of its footprint the varied chain's LP rounding meets the LP bound
-    exactly, so the cell certifies unless something takes the bound away.
+    Every cell here sits below the graph's no-recompute peak, so the liveness
+    certificate passes it on.  Below the varied chain's peak (98) its LP
+    bound stays fractional: at 0.6 of its footprint the bound is 311.375 and
+    the rounding costs 312, so that cell certifies at a 1% gap unless
+    something takes the bound away.  VGG16's LP is tight below its peak, so
+    its cells certify at the default gap.
     """
+
+    #: The varied chain's certifying cell: (footprint fraction, mip_gap).
+    CHAIN_CELL = (0.6, 0.01)
 
     @pytest.fixture
     def milp_calls(self, monkeypatch):
@@ -190,16 +197,20 @@ class TestCertifyFirst:
         monkeypatch.setattr(portfolio, "_lp_cache", portfolio.LPRelaxationCache())
         monkeypatch.setattr(portfolio, "solve_lp_relaxation", time_limited_lp)
 
-    def test_certified_result_carries_its_bound(self, varied_chain_train, milp_calls):
-        budget = tight_budget(varied_chain_train, 0.8)
-        result = solve_ilp_rematerialization(varied_chain_train, budget)
+    def test_certified_result_carries_its_bound(self, milp_calls):
+        from repro.experiments import build_training_graph
+
+        graph = build_training_graph("vgg16")
+        budget = below_liveness_budget(graph, 0.75)
+        result = solve_ilp_rematerialization(graph, budget)
         assert result.solver_status == "gap-certified"
+        assert result.extra["certificate"] == "lp-gap"
         assert milp_calls == []
         assert result.extra["proven_optimal"] is True
         lower = result.extra["objective_lower_bound"]
         assert lower <= result.compute_cost <= lower * (1 + 1e-4)
-        assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
-        assert schedule_peak_memory(varied_chain_train, result.matrices) <= budget
+        assert validate_correctness_constraints(graph, result.matrices) == []
+        assert schedule_peak_memory(graph, result.matrices) <= budget
 
     def test_certificate_respects_the_gap(self, varied_chain_train, milp_calls):
         # At 0.6 the LP bound is 311.375 and the rounding costs 312: 0.2%
@@ -215,8 +226,10 @@ class TestCertifyFirst:
 
     def test_time_limited_lp_never_certifies(self, varied_chain_train, milp_calls,
                                              truncated_lp):
-        budget = tight_budget(varied_chain_train, 0.8)
-        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        fraction, gap = self.CHAIN_CELL
+        budget = tight_budget(varied_chain_train, fraction)
+        assert budget < no_recompute_peak(varied_chain_train)
+        result = solve_ilp_rematerialization(varied_chain_train, budget, mip_gap=gap)
         assert len(milp_calls) == 1
         assert result.solver_status == "optimal"
         assert "proven_optimal" not in result.extra
@@ -247,10 +260,87 @@ class TestCertifyFirst:
 
         monkeypatch.setattr(ilp_module, "milp",
                             lambda *a, **k: types.SimpleNamespace(x=None, status=1))
-        budget = tight_budget(varied_chain_train, 0.8)
-        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        fraction, gap = self.CHAIN_CELL
+        budget = tight_budget(varied_chain_train, fraction)
+        assert budget < no_recompute_peak(varied_chain_train)
+        result = solve_ilp_rematerialization(varied_chain_train, budget, mip_gap=gap)
         assert result.feasible
         assert result.solver_status == "time_limit-rounding-incumbent"
         assert "proven_optimal" not in result.extra
         assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
         assert schedule_peak_memory(varied_chain_train, result.matrices) <= budget
+
+
+class TestLivenessCertificate:
+    """The no-recompute schedule answers every cell its peak fits, before
+    any formulation, LP or HiGHS work."""
+
+    @pytest.fixture
+    def solver_work(self, monkeypatch):
+        """A callable returning the MILP calls, LP-cache solves and
+        formulation compiles made since the fixture was set up."""
+        import repro.solvers.ilp as ilp_module
+        from repro.solvers.rounding_portfolio import get_lp_relaxation_cache
+
+        counts = {"milp": 0, "compile": 0}
+        real_milp, real_compile = ilp_module.milp, ilp_module.formulation_and_arrays
+
+        def counting_milp(*args, **kwargs):
+            counts["milp"] += 1
+            return real_milp(*args, **kwargs)
+
+        def counting_compile(*args, **kwargs):
+            counts["compile"] += 1
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(ilp_module, "milp", counting_milp)
+        monkeypatch.setattr(ilp_module, "formulation_and_arrays", counting_compile)
+        lp_before = get_lp_relaxation_cache().stats()["solves"]
+        return lambda: dict(
+            counts, lp=get_lp_relaxation_cache().stats()["solves"] - lp_before)
+
+    def test_fires_at_the_peak_with_no_solver_work(self, solver_work):
+        from repro.autodiff import make_training_graph
+        from repro.core import linear_graph
+
+        # Unique costs: no LP of this graph is cached by an earlier test, so
+        # a solve that reached the LP would move the LP-cache solve count.
+        graph = make_training_graph(linear_graph(5, cost=[2, 7, 1, 8, 2.5],
+                                                 memory=[3, 9, 1, 4, 6]))
+        peak = no_recompute_peak(graph)
+        result = solve_ilp_rematerialization(graph, peak)
+        assert result.solver_status == "gap-certified"
+        assert result.extra["certificate"] == "liveness"
+        assert result.extra["proven_optimal"] is True
+        assert result.compute_cost == graph.total_cost()
+        assert result.extra["objective_lower_bound"] == graph.total_cost()
+        assert result.peak_memory == peak <= result.budget
+        assert validate_correctness_constraints(graph, result.matrices) == []
+        assert (result.matrices.R == np.eye(graph.size)).all()
+        assert solver_work() == {"milp": 0, "compile": 0, "lp": 0}
+
+        # One byte below the peak the same graph takes the solver path.
+        below = solve_ilp_rematerialization(graph, peak - 1)
+        assert below.extra.get("certificate") != "liveness"
+        assert solver_work()["compile"] == 1
+        assert solver_work()["lp"] == 1
+
+    def test_below_the_peak_costs_more_than_the_bound(self, varied_chain_train):
+        graph = varied_chain_train
+        budget = no_recompute_peak(graph) - 1
+        result = solve_ilp_rematerialization(graph, budget)
+        assert result.feasible
+        assert result.extra.get("certificate") != "liveness"
+        assert result.compute_cost > graph.total_cost()
+        assert schedule_peak_memory(graph, result.matrices) <= budget
+
+    def test_unpartitioned_path_never_takes_it(self):
+        from repro.autodiff import make_training_graph
+        from repro.core import linear_graph
+
+        graph = make_training_graph(linear_graph(3, cost=[1, 3, 2], memory=[2, 1, 3]))
+        result = solve_ilp_rematerialization(graph, ample_budget(graph),
+                                             frontier_advancing=False)
+        assert result.feasible
+        assert "certificate" not in result.extra
+        assert result.solver_status == "optimal"

@@ -9,6 +9,7 @@ from repro.core import (
     compute_free_events,
     generate_execution_plan,
     linear_graph,
+    no_recompute_schedule,
     random_layered_dag,
     schedule_compute_cost,
     schedule_peak_memory,
@@ -46,6 +47,16 @@ def test_checkpoint_all_is_always_valid(graph):
     matrices = checkpoint_all_schedule(graph)
     assert validate_correctness_constraints(graph, matrices) == []
     assert schedule_compute_cost(graph, matrices) == graph.total_cost()
+
+
+@given(st.one_of(small_dags(), chain_training_graphs()))
+@settings(**_SETTINGS)
+def test_no_recompute_schedule_is_valid_and_no_higher_than_checkpoint_all(graph):
+    matrices = no_recompute_schedule(graph)
+    assert validate_correctness_constraints(graph, matrices) == []
+    assert schedule_compute_cost(graph, matrices) == graph.total_cost()
+    assert (schedule_peak_memory(graph, matrices)
+            <= schedule_peak_memory(graph, checkpoint_all_schedule(graph)))
 
 
 @given(small_dags(), st.integers(min_value=0, max_value=2**31 - 1))

@@ -243,3 +243,39 @@ def test_race_statistics_flow_into_service_counters():
     assert snap["entrants_finished"] >= 1
     assert snap["entrants_cancelled"] >= len(DEFAULT_ENTRANTS)
     assert _race_threads() == []
+
+
+def test_liveness_certified_race_starts_no_lane(monkeypatch):
+    """With the exact ILP entered and the no-recompute schedule fitting, the
+    race answers from the certificate: no lane runs and no LP is solved."""
+    import repro.solvers.rounding_portfolio as portfolio
+    from helpers import no_recompute_peak
+
+    lp_solves = []
+    real_lp = portfolio.solve_lp_relaxation
+    monkeypatch.setattr(portfolio, "solve_lp_relaxation",
+                        lambda *a, **k: lp_solves.append(1) or real_lp(*a, **k))
+    monkeypatch.setattr(portfolio, "_lp_cache", portfolio.LPRelaxationCache())
+    graph = _graph(seed=11)
+    peak = no_recompute_peak(graph)
+    result = solve_race(graph, peak, deadline_s=60.0)
+    assert result.feasible and result.solver_status == "ok"
+    assert result.compute_cost == graph.total_cost()
+    assert result.extra["certificate"] == "liveness"
+    race = result.extra["race"]
+    assert race["winner"] == "checkmate_ilp"
+    assert race["deadline_hit"] is False
+    by_key = {lane["strategy"]: lane for lane in race["entrants"]}
+    assert by_key["checkmate_ilp"]["status"] == "gap-certified"
+    assert all(lane["status"] == "skipped-certified"
+               for key, lane in by_key.items() if key != "checkmate_ilp")
+    assert lp_solves == []
+    assert _race_threads() == []
+
+    # Without the ILP entrant, or one byte below the peak, the lanes run.
+    lanes = solve_race(graph, peak, deadline_s=60.0,
+                       entrants=("approx_fixed_half",)).extra["race"]["entrants"]
+    assert lanes[0]["status"] != "skipped-certified"
+    below = solve_race(graph, peak - 1, deadline_s=60.0)
+    assert below.extra.get("certificate") != "liveness"
+    assert lp_solves

@@ -31,7 +31,7 @@ from repro.service import (
     default_registry,
 )
 
-from helpers import ample_budget
+from helpers import ample_budget, no_recompute_peak
 
 
 # --------------------------------------------------------------------------- #
@@ -521,11 +521,12 @@ class TestParetoApi:
         assert err.value.status == 400  # no budget knob to trace
 
     def test_warm_counters_move_in_metrics(self, client, chain5_train):
-        ample = int(chain5_train.constant_overhead
-                    + chain5_train.total_activation_memory() * 2 + 10)
+        # Below the no-recompute peak, where cells reach the solver and the
+        # upper cell's schedule seeds the lower one.
+        hi = no_recompute_peak(chain5_train) - 0.5
         handle = client.submit_sweep(
             graph=chain5_train,
-            cells=[("checkmate_ilp", ample + 64), ("checkmate_ilp", ample)])
+            cells=[("checkmate_ilp", hi), ("checkmate_ilp", hi - 0.5)])
         assert client.wait(handle["job_id"], timeout=60)["state"] == "done"
         service = client.metrics()["service"]
         for key in ("warm_seeds", "incumbent_prunes", "bound_skips",
@@ -533,6 +534,21 @@ class TestParetoApi:
             assert key in service
         assert service["warm_seeds"] >= 1
         assert service["incumbent_prunes"] + service["bound_skips"] >= 1
+
+    def test_certificate_counters_in_metrics(self, client, chain5_train):
+        peak = no_recompute_peak(chain5_train)
+        handle = client.submit_sweep(
+            graph=chain5_train,
+            cells=[("checkmate_ilp", peak + 1), ("checkmate_ilp", peak),
+                   ("checkmate_ilp", peak - 1)])
+        assert client.wait(handle["job_id"], timeout=60)["state"] == "done"
+        assert client.metrics()["service"]["certificates"] == {
+            "liveness": 2, "lp-gap": 0}
+        text = client.metrics_prometheus()
+        validate_prometheus_text(text)
+        assert "# TYPE repro_service_certificates_total counter" in text
+        assert 'repro_service_certificates_total{kind="liveness"} 2' in text
+        assert 'repro_service_certificates_total{kind="lp-gap"} 0' in text
 
     def test_strategies_advertise_warm_capability(self, client):
         by_key = {e["key"]: e for e in client.strategies()}

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ample_budget, reference_canonical_meta, tight_budget
+from helpers import (ample_budget, no_recompute_peak, reference_canonical_meta,
+                     tight_budget)
 
 from repro.autodiff import make_training_graph
 from repro.baselines import STRATEGIES
@@ -26,6 +27,7 @@ from repro.service import (
     graph_content_hash,
 )
 from repro.service import hashing
+from repro.utils.serialization import META_TAGS, graph_from_wire, graph_to_wire
 
 
 def fresh_service(**kwargs) -> SolveService:
@@ -157,6 +159,70 @@ _meta_values = st.recursive(
 )
 
 
+# Meta values whose canonical forms are meant to be injective: reserved tags
+# and the list spellings of arrays are drawn on purpose.  Floats (hashed as
+# their ``repr`` string) and string keys that print like int keys are left
+# out: the canonical form equates those with a string by design.
+_TAGS = tuple(META_TAGS.values())
+_int_arrays = st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+_tagged_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(_TAGS),
+    st.text(alphabet="ab_", max_size=3),
+    _int_arrays,
+    _int_arrays.map(lambda a: [META_TAGS["ndarray"], list(a.shape),
+                               a.dtype.str, a.tolist()]),
+    _int_arrays.map(lambda a: [META_TAGS["ndarray"], a.dtype.str,
+                               list(a.shape), a.tolist()]),
+)
+_tagged_values = st.recursive(
+    _tagged_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(st.sampled_from(_TAGS), st.lists(children, max_size=3)).map(
+            lambda pair: [pair[0], *pair[1]]),
+        st.dictionaries(st.one_of(st.text(alphabet="ab", max_size=2),
+                                  st.integers(0, 2)), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _typed(value):
+    """A type-aware identity for a meta value (``True != 1``, array != list)."""
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.dtype.str, value.shape, value.tolist())
+    if isinstance(value, dict):
+        return ("dict", tuple(sorted(((type(k).__name__, k, _typed(v))
+                                      for k, v in value.items()), key=repr)))
+    if isinstance(value, list):
+        return ("list", tuple(_typed(v) for v in value))
+    return (type(value).__name__, value)
+
+
+def _spelled(value):
+    """``value`` written out in the tagged lists its canonical form uses:
+    arrays as their ``__ndarray__`` lists, tag-led lists with the escape tag
+    in front.  A canonical form that does not escape collides with these."""
+    if isinstance(value, np.ndarray):
+        return [META_TAGS["ndarray"], list(value.shape), value.dtype.str,
+                value.tolist()]
+    if isinstance(value, dict):
+        return {k: _spelled(v) for k, v in value.items()}
+    if isinstance(value, list):
+        items = [_spelled(v) for v in value]
+        return [META_TAGS["list"], *items] if items and items[0] in _TAGS else items
+    return value
+
+
+def _meta_graph(meta) -> DFGraph:
+    return DFGraph(nodes=[NodeInfo("a", 1.0, 1), NodeInfo("b", 1.0, 1)],
+                   deps={0: [], 1: [0]}, meta=meta)
+
+
 class TestGraphHashStability:
     @pytest.mark.parametrize("key,batch", sorted(PINNED_DIGESTS))
     def test_preset_digest_pinned(self, key, batch):
@@ -170,6 +236,28 @@ class TestGraphHashStability:
     def test_canonical_meta_matches_reference_walk(self, meta):
         assert (_canonical_json(hashing._canonical_meta(meta))
                 == _canonical_json(reference_canonical_meta(meta)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tagged_values, st.data())
+    def test_distinct_meta_values_get_distinct_digests(self, a, data):
+        b = data.draw(st.one_of(_tagged_values, st.just(_spelled(a))))
+        same = graph_content_hash(_meta_graph({"x": a})) == graph_content_hash(
+            _meta_graph({"x": b}))
+        assert same == (_typed(a) == _typed(b))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_tagged_values)
+    def test_wire_round_trip_keeps_meta_and_digest(self, value):
+        graph = _meta_graph({"x": value})
+        restored = graph_from_wire(json.loads(json.dumps(graph_to_wire(graph))))
+        assert _typed(restored.meta["x"]) == _typed(value)
+        assert graph_content_hash(restored) == graph_content_hash(graph)
+
+    def test_list_spelling_an_array_is_not_the_array(self):
+        array = np.array([1, 2])
+        spelled = [META_TAGS["ndarray"], [2], array.dtype.str, [1, 2]]
+        assert (graph_content_hash(_meta_graph({"x": array}))
+                != graph_content_hash(_meta_graph({"x": spelled})))
 
     def test_numpy_bool_hashes_as_bool(self):
         def make(flag):
@@ -290,6 +378,22 @@ class TestSolveAndCache:
         # Different budget -> different cell -> miss.
         service.solve(graph, "linearized_greedy", budget + 1)
         assert service.statistics()["solver_calls"] == 2
+
+    def test_certificate_kinds_counted_on_fresh_solves(self):
+        graph = make_chain_train()
+        service = fresh_service()
+        # At the no-recompute peak the liveness certificate answers; at 0.6
+        # of the footprint a 1% gap lets the LP certificate answer.
+        certified = service.solve(graph, "checkmate_ilp", no_recompute_peak(graph))
+        assert certified.extra["certificate"] == "liveness"
+        loose = service.solve(graph, "checkmate_ilp", tight_budget(graph, 0.6),
+                              SolverOptions(mip_gap=0.01))
+        assert loose.extra["certificate"] == "lp-gap"
+        assert service.statistics()["certificates"] == {"liveness": 1, "lp-gap": 1}
+        # A cache hit replays the result without re-counting its certificate.
+        service.solve(graph, "checkmate_ilp", no_recompute_peak(graph))
+        assert service.statistics()["cache_hits"] == 1
+        assert service.statistics()["certificates"] == {"liveness": 1, "lp-gap": 1}
 
     def test_counters_lose_no_updates_across_threads(self):
         graph = make_chain_train()

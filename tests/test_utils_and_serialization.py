@@ -215,6 +215,31 @@ class TestGraphWireFormat:
         with pytest.raises(ValueError):
             graph_from_wire({"format": "something-else"})
 
+    @pytest.mark.parametrize("value", [
+        ["__kvdict__", []],
+        ["__ndarray__", "<i8", [2], [1, 2]],
+        ["__list__"],
+        ["__list__", "__kvdict__", 1],
+    ])
+    def test_user_lists_that_look_tagged_round_trip(self, diamond_graph, value):
+        g = diamond_graph
+        g.meta["x"] = value
+        try:
+            payload = json.loads(json.dumps(graph_to_wire(g)))
+            digest = graph_content_hash(g)
+        finally:
+            del g.meta["x"]
+        restored = graph_from_wire(payload)
+        assert type(restored.meta["x"]) is list
+        assert restored.meta["x"] == value
+        assert graph_content_hash(restored) == digest
+
+    def test_malformed_tagged_meta_rejected(self, diamond_graph):
+        payload = graph_to_wire(diamond_graph)
+        payload["meta"] = {"x": ["__kvdict__", [], "extra"]}
+        with pytest.raises(ValueError, match="malformed"):
+            graph_from_wire(payload)
+
 
 class TestResultWireFormat:
     def test_round_trip(self, chain5_train):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import ample_budget, highs_milp
+from helpers import ample_budget, below_liveness_budget, highs_milp, no_recompute_peak
 
 from repro.autodiff import make_training_graph
 from repro.core import linear_graph
@@ -141,9 +141,12 @@ class TestBudgetFloor:
 # Solver-level warm paths
 # --------------------------------------------------------------------------- #
 class TestWarmSolverPaths:
+    """Seeds come from cells below the no-recompute peak: at or above it the
+    liveness certificate answers before any seed is consulted."""
+
     def test_ilp_reuses_proven_fitting_seed(self):
         g = make_chain_train()
-        cold_hi = solve_ilp_rematerialization(g, ample_budget(g))
+        cold_hi = solve_ilp_rematerialization(g, below_liveness_budget(g, 0.9))
         seed = warm_seed_from_result(g, cold_hi)
         budget = float(seed.peak_memory)  # the seed fits exactly
         warm = solve_ilp_rematerialization(g, budget, warm_start=seed)
@@ -154,8 +157,10 @@ class TestWarmSolverPaths:
         assert_costs_close(warm.compute_cost, cold.compute_cost)
 
     def test_ilp_bound_skip_for_unproven_seed(self):
-        g = make_chain_train()
-        cold_hi = solve_ilp_rematerialization(g, ample_budget(g))
+        # VGG16's LP bound is tight below its peak, so the LP certificate can
+        # prove a seed there (the varied chain's stays fractional).
+        g = build_training_graph("vgg16")
+        cold_hi = solve_ilp_rematerialization(g, below_liveness_budget(g, 0.9))
         proven = warm_seed_from_result(g, cold_hi)
         unproven = WarmSeed(
             matrices=proven.matrices, objective=proven.objective,
@@ -262,8 +267,10 @@ class TestBudgetMonotonicity:
 # --------------------------------------------------------------------------- #
 class TestWarmSweepService:
     def _cells(self, g, k=6):
+        """``k`` cells from the budget floor up to just below the no-recompute
+        peak, where every cell reaches the solver and can be warm-seeded."""
         lo = min_feasible_budget_floor(g) + budget_floor_margin(g)
-        hi = float(ample_budget(g))
+        hi = float(no_recompute_peak(g) - 1)
         return [SweepCell("checkmate_ilp", b) for b in np.linspace(lo, hi, k)]
 
     def test_warm_equals_cold_cell_for_cell(self):
@@ -298,9 +305,9 @@ class TestWarmSweepService:
     def test_warm_counters_move(self):
         g = make_chain_train()
         svc = SolveService()
-        hi = float(ample_budget(g))
-        svc.sweep(g, [SweepCell("checkmate_ilp", hi + 64.0),
-                      SweepCell("checkmate_ilp", hi)], parallel=False)
+        hi = no_recompute_peak(g) - 0.5
+        svc.sweep(g, [SweepCell("checkmate_ilp", hi),
+                      SweepCell("checkmate_ilp", hi - 0.5)], parallel=False)
         stats = svc.statistics()
         assert stats["warm_seeds"] >= 1
         assert stats["incumbent_prunes"] + stats["bound_skips"] >= 1
@@ -318,9 +325,11 @@ class TestWarmSweepService:
         # Warm shortcut statuses must be members of the proven-optimal set,
         # otherwise seeds derived *from* warm results would lose provenness
         # and chains would degrade to cutoff-only after the first reuse.
-        g = make_chain_train()
+        # VGG16 below its no-recompute peak: the LP certificate settles cells.
+        g = build_training_graph("vgg16")
         svc = SolveService()
-        cells = self._cells(g, k=5)
+        cells = [SweepCell("checkmate_ilp", float(below_liveness_budget(g, f)))
+                 for f in (0.55, 0.75, 0.85)]
         results = svc.sweep(g, cells, parallel=False)
         for r in results:
             if r.feasible and r.extra.get("warm_start", {}).get("kind") in (
@@ -328,7 +337,8 @@ class TestWarmSweepService:
                 assert r.solver_status in _PROVEN_OPTIMAL_STATUSES
         # A cell the LP certificate settled seeds its neighbours as proven,
         # so the next fitting budget reuses it with no LP at all.
-        certified = [r for r in results if r.solver_status == "gap-certified"]
+        certified = [r for r in results if r.solver_status == "gap-certified"
+                     and r.extra["certificate"] == "lp-gap"]
         assert certified
         assert "gap-certified" in _PROVEN_OPTIMAL_STATUSES
         seed = warm_seed_from_result(g, certified[0])
@@ -443,8 +453,39 @@ class TestParetoTracer:
         with pytest.raises(ValueError, match="empty"):
             svc.pareto(g, "checkmate_ilp", low=100.0, high=50.0)
 
+    def test_trace_starts_at_the_no_recompute_peak(self):
+        g = make_chain_train()
+        peak = no_recompute_peak(g)
+        front = SolveService().pareto(g, "checkmate_ilp")
+        assert front.high == peak
+        top = front.points[-1]
+        assert top.budget == peak
+        assert top.compute_cost == g.total_cost()
+        assert top.solver_status == "gap-certified"
+        assert all(p.budget < peak for p in front.points[:-1])
+        # A range reaching past the peak records its flat step as one point.
+        wide = SolveService().pareto(g, "checkmate_ilp", high=2.0 * peak)
+        above = [p for p in wide.points if p.budget >= peak]
+        assert [p.budget for p in above] == [peak]
+        assert wide.points == front.points
+
+    def test_strategy_short_of_the_bound_is_traced_past_the_peak(self):
+        # The fixed-threshold rounding misses sum(C) at the varied chain's
+        # no-recompute peak, so the front above it is not known to be flat.
+        from repro.core.schedule import checkpoint_all_schedule
+
+        g = make_chain_train()
+        peak = no_recompute_peak(g)
+        front = SolveService().pareto(g, "approx_fixed_half")
+        at_peak = next(p for p in front.points if p.budget == peak)
+        assert at_peak.compute_cost > g.total_cost()
+        assert front.high == schedule_peak_memory(g, checkpoint_all_schedule(g))
+        assert front.points[-1].budget == front.high
+
     def test_warm_seeding_fires_during_trace(self):
-        g = build_training_graph("linear_cnn")
+        # The trace stays below the no-recompute peak, where linear_cnn's
+        # front is one flat step; the varied chain has five knees there.
+        g = make_chain_train()
         svc = SolveService()
         front = svc.pareto(g, "checkmate_ilp")
         stats = svc.statistics()
