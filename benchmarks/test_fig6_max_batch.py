@@ -58,12 +58,12 @@ def test_fig6_max_batch(benchmark, solve_service):
             assert checkmate >= 1.2 * baseline, model
 
 
-def test_fig6_unet_portfolio_threshold_sweep_matches_legacy_cap(solve_service):
+def test_fig6_unet_portfolio_threshold_sweep_matches_fixed_half_cap(solve_service):
     """The full-threshold-family sweep confirms the U-Net batch-99 ceiling.
 
-    ``approx_threshold_sweep`` dominates the legacy fixed-0.5 rounding by
-    construction (0.5 is always among its candidate thresholds), so if any
-    threshold admitted a feasible rounding past the legacy cap this search
+    ``approx_threshold_sweep`` dominates ``checkmate_approx``'s fixed-0.5
+    rounding by construction (0.5 is always among its candidate thresholds),
+    so if any threshold admitted a feasible rounding past that cap this search
     would find it.  It reaching the *same* max batch is the evidence behind
     tightening the U-Net assertion above.
     """
@@ -76,11 +76,11 @@ def test_fig6_unet_portfolio_threshold_sweep_matches_legacy_cap(solve_service):
         strategies=("checkmate_approx", "approx_threshold_sweep"),
         max_batch=1024, service=solve_service)
     by_strategy = {r.strategy: r.max_batch_size for r in results}
-    legacy = by_strategy["checkmate_approx"]
+    fixed = by_strategy["checkmate_approx"]
     sweep = by_strategy["approx_threshold_sweep"]
-    print(f"\n[Figure 6 calibration] U-Net max batch: legacy rounding "
-          f"{legacy}, threshold-sweep portfolio {sweep}")
-    assert sweep >= legacy, \
+    print(f"\n[Figure 6 calibration] U-Net max batch: fixed-0.5 rounding "
+          f"{fixed}, threshold-sweep portfolio {sweep}")
+    assert sweep >= fixed, \
         "threshold sweep must dominate the fixed 0.5 threshold"
     # The documented ceiling: if the portfolio ever pushes past it, the
     # calibration comment (and the 1.10x bound) above should be revisited.

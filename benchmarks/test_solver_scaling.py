@@ -13,7 +13,7 @@ from bench_helpers import run_once
 from repro.autodiff import make_training_graph
 from repro.cost_model import ProfileCostModel
 from repro.models import linear_cnn
-from repro.solvers import solve_approx_lp_rounding, solve_ilp_rematerialization
+from repro.solvers import solve_ilp_rematerialization, solve_rounding_portfolio
 
 
 def _graph(num_layers: int):
@@ -38,7 +38,8 @@ def test_ilp_solve_scaling(benchmark, num_layers):
 @pytest.mark.parametrize("num_layers", [8, 16, 32])
 def test_approximation_solve_scaling(benchmark, num_layers):
     graph = _graph(num_layers)
-    result = run_once(benchmark, solve_approx_lp_rounding, graph, _budget(graph))
+    result = run_once(benchmark, solve_rounding_portfolio, graph, _budget(graph),
+                      scheme="fixed_half")
     print(f"\n[scaling/LP-rounding] n={graph.size}: solve={result.solve_time_s:.2f}s, "
           f"overhead={result.overhead:.3f}x")
     assert result.feasible

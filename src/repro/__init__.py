@@ -12,7 +12,8 @@ The public API mirrors the system's pipeline:
    (:mod:`repro.cost_model`);
 2. solve for a schedule with the optimal MILP
    (:func:`repro.solvers.solve_ilp_rematerialization`), the LP-rounding
-   approximation (:func:`repro.solvers.solve_approx_lp_rounding`) or one of
+   portfolio (:func:`repro.solvers.solve_rounding_portfolio`, whose
+   ``fixed_half`` scheme is the paper's approximation) or one of
    the baseline heuristics (:mod:`repro.baselines`) -- or drive any of them
    uniformly through the solve service (:mod:`repro.service`), which adds a
    content-addressed plan cache and parallel (strategy, budget) sweeps;
@@ -83,7 +84,6 @@ from .service import (
 from .solvers import (
     CompiledFormulation,
     MILPFormulation,
-    solve_approx_lp_rounding,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
     solve_min_r,
@@ -149,7 +149,6 @@ __all__ = [
     "graph_content_hash",
     "CompiledFormulation",
     "MILPFormulation",
-    "solve_approx_lp_rounding",
     "solve_ilp_rematerialization",
     "solve_lp_relaxation",
     "solve_min_r",

@@ -29,11 +29,12 @@ equalities on every decode and the test-suite closes the loop with the PR 4
 :class:`~repro.execution.report.ExecutionReport` (bit-exact outputs).
 
 The converse direction -- that the *optimal* objective on the fused graph
-equals the optimal on the original -- is deliberately not claimed as a
-theorem: the original graph may free a fused member early where the fused
-graph holds both together.  At the moderate budgets the benchmarks solve
-under, the objectives come out identical, and ``BENCH_PR9.json`` asserts
-exactly that, empirically, per preset.
+equals the optimal on the original -- does not hold: the original graph may
+free a fused member early where the fused graph holds both together.  At or
+above the no-recompute peak both optima are ``sum(C)``; below it the fused
+optimum can be higher (``deepblock`` at 0.7 of the way from its budget floor
+to that peak: 3,669,428 vs 3,613,108 raw), which the ``--pr9`` mode of
+``benchmarks/perf_formulation.py`` reports as an objective mismatch.
 """
 
 from __future__ import annotations

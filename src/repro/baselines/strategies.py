@@ -13,15 +13,16 @@ ratios.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Optional
 
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, checkpoint_all_schedule
 from ..core.simulator import schedule_peak_memory
 from ..service.registry import SolverRegistry, SolverSpec
-from ..solvers.approximation import solve_approx_lp_rounding
 from ..solvers.common import build_scheduled_result
 from ..solvers.ilp import solve_ilp_rematerialization
+from ..solvers.rounding_portfolio import solve_rounding_portfolio
 from ..utils.timer import Timer
 from .chen import ap_candidates, solve_chen_greedy, solve_chen_sqrt_n
 from .griewank import solve_griewank_logn
@@ -144,15 +145,16 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         key="checkmate_approx",
         description="Checkmate two-phase LP rounding approximation (Section 5).",
         general_graphs=True, cost_aware=True, memory_aware=True,
-        solve=solve_approx_lp_rounding, in_table1=True,
+        solve=functools.partial(solve_rounding_portfolio, scheme="fixed_half",
+                                strategy_name="checkmate-approx-lp"),
+        in_table1=True,
         # The MILP time limit (``time_limit_s``) deliberately does NOT reach
         # the LP: the experiments pass tight MILP limits that would otherwise
         # silently shrink the LP's generous 600 s default; use
         # ``lp_time_limit_s`` to bound the LP.
         option_map={"lp_time_limit_s": "lp_time_limit_s", "allowance": "allowance",
-                    "rounding_mode": "mode", "num_samples": "num_samples",
-                    "seed": "seed"},
-        uses_formulation=True,
+                    "num_samples": "num_samples", "seed": "seed"},
+        uses_formulation=True, accepts_should_cancel=True,
     ),
 )}
 

@@ -45,7 +45,7 @@ def parse_budget(text: str) -> Optional[float]:
 
 
 def _parse_option_pairs(pairs: Sequence[str]) -> Optional[dict]:
-    """``["mip_gap=0.05", "rounding_mode=randomized"]`` -> options dict;
+    """``["mip_gap=0.05", "checkpoints=[2,4]"]`` -> options dict;
     values are JSON when they parse as JSON, else plain strings."""
     if not pairs:
         return None

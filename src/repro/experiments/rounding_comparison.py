@@ -20,9 +20,9 @@ from ..service import SolveService, SolverOptions, get_default_service
 from ..solvers.approximation import (
     randomized_rounding_samples,
     naive_rounding_feasibility,
-    solve_approx_lp_rounding,
 )
 from ..solvers.lp_relaxation import solve_lp_relaxation
+from ..solvers.rounding_portfolio import PORTFOLIO_STRATEGY_KEYS, solve_rounding_portfolio
 
 __all__ = ["RoundingComparison", "rounding_comparison", "naive_rounding_study"]
 
@@ -82,8 +82,8 @@ def rounding_comparison(
 
     lp = solve_lp_relaxation(graph, budget * (1 - allowance))
 
-    det = solve_approx_lp_rounding(graph, budget, allowance=allowance, lp_result=lp,
-                                   mode="deterministic")
+    det = solve_rounding_portfolio(graph, budget, scheme="fixed_half",
+                                   allowance=allowance, lp_result=lp)
     rand_points: List[Dict[str, float]] = []
     if lp.feasible:
         for sample in randomized_rounding_samples(graph, budget, lp,
@@ -102,8 +102,6 @@ def rounding_comparison(
 
     portfolio_points: Dict[str, Optional[Dict[str, float]]] = {}
     if include_portfolio:
-        from ..solvers.rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
-
         options = SolverOptions(allowance=allowance, seed=seed,
                                 num_samples=num_randomized_samples)
         for key in PORTFOLIO_STRATEGY_KEYS:

@@ -226,10 +226,30 @@ def _executable(payload: dict, graph: DFGraph) -> dict:
 # what the result depends on.  Resolving the strategy raises ``KeyError`` for
 # an unknown one, and bad argument combinations raise ``ValueError``: both
 # at submission time, never inside a worker.
-def _resolve(service: SolveService, strategy: str,
-             options: Optional[SolverOptions]):
+def _resolve(service: SolveService, graph: DFGraph, strategy: str,
+             options: Optional[SolverOptions], budget: Optional[float], *,
+             traced: bool = False):
+    """The spec, effective options and cache token of one cell, after
+    checking what only the graph and registry can tell: a budget for every
+    formulation solver (unless ``traced``: the operation picks the budgets),
+    checkpoints inside the graph, and race entrants that are registered."""
     spec = service.registry.get(strategy)
     options = options if options is not None else service.default_options
+    if spec.uses_formulation and budget is None and not traced:
+        raise ValueError(f"strategy {spec.key!r} needs a memory budget")
+    kwargs = options.kwargs_for(spec.option_map)
+    for node in kwargs.get("checkpoints", ()):
+        if not 0 <= node < graph.size:
+            raise ValueError(f"checkpoint node {node} outside the graph "
+                             f"({graph.size} nodes)")
+    entrants = kwargs.get("entrants")
+    if entrants is not None:
+        if not entrants:
+            raise ValueError("entrants must name at least one strategy")
+        for key in entrants:
+            if key == spec.key or key not in service.registry:
+                raise ValueError(f"entrant {key!r} is not a strategy "
+                                 f"{spec.key!r} can race")
     return spec, options, options.cache_token(spec.option_map)
 
 
@@ -243,7 +263,8 @@ def _float(value) -> Optional[float]:
 
 def _cell_flight(service, work, graph_hash):
     """Normalize one-cell work; its key is the cell's plan-cache key."""
-    spec, options, token = _resolve(service, work.strategy, work.options)
+    spec, options, token = _resolve(service, work.graph, work.strategy,
+                                    work.options, work.budget)
     return (replace(work, strategy=spec.key, options=options),
             PlanCacheKey.build(graph_hash, spec.key, work.budget, token))
 
@@ -268,8 +289,9 @@ def _sweep_flight(service, work, graph_hash):
                   for c in work.cells)
     options = work.options if work.options is not None else service.default_options
     tokens = [(c.strategy, _float(c.budget),
-               _resolve(service, c.strategy,
-                        c.options if c.options is not None else options)[2])
+               _resolve(service, work.graph, c.strategy,
+                        c.options if c.options is not None else options,
+                        c.budget)[2])
               for c in cells]
     if not cells:
         raise ValueError("sweep needs at least one cell")
@@ -278,7 +300,8 @@ def _sweep_flight(service, work, graph_hash):
 
 
 def _pareto_flight(service, work, graph_hash):
-    spec, options, token = _resolve(service, work.strategy, work.options)
+    spec, options, token = _resolve(service, work.graph, work.strategy,
+                                    work.options, None, traced=True)
     if not spec.has_budget_knob:
         raise ValueError(f"strategy {spec.key!r} has no budget knob to trace")
     if work.resolution is not None and float(work.resolution) <= 0:

@@ -17,10 +17,38 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 __all__ = ["SolverOptions"]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+_SECONDS = (_is_number, lambda v: 0 < v < math.inf,
+            "a positive, finite number of seconds")
+_COUNT = (_is_int, lambda v: v > 0, "a positive integer")
+
+#: Scalar field -> (type check, range check, what is expected).  A set value
+#: of the wrong type raises ``TypeError``, one out of range ``ValueError``.
+_RULES: Dict[str, Tuple[Callable[[object], bool], Callable, str]] = {
+    "time_limit_s": _SECONDS,
+    "lp_time_limit_s": _SECONDS,
+    "mip_gap": (_is_number, lambda v: v >= 0, "a number >= 0"),
+    "allowance": (_is_number, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "num_samples": _COUNT,
+    "seed": (_is_int, lambda v: True, "an integer"),
+    "max_nodes": _COUNT,
+    "deadline_s": (_is_number, math.isfinite, "a finite number of seconds"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,22 +72,22 @@ class SolverOptions:
         Relative optimality gap at which the MILP solver may stop.
     allowance:
         LP-rounding memory allowance (paper §5.3): the LP is solved at
-        ``(1 - allowance) * budget``.
-    rounding_mode:
-        ``"deterministic"`` or ``"randomized"`` two-phase rounding.
+        ``(1 - allowance) * budget``.  The rounding scheme is the strategy
+        key (``checkmate_approx`` rounds at 0.5, ``approx_randomized`` draws
+        Bernoulli samples), not an option.
     num_samples:
-        Number of randomized-rounding samples to draw.
+        Number of rounding candidates (thresholds or random draws) to try.
     seed:
-        RNG seed for randomized rounding.
+        RNG seed for the randomized rounding schemes.
     max_nodes:
         Node cap for the pure-Python branch-and-bound solver.
     checkpoints:
         Explicit checkpoint set for the min-R completion solver.
     deadline_s:
         Wall-clock deadline for the ``race`` meta-solver: the best feasible
-        schedule found within it wins.  Distinct from the serve daemon's
-        per-*job* ``deadline_s`` (which fails the job outright); this one
-        shapes the solve and still returns a result.
+        schedule found within it wins; ``<= 0`` starts nothing.  Distinct
+        from the serve daemon's per-*job* ``deadline_s`` (which fails the job
+        outright); this one shapes the solve and still returns a result.
     entrants:
         Strategy keys the ``race`` meta-solver fans out (default: the four
         rounding-portfolio schemes plus the exact ILP).  Order is preserved
@@ -70,7 +98,6 @@ class SolverOptions:
     lp_time_limit_s: Optional[float] = None
     mip_gap: Optional[float] = None
     allowance: Optional[float] = None
-    rounding_mode: Optional[str] = None
     num_samples: Optional[int] = None
     seed: Optional[int] = None
     max_nodes: Optional[int] = None
@@ -79,6 +106,14 @@ class SolverOptions:
     entrants: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
+        for name, (kind, in_range, expected) in _RULES.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not kind(value):
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+            if not in_range(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         if self.checkpoints is not None:
             object.__setattr__(self, "checkpoints",
                                tuple(sorted(int(c) for c in self.checkpoints)))

@@ -116,9 +116,8 @@ class SolverRegistry:
         return SolverRegistry(self._specs)
 
 
-#: SolverOptions fields the rounding-portfolio schemes understand.  Unlike
-#: ``checkmate_approx`` there is no ``rounding_mode``: the scheme *is* the
-#: strategy key, so mode never needs to travel as an option.
+#: SolverOptions fields the rounding-portfolio schemes understand.  There is
+#: no rounding-mode option: the scheme *is* the strategy key.
 _PORTFOLIO_OPTIONS = {
     "lp_time_limit_s": "lp_time_limit_s",
     "allowance": "allowance",

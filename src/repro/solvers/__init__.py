@@ -1,12 +1,9 @@
 """Rematerialization solvers: optimal MILP, LP relaxation, rounding approximation."""
 
 from .approximation import (
-    APPROX_STRATEGY_NAME,
     RoundingSample,
     naive_rounding_feasibility,
     randomized_rounding_samples,
-    solve_approx_lp_rounding,
-    two_phase_round,
 )
 from .branch_and_bound import (
     BranchAndBoundResult,
@@ -42,12 +39,9 @@ from .warm import (
 )
 
 __all__ = [
-    "APPROX_STRATEGY_NAME",
     "RoundingSample",
     "naive_rounding_feasibility",
     "randomized_rounding_samples",
-    "solve_approx_lp_rounding",
-    "two_phase_round",
     "BranchAndBoundResult",
     "solve_branch_and_bound",
     "solve_branch_and_bound_schedule",

@@ -1,11 +1,11 @@
 """The four-scheme LP-rounding portfolio (paper §5.2 generalized).
 
-The legacy :mod:`repro.solvers.approximation` module implements exactly one
-point of the rounding design space: the paper's two-phase rounding with a
-fixed 0.5 threshold (plus a randomized mode for the Figure 8 scatter).  This
-module carries the full portfolio, every scheme operating on the *same*
-compiled-formulation LP relaxation and completing through the same
-``solve_min_r`` / ``decode`` path:
+Algorithm 2 of the paper rounds the checkpoint matrix ``S*`` of the LP
+relaxation and completes the schedule with the conditionally optimal ``R``.
+This module is the one implementation of that rounding: every scheme rounds
+the *same* compiled-formulation LP relaxation, draws its candidates from one
+lazy generator (:func:`rounded_candidates`) and completes each through the
+same ``solve_min_r`` path:
 
 ``threshold_sweep``
     Deterministic sweep over candidate thresholds drawn from the unique
@@ -15,13 +15,15 @@ compiled-formulation LP relaxation and completing through the same
     ``num_samples`` thresholds drawn uniformly from ``(0, 1)`` with a seeded
     generator; cheapest feasible rounding wins.
 ``fixed_half``
-    The paper's single 0.5 threshold -- bit-identical to the legacy
-    deterministic two-phase rounding (the differential suite asserts this).
+    The paper's single 0.5 threshold (§5.3, Table 2).  The Table 1 strategy
+    ``checkmate_approx`` is this scheme under the strategy name
+    ``checkmate-approx-lp``.
 ``randomized``
     Fully randomized rounding (``Pr[S_int = 1] = S*``) with feasibility
-    retries: up to ``num_samples`` Bernoulli draws, cheapest feasible wins.
-    The draw stream matches the legacy randomized mode exactly for equal
-    seeds, keeping the two paths differentially testable.
+    retries: up to ``num_samples`` Bernoulli draws, one
+    ``rng.random(S.shape)`` per draw, cheapest feasible wins.  The Figure 8
+    scatter (:func:`~repro.solvers.approximation.randomized_rounding_samples`)
+    draws from the same stream.
 
 Because the budget only enters the LP through one bound slice (see
 :mod:`repro.solvers.compiled`), all four schemes -- and the race meta-solver
@@ -32,7 +34,8 @@ fanning them out concurrently -- share **one** LP relaxation solve per
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "PORTFOLIO_STRATEGY_KEYS",
     "LPRelaxationCache",
     "get_lp_relaxation_cache",
+    "rounded_candidates",
     "solve_rounding_portfolio",
 ]
 
@@ -116,7 +120,7 @@ def _candidate_thresholds(S_frac: np.ndarray, scheme: str, num_samples: int,
     if scheme == "fixed_half":
         return np.array([0.5])
     if scheme == "random_threshold":
-        return rng.uniform(0.0, 1.0, size=max(1, num_samples))
+        return rng.uniform(0.0, 1.0, size=num_samples)
     if scheme == "threshold_sweep":
         # Every threshold strictly between two adjacent fractional values of
         # S* rounds identically, so the unique values themselves enumerate all
@@ -124,12 +128,37 @@ def _candidate_thresholds(S_frac: np.ndarray, scheme: str, num_samples: int,
         # evenly spaced picks to bound min-R completions on dense relaxations;
         # 0.5 is always included so the sweep dominates ``fixed_half``.
         unique = np.unique(S_frac[(S_frac > 0.0) & (S_frac < 1.0)])
-        if unique.size > max(1, num_samples) - 1:
+        if unique.size > num_samples - 1:
             picks = np.linspace(0, unique.size - 1,
-                                max(1, num_samples) - 1).round().astype(int)
+                                num_samples - 1).round().astype(int)
             unique = unique[np.unique(picks)]
         return np.unique(np.append(unique, 0.5))
     raise ValueError(f"unknown portfolio scheme {scheme!r}")
+
+
+def rounded_candidates(
+    S_frac: np.ndarray, scheme: str, num_samples: int, rng: np.random.Generator,
+    should_cancel: Optional[Callable[[], bool]] = None,
+) -> Iterator[Optional[Tuple[Optional[float], np.ndarray]]]:
+    """Yield one scheme's roundings ``(threshold, S_int)`` of ``S*`` lazily.
+
+    ``threshold`` is ``None`` for a randomized draw (one
+    ``rng.random(S.shape)`` each).  ``should_cancel`` is polled before each
+    draw; when it fires the generator yields ``None`` and stops, so a cancel
+    is told apart from exhaustion.
+    """
+    thresholds = (itertools.repeat(None, num_samples)
+                  if scheme == "randomized"
+                  else _candidate_thresholds(S_frac, scheme, num_samples, rng))
+    for threshold in thresholds:
+        if should_cancel is not None and should_cancel():
+            yield None
+            return
+        if threshold is None:
+            S_int = rng.random(S_frac.shape) < S_frac
+        else:
+            S_int = S_frac > threshold
+        yield threshold, S_int.astype(np.uint8)
 
 
 _DEFAULT_SAMPLES = {
@@ -174,7 +203,7 @@ def solve_rounding_portfolio(
     if not (0.0 <= allowance < 1.0):
         raise ValueError("allowance must be in [0, 1)")
     strategy_name = strategy_name or f"approx_{scheme}"
-    samples = int(num_samples) if num_samples is not None \
+    samples = max(1, int(num_samples)) if num_samples is not None \
         else _DEFAULT_SAMPLES[scheme]
 
     tracer = get_tracer()
@@ -199,42 +228,22 @@ def solve_rounding_portfolio(
         attempts = 0
         feasible_candidates = 0
         cancelled = False
-
-        if scheme == "randomized":
-            # Feasibility retries: up to ``samples`` Bernoulli draws.  The
-            # draw stream (one rng.random(S.shape) per attempt) is identical
-            # to the legacy randomized mode so equal seeds round identically.
-            for _ in range(max(1, samples)):
-                if should_cancel is not None and should_cancel():
-                    cancelled = True
-                    break
-                S_int = (rng.random(S_frac.shape) < S_frac).astype(np.uint8)
-                attempts += 1
-                matrices = solve_min_r(graph, S_int)
-                peak = schedule_peak_memory(graph, matrices)
-                if peak > budget:
-                    continue
-                feasible_candidates += 1
-                cost = schedule_compute_cost(graph, matrices)
-                if cost < best_cost:
-                    best, best_cost, best_peak = matrices, cost, peak
-        else:
-            thresholds = _candidate_thresholds(S_frac, scheme, samples, rng)
-            for threshold in thresholds:
-                if should_cancel is not None and should_cancel():
-                    cancelled = True
-                    break
-                S_int = (S_frac > threshold).astype(np.uint8)
-                attempts += 1
-                matrices = solve_min_r(graph, S_int)
-                peak = schedule_peak_memory(graph, matrices)
-                if peak > budget:
-                    continue
-                feasible_candidates += 1
-                cost = schedule_compute_cost(graph, matrices)
-                if cost < best_cost:
-                    best, best_cost, best_peak = matrices, cost, peak
-                    best_threshold = float(threshold)
+        for candidate in rounded_candidates(S_frac, scheme, samples, rng,
+                                            should_cancel):
+            if candidate is None:
+                cancelled = True
+                break
+            threshold, S_int = candidate
+            attempts += 1
+            matrices = solve_min_r(graph, S_int)
+            peak = schedule_peak_memory(graph, matrices)
+            if peak > budget:
+                continue
+            feasible_candidates += 1
+            cost = schedule_compute_cost(graph, matrices)
+            if cost < best_cost:
+                best, best_cost, best_peak = matrices, cost, peak
+                best_threshold = threshold
 
     provenance = {
         "scheme": scheme,
@@ -244,7 +253,7 @@ def solve_rounding_portfolio(
         "cancelled": cancelled,
     }
     if best_threshold is not None:
-        provenance["best_threshold"] = best_threshold
+        provenance["best_threshold"] = float(best_threshold)
     extra = {"lp_objective": lp_result.objective, "portfolio": provenance}
     if best is None:
         return build_scheduled_result(

@@ -15,11 +15,10 @@ from repro.solvers import (
     checkpoint_set_to_schedule,
     naive_rounding_feasibility,
     randomized_rounding_samples,
-    solve_approx_lp_rounding,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
     solve_min_r,
-    two_phase_round,
+    solve_rounding_portfolio,
 )
 
 
@@ -84,54 +83,63 @@ class TestLPRelaxation:
         assert lp.R_fractional is None
 
 
+def _approx(graph, budget, **kwargs):
+    """The paper's approximation: the portfolio's fixed 0.5 threshold."""
+    return solve_rounding_portfolio(graph, budget, scheme="fixed_half", **kwargs)
+
+
 class TestTwoPhaseRounding:
     def test_deterministic_rounding_valid(self, varied_chain_train):
-        lp = solve_lp_relaxation(varied_chain_train, tight_budget(varied_chain_train, 0.6))
-        m = two_phase_round(varied_chain_train, lp.S_fractional, mode="deterministic")
-        assert validate_correctness_constraints(varied_chain_train, m) == []
+        budget = tight_budget(varied_chain_train, 0.6)
+        lp = solve_lp_relaxation(varied_chain_train, budget)
+        result = _approx(varied_chain_train, budget, lp_result=lp)
+        assert result.matrices is not None
+        assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
 
     def test_randomized_rounding_valid(self, varied_chain_train):
-        lp = solve_lp_relaxation(varied_chain_train, tight_budget(varied_chain_train, 0.6))
-        rng = np.random.default_rng(0)
-        m = two_phase_round(varied_chain_train, lp.S_fractional, mode="randomized", rng=rng)
-        assert validate_correctness_constraints(varied_chain_train, m) == []
+        budget = tight_budget(varied_chain_train, 0.6)
+        lp = solve_lp_relaxation(varied_chain_train, budget)
+        sample, = randomized_rounding_samples(varied_chain_train, budget, lp,
+                                              num_samples=1, seed=0)
+        assert validate_correctness_constraints(varied_chain_train, sample.matrices) == []
 
-    def test_unknown_mode_rejected(self, varied_chain_train):
+    def test_unknown_scheme_rejected(self, varied_chain_train):
         with pytest.raises(ValueError):
-            two_phase_round(varied_chain_train, np.zeros((2, 2)), mode="magic")
+            solve_rounding_portfolio(varied_chain_train, 100, scheme="magic")
 
     def test_approx_within_budget_and_valid(self, varied_chain_train):
         budget = tight_budget(varied_chain_train, 0.6)
-        result = solve_approx_lp_rounding(varied_chain_train, budget)
+        result = _approx(varied_chain_train, budget)
         assert result.feasible
         assert schedule_peak_memory(varied_chain_train, result.matrices) <= budget
         assert validate_correctness_constraints(varied_chain_train, result.matrices) == []
 
     def test_approx_never_beats_ilp(self, varied_chain_train):
         budget = tight_budget(varied_chain_train, 0.6)
-        approx = solve_approx_lp_rounding(varied_chain_train, budget)
+        approx = _approx(varied_chain_train, budget)
         ilp = solve_ilp_rematerialization(varied_chain_train, budget)
         assert approx.compute_cost >= ilp.compute_cost - 1e-9
 
     def test_approx_close_to_optimal_on_chain(self, varied_chain_train):
         # Table 2: two-phase deterministic rounding is within a few percent of optimal.
         budget = tight_budget(varied_chain_train, 0.6)
-        approx = solve_approx_lp_rounding(varied_chain_train, budget)
+        approx = _approx(varied_chain_train, budget)
         ilp = solve_ilp_rematerialization(varied_chain_train, budget)
         assert approx.compute_cost / ilp.compute_cost < 1.5
 
     def test_allowance_validation(self, varied_chain_train):
         with pytest.raises(ValueError):
-            solve_approx_lp_rounding(varied_chain_train, 100, allowance=1.5)
+            _approx(varied_chain_train, 100, allowance=1.5)
 
     def test_infeasible_lp_propagates(self, chain5_train):
-        result = solve_approx_lp_rounding(chain5_train, chain5_train.constant_overhead + 1)
+        result = _approx(chain5_train, chain5_train.constant_overhead + 1)
         assert not result.feasible
+        assert result.solver_status.startswith("lp-")
 
     def test_reuses_precomputed_lp(self, varied_chain_train):
         budget = ample_budget(varied_chain_train)
         lp = solve_lp_relaxation(varied_chain_train, budget * 0.9)
-        result = solve_approx_lp_rounding(varied_chain_train, budget, lp_result=lp)
+        result = _approx(varied_chain_train, budget, lp_result=lp)
         assert result.feasible
         assert result.extra["lp_objective"] == lp.objective
 

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.baselines import solve_checkpoint_all
+from repro.core import DFGraph
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, JobState, ServeAPIError, ServeClient, SolveServer
 from repro.server import backends
@@ -54,7 +55,6 @@ FULL_OPTIONS = SolverOptions(
     lp_time_limit_s=3.25,
     mip_gap=0.015,
     allowance=0.9,
-    rounding_mode="deterministic",
     num_samples=3,
     seed=7,
     max_nodes=500,
@@ -353,9 +353,11 @@ class TestWorkerCrash:
                                                     chain5_train):
         """A worker-side solver exception fails the job with the remote
         type/message, not a pickling error and not a hang."""
-        job = process_queue.submit_solve(
-            chain5_train, "min_r",
-            options=SolverOptions(checkpoints=(999,)))  # out-of-range: raises
+        # Built in-process, the graph skips the wire check; submission
+        # checks options, not meta, so only the worker's solve trips on it.
+        broken = DFGraph(nodes=chain5_train.nodes, deps=chain5_train.deps,
+                         meta=dict(chain5_train.meta, n_forward="abc"))
+        job = process_queue.submit_solve(broken, "checkpoint_all")
         assert job.wait(60)
         assert job.state is JobState.FAILED
         assert job.error_info is not None

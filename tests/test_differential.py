@@ -4,13 +4,15 @@ Two layers of randomized cross-checking:
 
 * A **seeded matrix** of 200 random-DAG cases (25 seeds x 4 topologies x 2
   budget fractions -- the same matrix the CI differential gate runs on every
-  supported Python) driving the four rounding-portfolio schemes, the legacy
-  two-phase oracle and the exact ILP through the same budgets.  Differential
-  invariants: zero correctness-constraint violations anywhere, feasible
-  claims respect the budget, no approximation ever beats the exact optimum,
-  ``approx_fixed_half`` is bit-identical to the legacy deterministic rounding
-  and ``approx_randomized`` to the legacy randomized mode at equal seeds, and
-  the threshold sweep dominates the fixed threshold.  Whenever the exact
+  supported Python) driving the four rounding-portfolio schemes and the
+  exact ILP through the same budgets.  Differential invariants: zero
+  correctness-constraint violations anywhere, feasible claims respect the
+  budget, no approximation ever beats the exact optimum, the threshold sweep
+  dominates the fixed threshold, and two schemes match test-side references
+  for the paper's Algorithm 2 as written: ``approx_fixed_half`` is
+  ``solve_min_r(S* > 0.5)`` on the same LP, and ``approx_randomized`` the
+  cheapest fitting completion of the seeded ``rng.random(S.shape) < S*``
+  stream.  Whenever the exact
   ILP answers ``gap-certified`` (its LP rounding met the LP bound), the
   certificate is checked against HiGHS run directly on the same formulation
   -- a liveness certificate (the no-recompute schedule fit) must also cost
@@ -39,6 +41,7 @@ except ImportError:  # pragma: no cover - the seed matrix still runs without it
 from repro.core import (
     checkpoint_all_schedule,
     random_layered_dag,
+    schedule_compute_cost,
     schedule_peak_memory,
     validate_correctness_constraints,
 )
@@ -46,10 +49,11 @@ from repro.experiments import build_training_graph
 from repro.service import SolveService, SolverOptions, default_registry
 from repro.solvers import (
     PORTFOLIO_SCHEMES,
+    get_lp_relaxation_cache,
     min_feasible_budget_floor,
+    solve_min_r,
     solve_rounding_portfolio,
 )
-from repro.solvers.approximation import solve_approx_lp_rounding
 from repro.solvers.compiled import formulation_and_arrays
 from repro.solvers.ilp import solve_ilp_rematerialization
 
@@ -81,6 +85,37 @@ _SAMPLES = 6
 def _case_graph(seed: int, layers: int, width: int):
     return random_layered_dag(layers, width, seed=seed,
                               name=f"diff-{layers}x{width}-s{seed}")
+
+
+def _algorithm2_fixed_half(graph, S_star):
+    """Algorithm 2 with deterministic rounding: ``S = 1[S* > 0.5]``, then
+    the conditionally optimal ``R``."""
+    return solve_min_r(graph, (S_star > 0.5).astype(np.uint8))
+
+
+def _algorithm2_randomized(graph, S_star, budget, num_samples, seed):
+    """Algorithm 2 with randomized rounding: ``num_samples`` Bernoulli draws
+    ``rng.random(S.shape) < S*``; the cheapest completion that fits wins
+    (the first one on a tie), ``None`` when none fits."""
+    rng = np.random.default_rng(seed)
+    best, best_cost = None, float("inf")
+    for _ in range(num_samples):
+        matrices = solve_min_r(graph, (rng.random(S_star.shape) < S_star).astype(np.uint8))
+        if schedule_peak_memory(graph, matrices) > budget:
+            continue
+        cost = schedule_compute_cost(graph, matrices)
+        if cost < best_cost:
+            best, best_cost = matrices, cost
+    return best
+
+
+def _assert_matches(result, reference, budget, graph, label) -> None:
+    """``result`` is feasible exactly when ``reference`` fits, with equal matrices."""
+    fits = reference is not None and schedule_peak_memory(graph, reference) <= budget
+    assert result.feasible == fits, f"{label} disagrees with Algorithm 2 on {graph.name}"
+    if fits:
+        assert np.array_equal(result.matrices.R, reference.R), label
+        assert np.array_equal(result.matrices.S, reference.S), label
 
 
 def _assert_schedule_contract(result, graph, budget, ilp) -> None:
@@ -123,7 +158,7 @@ def _assert_certificate_sound(result, graph, budget, mip_gap=1e-4) -> None:
 
 @pytest.mark.parametrize("chunk", range(_NUM_CHUNKS))
 def test_portfolio_differential_seed_matrix(chunk):
-    """200 seeded random-graph cases: portfolio vs legacy oracle vs exact ILP."""
+    """200 seeded random-graph cases: portfolio vs Algorithm 2 vs exact ILP."""
     for seed, layers, width, fraction in _CASES[chunk * _CHUNK:(chunk + 1) * _CHUNK]:
         graph = _case_graph(seed, layers, width)
         budget = tight_budget(graph, fraction)
@@ -147,29 +182,21 @@ def test_portfolio_differential_seed_matrix(chunk):
                     f"{scheme} feasible on {graph.name} where ILP proved " \
                     f"budget {budget} infeasible"
 
-        # Oracle 1: fixed_half must reproduce the legacy deterministic
-        # two-phase rounding bit for bit (same LP, same threshold, same
-        # min-R completion).
-        legacy_det = solve_approx_lp_rounding(
-            graph, budget, mode="deterministic")
+        # Oracles 1 and 2: Algorithm 2 as written, on the same LP the
+        # portfolio rounded (the default 0.1 allowance).
+        lp = get_lp_relaxation_cache().get(graph, budget * (1.0 - 0.1))
         fixed = results["fixed_half"]
-        assert fixed.feasible == legacy_det.feasible, \
-            f"fixed_half vs legacy deterministic disagree on {graph.name}"
-        if fixed.feasible:
-            assert np.array_equal(fixed.matrices.R, legacy_det.matrices.R)
-            assert np.array_equal(fixed.matrices.S, legacy_det.matrices.S)
-
-        # Oracle 2: the randomized scheme shares the legacy randomized mode's
-        # draw stream, so equal seeds and sample counts round identically.
-        legacy_rand = solve_approx_lp_rounding(
-            graph, budget, mode="randomized", num_samples=_SAMPLES,
-            seed=seed)
         randomized = results["randomized"]
-        assert randomized.feasible == legacy_rand.feasible, \
-            f"randomized vs legacy randomized disagree on {graph.name}"
-        if randomized.feasible:
-            assert np.array_equal(randomized.matrices.R, legacy_rand.matrices.R)
-            assert np.array_equal(randomized.matrices.S, legacy_rand.matrices.S)
+        if lp.S_fractional is None:
+            assert not fixed.feasible and not randomized.feasible
+        else:
+            S_star = np.asarray(lp.S_fractional, dtype=np.float64)
+            _assert_matches(fixed, _algorithm2_fixed_half(graph, S_star),
+                            budget, graph, "fixed_half")
+            _assert_matches(randomized,
+                            _algorithm2_randomized(graph, S_star, budget,
+                                                   _SAMPLES, seed),
+                            budget, graph, "randomized")
 
         # Dominance: the sweep always tries 0.5, so whenever the fixed
         # threshold is feasible the sweep is too, and at least as cheap.

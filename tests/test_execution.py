@@ -17,7 +17,7 @@ from repro.execution import (
     make_numeric_dag,
 )
 from repro.core.simulator import PlanSimulationError
-from repro.solvers import solve_approx_lp_rounding, solve_ilp_rematerialization
+from repro.solvers import solve_ilp_rematerialization, solve_rounding_portfolio
 
 
 class TestNumericGraphs:
@@ -82,7 +82,8 @@ class TestRematerializedExecution:
         numeric = make_numeric_chain(num_layers=8, width=16, seed=4)
         graph = numeric.graph
         reference = execute_checkpoint_all(numeric)
-        solved = solve_approx_lp_rounding(graph, tight_budget(graph, 0.6))
+        solved = solve_rounding_portfolio(graph, tight_budget(graph, 0.6),
+                                          scheme="fixed_half")
         assert solved.feasible
         result = execute_plan(numeric, solved.plan)
         np.testing.assert_allclose(result.outputs[graph.terminal_node],

@@ -137,20 +137,54 @@ def test_malformed_payload_is_rejected_with_400(name, case, client, chain5_train
     assert _status(client, name, payload) == (200 if ignored else 400)
 
 
+@pytest.mark.parametrize("option", ["generate_plan", "rounding_mode"])
 @pytest.mark.parametrize("name", sorted(
     name for name, op in OPERATIONS.items()
     if "options" in {f.name for f in fields(op.work)}))
-def test_generate_plan_option_is_unknown(name, client):
-    """The plan is lowered on demand; there is no option to turn it off,
-    so the old knob is an unknown solver option like any other."""
+def test_removed_options_are_unknown(name, option, client):
+    """Removed knobs are unknown solver options like any other: the plan is
+    lowered on demand, and the rounding scheme is the strategy key."""
     graph = build_training_graph("linear_mlp")  # executable, for /v1/execute
     payload = {"graph": graph_to_wire(graph), "strategy": "checkpoint_all",
                "strategies": ["checkpoint_all"],
-               "options": {"generate_plan": False}}
+               "options": {option: "randomized"}}
     with pytest.raises(ServeAPIError) as err:
         client._request("POST", f"/v1/{name}", payload)
     assert err.value.status == 400
     assert "unknown solver options" in err.value.message
+
+
+#: Client errors a worker would only meet mid-solve: each is a 400 at
+#: submission.  ``None`` budget: every formulation solver needs one.
+CLIENT_ERRORS = {
+    **{f"no-budget-{key}": {"strategy": key, "budget": None}
+       for key in ("checkmate_ilp", "checkmate_approx", "checkmate_bnb",
+                   "approx_fixed_half", "approx_threshold_sweep",
+                   "approx_random_threshold", "approx_randomized", "race")},
+    "allowance-1.5": {"strategy": "checkmate_approx",
+                      "options": {"allowance": 1.5}},
+    "checkpoint-outside-graph": {"strategy": "min_r",
+                                 "options": {"checkpoints": [9999]}},
+    "race-entrant-race": {"strategy": "race", "options": {"entrants": ["race"]}},
+    "race-entrant-unknown": {"strategy": "race", "options": {"entrants": ["nope"]}},
+    "num-samples-string": {"strategy": "approx_randomized",
+                           "options": {"num_samples": "x"}},
+    "time-limit-string": {"strategy": "checkmate_ilp",
+                          "options": {"time_limit_s": "abc"}},
+}
+
+
+@pytest.mark.parametrize("name", ["solve", "execute", "sweep"])
+@pytest.mark.parametrize("case", sorted(CLIENT_ERRORS))
+def test_client_errors_are_rejected_at_submission(name, case, client, server):
+    graph = build_training_graph("linear_mlp")  # executable, for /v1/execute
+    cell = dict({"budget": 10 * graph.total_activation_memory()},
+                **CLIENT_ERRORS[case])
+    payload = dict(cell, graph=graph_to_wire(graph), wait_s=5,
+                   cells=[cell] if name == "sweep" else None)
+    submitted = server.queue.metrics()["jobs"]["submitted"]
+    assert _status(client, name, payload) == 400
+    assert server.queue.metrics()["jobs"]["submitted"] == submitted
 
 
 @pytest.mark.parametrize("meta", [{"n_forward": "abc"},

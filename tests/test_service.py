@@ -428,6 +428,25 @@ class TestSolveAndCache:
         assert service.statistics()["solver_calls"] == 1
         assert result.feasible
 
+    def test_checkmate_approx_shares_the_portfolio_lp(self):
+        """``checkmate_approx`` is the portfolio's ``fixed_half`` scheme, so
+        solving both on one cell pays for one LP relaxation, not two."""
+        graph = make_chain_train()
+        budget = tight_budget(graph, 0.6) + 0.375  # a budget no other test solves
+        service = fresh_service()
+
+        def lp_solves():
+            return service.statistics()["lp_relaxation_cache"]["solves"]
+
+        before = lp_solves()
+        approx = service.solve(graph, "checkmate_approx", budget)
+        assert lp_solves() - before == 1  # through the shared cache
+        fixed = service.solve(graph, "approx_fixed_half", budget)
+        assert lp_solves() - before == 1  # reused, not solved again
+        assert approx.strategy == "checkmate-approx-lp"
+        assert np.array_equal(approx.matrices.S, fixed.matrices.S)
+        assert np.array_equal(approx.matrices.R, fixed.matrices.R)
+
     def test_options_participate_in_cache_key(self):
         graph = make_chain_train()
         budget = tight_budget(graph, 0.6)
