@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, checkpoint_all_schedule
 from ..core.simulator import schedule_peak_memory
-from ..service.registry import SolverRegistry, SolverSpec
+from ..service.registry import FIXED_HALF_OPTIONS, SolverRegistry, SolverSpec
 from ..solvers.common import build_scheduled_result
 from ..solvers.ilp import solve_ilp_rematerialization
 from ..solvers.rounding_portfolio import solve_rounding_portfolio
@@ -152,8 +152,7 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         # the LP: the experiments pass tight MILP limits that would otherwise
         # silently shrink the LP's generous 600 s default; use
         # ``lp_time_limit_s`` to bound the LP.
-        option_map={"lp_time_limit_s": "lp_time_limit_s", "allowance": "allowance",
-                    "num_samples": "num_samples", "seed": "seed"},
+        option_map=FIXED_HALF_OPTIONS,
         uses_formulation=True, accepts_should_cancel=True,
     ),
 )}

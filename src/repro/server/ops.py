@@ -33,6 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..core.dfgraph import DFGraph
 from ..service import PlanCacheKey, SolveService, SolverOptions, SweepCell
+from ..solvers.race import check_entrants
 from ..utils.serialization import options_to_wire, result_from_wire, result_to_wire
 
 __all__ = [
@@ -232,7 +233,7 @@ def _resolve(service: SolveService, graph: DFGraph, strategy: str,
     """The spec, effective options and cache token of one cell, after
     checking what only the graph and registry can tell: a budget for every
     formulation solver (unless ``traced``: the operation picks the budgets),
-    checkpoints inside the graph, and race entrants that are registered."""
+    checkpoints inside the graph, and race entrants the race accepts."""
     spec = service.registry.get(strategy)
     options = options if options is not None else service.default_options
     if spec.uses_formulation and budget is None and not traced:
@@ -242,14 +243,8 @@ def _resolve(service: SolveService, graph: DFGraph, strategy: str,
         if not 0 <= node < graph.size:
             raise ValueError(f"checkpoint node {node} outside the graph "
                              f"({graph.size} nodes)")
-    entrants = kwargs.get("entrants")
-    if entrants is not None:
-        if not entrants:
-            raise ValueError("entrants must name at least one strategy")
-        for key in entrants:
-            if key == spec.key or key not in service.registry:
-                raise ValueError(f"entrant {key!r} is not a strategy "
-                                 f"{spec.key!r} can race")
+    if "entrants" in kwargs:
+        check_entrants(service.registry, kwargs["entrants"], spec.key)
     return spec, options, options.cache_token(spec.option_map)
 
 

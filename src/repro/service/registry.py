@@ -28,7 +28,8 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Protocol
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult
 
-__all__ = ["Solver", "SolverSpec", "SolverRegistry", "default_registry"]
+__all__ = ["FIXED_HALF_OPTIONS", "Solver", "SolverSpec", "SolverRegistry",
+           "default_registry"]
 
 
 class Solver(Protocol):
@@ -116,11 +117,18 @@ class SolverRegistry:
         return SolverRegistry(self._specs)
 
 
-#: SolverOptions fields the rounding-portfolio schemes understand.  There is
-#: no rounding-mode option: the scheme *is* the strategy key.
-_PORTFOLIO_OPTIONS = {
+#: SolverOptions fields the ``fixed_half`` scheme understands (it is also
+#: ``checkmate_approx``).  Its one 0.5 threshold draws no samples and no
+#: random numbers, so ``num_samples`` and ``seed`` stay out of its cache token.
+FIXED_HALF_OPTIONS = {
     "lp_time_limit_s": "lp_time_limit_s",
     "allowance": "allowance",
+}
+
+#: SolverOptions fields the sampling portfolio schemes understand.  There is
+#: no rounding-mode option: the scheme *is* the strategy key.
+_PORTFOLIO_OPTIONS = {
+    **FIXED_HALF_OPTIONS,
     "num_samples": "num_samples",
     "seed": "seed",
 }
@@ -188,7 +196,8 @@ def default_registry() -> SolverRegistry:
             key=key,
             description=_PORTFOLIO_DESCRIPTIONS[key],
             solve=functools.partial(solve_rounding_portfolio, scheme=scheme),
-            option_map=_PORTFOLIO_OPTIONS,
+            option_map=(FIXED_HALF_OPTIONS if scheme == "fixed_half"
+                        else _PORTFOLIO_OPTIONS),
             uses_formulation=True,
             accepts_should_cancel=True,
         ))

@@ -55,7 +55,7 @@ from .common import build_scheduled_result
 from .ilp import liveness_certified_result
 from .rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
 
-__all__ = ["RACE_STRATEGY_NAME", "DEFAULT_ENTRANTS", "solve_race"]
+__all__ = ["RACE_STRATEGY_NAME", "DEFAULT_ENTRANTS", "check_entrants", "solve_race"]
 
 RACE_STRATEGY_NAME = "race"
 
@@ -71,6 +71,25 @@ def _race_registry():
     from ..service.registry import default_registry
 
     return _default_registry.get_or_compute(None, default_registry)
+
+
+def check_entrants(registry, entrants: Optional[Sequence[str]],
+                   strategy_name: str = RACE_STRATEGY_NAME) -> list:
+    """The specs a race named ``strategy_name`` would run, in entrant order.
+
+    ``entrants`` defaults to :data:`DEFAULT_ENTRANTS`.  Raises ``ValueError``
+    for an empty list, a race among its own entrants or a key ``registry``
+    does not know.
+    """
+    keys = DEFAULT_ENTRANTS if entrants is None else tuple(entrants)
+    if not keys:
+        raise ValueError("race requires at least one entrant")
+    if strategy_name in keys or RACE_STRATEGY_NAME in keys:
+        raise ValueError("race cannot race itself")
+    unknown = [key for key in keys if key not in registry]
+    if unknown:
+        raise ValueError(f"unknown race entrants {unknown}")
+    return [registry.get(key) for key in keys]
 
 
 def solve_race(
@@ -106,14 +125,9 @@ def solve_race(
     """
     if budget is None:
         raise ValueError("race requires a memory budget")
-    entrant_keys: Tuple[str, ...] = (
-        DEFAULT_ENTRANTS if entrants is None else tuple(entrants))
-    if not entrant_keys:
-        raise ValueError("race requires at least one entrant")
-    if strategy_name in entrant_keys or RACE_STRATEGY_NAME in entrant_keys:
-        raise ValueError("race cannot race itself")
     registry = registry if registry is not None else _race_registry()
-    specs = [registry.get(key) for key in entrant_keys]  # fail fast
+    specs = check_entrants(registry, entrants, strategy_name)  # fail fast
+    entrant_keys = tuple(spec.key for spec in specs)
 
     from ..service.options import SolverOptions
 

@@ -138,22 +138,16 @@ def _candidate_thresholds(S_frac: np.ndarray, scheme: str, num_samples: int,
 
 def rounded_candidates(
     S_frac: np.ndarray, scheme: str, num_samples: int, rng: np.random.Generator,
-    should_cancel: Optional[Callable[[], bool]] = None,
-) -> Iterator[Optional[Tuple[Optional[float], np.ndarray]]]:
+) -> Iterator[Tuple[Optional[float], np.ndarray]]:
     """Yield one scheme's roundings ``(threshold, S_int)`` of ``S*`` lazily.
 
     ``threshold`` is ``None`` for a randomized draw (one
-    ``rng.random(S.shape)`` each).  ``should_cancel`` is polled before each
-    draw; when it fires the generator yields ``None`` and stops, so a cancel
-    is told apart from exhaustion.
+    ``rng.random(S.shape)`` each).
     """
     thresholds = (itertools.repeat(None, num_samples)
                   if scheme == "randomized"
                   else _candidate_thresholds(S_frac, scheme, num_samples, rng))
     for threshold in thresholds:
-        if should_cancel is not None and should_cancel():
-            yield None
-            return
         if threshold is None:
             S_int = rng.random(S_frac.shape) < S_frac
         else:
@@ -228,12 +222,10 @@ def solve_rounding_portfolio(
         attempts = 0
         feasible_candidates = 0
         cancelled = False
-        for candidate in rounded_candidates(S_frac, scheme, samples, rng,
-                                            should_cancel):
-            if candidate is None:
+        for threshold, S_int in rounded_candidates(S_frac, scheme, samples, rng):
+            if should_cancel is not None and should_cancel():
                 cancelled = True
                 break
-            threshold, S_int = candidate
             attempts += 1
             matrices = solve_min_r(graph, S_int)
             peak = schedule_peak_memory(graph, matrices)

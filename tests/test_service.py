@@ -337,7 +337,7 @@ class TestRegistry:
         # The MILP time limit must NOT silently shrink the approximation's LP
         # limit; only the dedicated lp_time_limit_s field reaches it.
         approx_kwargs = options.kwargs_for(registry.get("checkmate_approx").option_map)
-        assert approx_kwargs == {"allowance": 0.2, "seed": 7}
+        assert approx_kwargs == {"allowance": 0.2}
         lp_options = SolverOptions(lp_time_limit_s=45)
         assert lp_options.kwargs_for(registry.get("checkmate_approx").option_map) \
             == {"lp_time_limit_s": 45}
@@ -351,6 +351,11 @@ class TestRegistry:
         ilp_map = registry.get("checkmate_ilp").option_map
         assert (SolverOptions(time_limit_s=10).cache_token(ilp_map)
                 != SolverOptions(time_limit_s=99).cache_token(ilp_map))
+        # fixed_half tries one threshold and draws nothing at random: neither
+        # the seed nor the sample count is its knob.
+        approx_map = registry.get("checkmate_approx").option_map
+        assert (SolverOptions(seed=1).cache_token(approx_map)
+                == SolverOptions(seed=2, num_samples=8).cache_token(approx_map))
 
 
 class TestSolveAndCache:
