@@ -270,6 +270,11 @@ class ScheduledResult:
     extra: Dict[str, object] = field(default_factory=dict)
     _plan: Optional[ExecutionPlan] = field(default=None, init=False,
                                            repr=False, compare=False)
+    #: The result's wire dict, memoized by
+    #: :func:`~repro.utils.serialization.result_to_wire`; ``init=False``, so
+    #: a ``dataclasses.replace`` copy starts without it and re-encodes.
+    _wire: Optional[Dict[str, object]] = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @property
     def plan(self) -> Optional[ExecutionPlan]:

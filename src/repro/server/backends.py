@@ -8,24 +8,28 @@ through its :data:`~repro.server.ops.OPERATIONS` entry:
 * :class:`ThreadBackend` runs it on the queue's worker thread through the
   shared in-process :class:`SolveService`: the cheapest dispatch, but every
   solve contends on one GIL for its Python-side work.
-* :class:`ProcessBackend` ships work whose operation has a result wire
-  format to a pool of long-lived worker *processes* -- the pickled
+* :class:`ProcessBackend` ships work whose operation ``ships`` (solve,
+  sweep) to a pool of long-lived worker *processes* -- the pickled
   :class:`~repro.core.dfgraph.DFGraph` itself, content-hash memo included,
   plus the operation's request fields -- so solves scale across cores.  The
   graph crosses the process boundary without a wire-format encode or decode,
   and the worker's plan-cache and lint lookups reuse the digest the parent
-  computed instead of re-hashing.  Wire formats stay at the HTTP and
-  disk-cache boundaries, and results still come back in the result wire
-  format: the parent decodes and validates every one through
-  :func:`~repro.utils.serialization.result_from_wire`.  Each worker builds
-  its own :class:`SolveService`; a shared on-disk plan-cache directory
-  makes any worker's solve a disk hit for the others and the parent.
-  Duplicates collapse into one flight before the backend sees them.
+  computed instead of re-hashing.  Results cross back by pickle too: the
+  worker validates a schedule once (``build_scheduled_result``, as on the
+  thread backend), encodes it once (the wire dict is memoized on the result
+  and travels with it), and ships the result without its graph; the parent
+  reattaches its own graph and trusts the result -- no decode, no second
+  validation or simulation.  Wire formats stay at the HTTP and disk-cache
+  boundaries, where the bytes come from outside.  Each worker builds its
+  own :class:`SolveService`; a shared on-disk plan-cache directory makes
+  any worker's solve a disk hit for the others and the parent.  Duplicates
+  collapse into one flight before the backend sees them.
 
 Crash containment: a worker dying mid-task (``BrokenProcessPool``) becomes a
 structured :class:`WorkerCrashError` and a pool rebuild, so one crash costs
-one flight.  ``_run_task`` never raises: worker exceptions come back as plain
-``{"ok": False, "error": {...}}`` dicts that always unpickle.
+one flight.  ``_run_task`` never raises: worker exceptions, and results that
+do not pickle, come back as plain ``{"ok": False, "error": {...}}`` dicts
+that always unpickle.
 
 Tracing: workers ship their raw span rows back with the result, and the
 parent grafts them -- ids remapped, clock rebased via a shared wall-clock
@@ -36,7 +40,9 @@ shows one tree wherever the solve ran.
 from __future__ import annotations
 
 import contextlib
+import copy
 import os
+import pickle
 import threading
 import time
 import traceback
@@ -133,11 +139,15 @@ def _worker_ping() -> int:
 def _run_task(payload: dict) -> dict:
     """Execute one shipped task inside the worker process.
 
+    The result is encoded here (memoizing its wire dict, the one encode
+    on this path) and pickled without its graph under ``"result"``.
+
     The contract is "never raise": every failure -- including exception
-    types that would not survive pickling back to the parent -- is folded
-    into a plain-dict ``{"ok": False, "error": {...}}`` response.  Only an
-    abrupt process death can break the channel, and the parent handles that
-    separately (``BrokenProcessPool`` -> :class:`WorkerCrashError`).
+    types and results that would not survive pickling back to the parent --
+    is folded into a plain-dict ``{"ok": False, "error": {...}}`` response.
+    Only an abrupt process death can break the channel, and the parent
+    handles that separately (``BrokenProcessPool`` ->
+    :class:`WorkerCrashError`).
     """
     try:
         service = _WORKER_SERVICE
@@ -156,11 +166,13 @@ def _run_task(payload: dict) -> dict:
         wall_anchor, perf_anchor = time.time(), time.perf_counter()
         with (tracer.context(trace_id) if trace_id is not None
               else contextlib.nullcontext()):
-            result_wire = op.encode(op.run(service, work, None))
+            result = op.run(service, work, None)
+            op.encode(result)
         return {
             "ok": True,
             "pid": os.getpid(),
-            "result": result_wire,
+            "result": pickle.dumps(_detached(result),
+                                   protocol=pickle.HIGHEST_PROTOCOL),
             # Echo of the decoded options: lets callers assert the wire
             # round-trip field-for-field against what they sent.
             "options_echo": (options_to_wire(options)
@@ -183,8 +195,28 @@ def _run_task(payload: dict) -> dict:
         }
 
 
+def _detached(results):
+    """Copies of a shipped operation's results without their graph (the
+    parent has it) or a lowered plan (derived; the parent lowers on demand).
+    The memoized wire dict stays."""
+    if isinstance(results, list):
+        return [_detached(r) for r in results]
+    shipped = copy.copy(results)
+    shipped.graph, shipped._plan = None, None
+    return shipped
+
+
+def _attached(results, graph):
+    """Inverse of :func:`_detached`: the parent's own graph, reattached."""
+    if isinstance(results, list):
+        return [_attached(r, graph) for r in results]
+    results.graph = graph
+    return results
+
+
 def _worker_stats_snapshot(service: SolveService) -> dict:
-    """Cumulative counters for this worker process (JSON-safe)."""
+    """Cumulative counters for this worker process (JSON-safe): flat counts
+    plus ``certificates`` by kind."""
     stats = service.statistics()
     return {
         "solver_calls": stats["solver_calls"],
@@ -192,7 +224,19 @@ def _worker_stats_snapshot(service: SolveService) -> dict:
         "cache_misses": stats["cache_misses"],
         "warm_seeds": stats["warm_seeds"],
         "disk_hits": (stats["cache"] or {}).get("disk_hits", 0),
+        "certificates": dict(stats["certificates"]),
     }
+
+
+def _summed(snapshots) -> dict:
+    """Key-wise sums of worker snapshots (nested counts sum per key)."""
+    totals: dict = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            totals[key] = (_summed([totals.get(key, {}), value])
+                           if isinstance(value, dict)
+                           else totals.get(key, 0) + value)
+    return totals
 
 
 # --------------------------------------------------------------------------- #
@@ -205,8 +249,8 @@ class ProcessBackend(WorkerBackend):
     ----------
     service:
         The parent's service: its plan cache is checked before paying IPC
-        and filled after harvest, and it runs operations without a result
-        wire format (execute, pareto) locally.
+        and filled after harvest, and it runs the operations that do not
+        ship (execute, pareto) locally.
     num_workers:
         Pool size.  Workers are spawned, never forked: the daemon is heavily
         threaded and fork would inherit locks in unknown states.
@@ -274,9 +318,7 @@ class ProcessBackend(WorkerBackend):
     # ------------------------------ execution ------------------------- #
     def run(self, work, should_abandon: Callable[[], bool]):
         op = operation_for(work)
-        if op.decode is None:
-            # No result wire format (execution reports, frontiers): run on
-            # the parent service.
+        if not op.ships:
             with self._stats_lock:
                 self._local_fallbacks += 1
             return op.run(self.service, work, should_abandon)
@@ -292,7 +334,9 @@ class ProcessBackend(WorkerBackend):
             if error["type"] == "SolveCancelledError":
                 raise SolveCancelledError(error["message"])
             raise RemoteSolveError(error)
-        result = op.decode(response["result"], work.graph)
+        # Trusted: the worker validated the schedule when it built the
+        # result, and the bytes come from our own pool.
+        result = _attached(pickle.loads(response["result"]), work.graph)
         if store is not None:
             store(result)
         return result
@@ -416,8 +460,7 @@ class ProcessBackend(WorkerBackend):
         with self._stats_lock:
             workers = {str(pid): dict(s)
                        for pid, s in self._worker_stats.items()}
-            aggregate = {key: sum(s.get(key, 0) for s in workers.values())
-                         for key in ("solver_calls", "cache_hits", "disk_hits")}
+            aggregate = _summed(workers.values())
             return {
                 "name": self.name,
                 "pool_size": self.num_workers,

@@ -152,7 +152,7 @@ class _App:
             return 202, self._job_accepted(job)
         body = dict(self._job_accepted(job), job=job.to_dict())
         if job.state is JobState.DONE:
-            body[op.result_key] = op.encode(job.result)
+            body[op.result_key] = job.result
         return 200, body
 
     @staticmethod
@@ -201,8 +201,8 @@ class _App:
                                 "result not available yet")
         if job.state is not JobState.DONE:
             raise ApiError(409, f"job {job_id} {job.state.value}: {job.error}")
-        op = OPERATIONS[job.kind]
-        return 200, {"job": job.to_dict(), op.result_key: op.encode(job.result)}
+        return 200, {"job": job.to_dict(),
+                     OPERATIONS[job.kind].result_key: job.result}
 
     def cancel_job(self, job_id: str) -> Tuple[int, dict]:
         try:

@@ -85,9 +85,11 @@ class QueueFullError(RuntimeError):
 @dataclass(eq=False)
 class Job:
     """Handle for one submitted operation (``kind`` names it); the
-    :class:`JobQueue` owns its state transitions.  Treat ``result`` as
-    immutable: it may be shared with the flight's other jobs and the plan
-    cache."""
+    :class:`JobQueue` owns its state transitions.  A done job's ``result``
+    is the operation's encoded body (``OPERATIONS[kind].encode`` of what the
+    flight computed: a JSON-safe dict or list, sent over HTTP as is), so
+    retained jobs pin no graphs or schedule matrices.  Treat it as
+    immutable: the flight's other jobs share it."""
 
     kind: str
     description: str
@@ -435,6 +437,7 @@ class JobQueue:
                 if not live:
                     # Everyone cancelled/expired while queued: never run.
                     self._retire_locked(flight)
+                    del flight  # see the end of the loop
                     continue
                 flight.running = True
                 now = time.time()
@@ -468,6 +471,9 @@ class JobQueue:
                     time.monotonic() - t_start,
                     key=OPERATIONS[flight.members[0].kind].latency)
                 self._finish_flight(flight, JobState.DONE, result=result)
+            # Drop the settled flight before blocking on the next pop: its
+            # work holds the request's graph.
+            del flight
 
     def _run_flight(self, tracer, flight: _FlightGroup):
         """Execute one flight inside its propagated trace context."""
@@ -480,6 +486,7 @@ class JobQueue:
                 return self._execute(flight)
 
     def _execute(self, flight: _FlightGroup):
+        """Run the flight's work on the backend; returns the encoded body."""
         def abandoned() -> bool:
             # Polled by the backend while the flight runs.  Expire members
             # whose deadline passed mid-run before taking the verdict: a
@@ -490,7 +497,8 @@ class JobQueue:
                 return not any(j.state == JobState.RUNNING
                                for j in flight.members)
 
-        return self.backend.run(flight.work, abandoned)
+        op = OPERATIONS[flight.members[0].kind]
+        return op.encode(self.backend.run(flight.work, abandoned))
 
     def _expire_overdue_locked(self, flight: _FlightGroup) -> None:
         """Fail the flight's live members whose deadline has passed."""

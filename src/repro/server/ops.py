@@ -6,11 +6,13 @@ Every operation the solve daemon serves -- ``solve``, ``sweep``,
 (``POST /v1/<name>``).  An entry holds the operation's work type (whose
 fields are its request schema), the service call that runs the work, the
 result encoder and body key, and -- for queued operations -- the flight key
-that single-flights identical submissions and the latency key the
-flight's run time feeds.  The other layers derive from the table: the HTTP
-routes and result bodies (:mod:`repro.server.http`), flight keys and
-latency histograms (:mod:`repro.server.jobs`), backend dispatch and the
-process-worker request format (:mod:`repro.server.backends`),
+that single-flights identical submissions, the latency key the flight's
+run time feeds and whether worker processes run it.  A result is encoded
+once, where it is computed; a settled job keeps only that body.  The other
+layers derive from the table: the HTTP routes and result bodies
+(:mod:`repro.server.http`), flight keys, latency histograms and settled
+bodies (:mod:`repro.server.jobs`), backend dispatch and the process-worker
+request format (:mod:`repro.server.backends`),
 :meth:`~repro.server.client.ServeClient.post` and the ``repro`` verbs, which
 run an entry locally or through a daemon and render the same body.
 
@@ -34,7 +36,8 @@ from typing import Callable, Dict, Optional, Tuple
 from ..core.dfgraph import DFGraph
 from ..service import PlanCacheKey, SolveService, SolverOptions, SweepCell
 from ..solvers.race import check_entrants
-from ..utils.serialization import options_to_wire, result_from_wire, result_to_wire
+from ..utils import serialization
+from ..utils.serialization import options_to_wire
 
 __all__ = [
     "ApiError",
@@ -320,9 +323,11 @@ class Operation:
     should_cancel)`` executes the work and ``encode(result)`` renders the
     result as JSON under ``result_key`` (``None``: as the whole body).
     ``flight(service, work, graph_hash)`` returns the normalized work and
-    its flight key; operations without one run synchronously.
-    ``decode(wire, graph)`` inverts ``encode``, which lets worker processes
-    run the operation.  ``latency`` names the ``/v1/metrics`` latency key fed.
+    its flight key; operations without one run synchronously.  ``ships``
+    marks the operations worker processes run: their results are
+    :class:`~repro.core.schedule.ScheduledResult` objects (or lists of
+    them), which pickle back to the parent without their graph.
+    ``latency`` names the ``/v1/metrics`` latency key fed.
     """
 
     name: str
@@ -333,7 +338,7 @@ class Operation:
     check: Optional[Callable[[dict, DFGraph], dict]] = None
     flight: Optional[Callable[[SolveService, object, str],
                               Tuple[object, str]]] = None
-    decode: Optional[Callable[[object, DFGraph], object]] = None
+    ships: bool = False
     latency: str = "solve_latency"
 
     @property
@@ -360,27 +365,27 @@ def _lint(graph: DFGraph, budget: Optional[float]):
     return lint_graph(graph, budget=budget)
 
 
-# The codecs call ``result_to_wire``/``result_from_wire`` through this
-# module's globals (not stored references), so instrumentation that rebinds
-# those names sees every call.
+# The result encoders look ``result_to_wire`` up on the serialization module
+# at call time, so instrumentation that rebinds it there sees every encode.
 OPERATIONS: Dict[str, Operation] = {op.name: op for op in (
     Operation(
         "solve", SolveWork,
         run=lambda service, w, cancel: service.solve(
             w.graph, w.strategy, w.budget, w.options, should_cancel=cancel),
-        encode=lambda result: result_to_wire(result),
+        encode=lambda result: serialization.result_to_wire(result),
         result_key="result",
         flight=_solve_flight,
-        decode=lambda wire, graph: result_from_wire(wire, graph)),
+        ships=True),
     Operation(
         "sweep", SweepWork,
         run=lambda service, w, cancel: service.sweep(
             w.graph, w.cells, options=w.options, should_cancel=cancel),
-        encode=lambda results: [result_to_wire(r) for r in results],
+        encode=lambda results: [serialization.result_to_wire(r)
+                                for r in results],
         result_key="results",
         check=_sweep_grid,
         flight=_sweep_flight,
-        decode=lambda wire, graph: [result_from_wire(r, graph) for r in wire]),
+        ships=True),
     Operation(
         "execute", ExecuteWork,
         run=lambda service, w, cancel: service.execute(

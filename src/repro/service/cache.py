@@ -35,8 +35,9 @@ Cached results are shared, not copied: an in-memory hit returns the *same*
 one sweep), so treat results from the service as immutable -- mutating
 ``matrices``/``extra`` in place would poison every later hit on that key.
 Derive variants via ``matrices.copy()`` instead.  (The plan a result lowers
-on first access is memoized on that shared object, which is safe: it is a
-pure function of the matrices.)
+on first access, and the wire dict its first encode builds, are memoized on
+that shared object, which is safe: both are pure functions of the result;
+an encode hands each caller its own copy of the dict.)
 
 Set ``PlanCache(max_entries=0, cache_dir=None)`` -- or pass ``cache=None`` to
 :class:`~repro.service.solve.SolveService` -- to disable caching entirely.

@@ -23,7 +23,8 @@ format for all three:
 * :func:`result_to_wire` / :func:`result_from_wire` -- a
   :class:`ScheduledResult` *without* its graph (results are resolved against
   the caller's graph on decode, so a corrupt payload degrades to an error,
-  never to a silently wrong schedule).
+  never to a silently wrong schedule).  The encode is memoized on the
+  result, so a result is encoded once however often it is served.
 
 ``*_wire`` functions speak plain-JSON dicts (what an HTTP body or a cache
 file holds after ``json.loads``); ``*_json`` convenience wrappers speak
@@ -35,6 +36,7 @@ missing keys, wrong types), never ``KeyError``/``TypeError``/``IndexError``.
 
 from __future__ import annotations
 
+import copy
 import json
 from itertools import chain
 from typing import Optional, Union
@@ -394,7 +396,18 @@ def result_to_wire(result: ScheduledResult) -> dict:
     ``float("inf")``, which strict JSON per RFC 8259 cannot represent --
     non-Python clients would choke on a bare ``Infinity`` token).  Decoding
     recomputes the metrics from the schedule anyway, so nothing is lost.
+
+    The dict is built once per result and memoized on it (results are
+    immutable): every later call -- a plan-cache hit, the disk tier, a
+    worker's result reaching the parent -- returns a fresh copy of the memo,
+    so a caller mutating its copy cannot change the next encode.
     """
+    if result._wire is None:
+        result._wire = _result_wire(result)
+    return copy.deepcopy(result._wire)
+
+
+def _result_wire(result: ScheduledResult) -> dict:
     import math
 
     cost = float(result.compute_cost)

@@ -9,17 +9,20 @@ asserts on *deltas* of the cumulative backend stats.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.baselines import solve_checkpoint_all
-from repro.core import DFGraph
+from repro.core import DFGraph, ScheduleMatrices, schedule, simulator
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, JobState, ServeAPIError, ServeClient, SolveServer
 from repro.server import backends
@@ -29,16 +32,21 @@ from repro.server.backends import (
     ThreadBackend,
     make_backend,
 )
+from repro.server.ops import SweepWork
 from repro.server.jobs import QueueFullError
 from repro.service import (
     PlanCache,
     SolverOptions,
     SolverSpec,
     SolveService,
+    SweepCell,
     default_registry,
     graph_content_hash,
     hashing,
 )
+from repro.service.solve import CERTIFICATE_KINDS
+from repro.solvers.common import build_scheduled_result
+from repro.utils import serialization
 from repro.utils.serialization import (
     OPTIONS_FORMAT,
     options_from_wire,
@@ -47,7 +55,7 @@ from repro.utils.serialization import (
     schedule_to_json,
 )
 
-from helpers import ample_budget, tight_budget
+from helpers import ample_budget, below_liveness_budget, tight_budget
 
 
 FULL_OPTIONS = SolverOptions(
@@ -125,7 +133,8 @@ def mlp_train():
 
 
 def _worker_solver_calls(backend) -> int:
-    return backend.stats()["worker_totals"]["solver_calls"]
+    # Totals sum what workers reported: empty before the first report.
+    return backend.stats()["worker_totals"].get("solver_calls", 0)
 
 
 class TestProcessBackend:
@@ -153,7 +162,7 @@ class TestProcessBackend:
         for job in jobs:
             assert job.wait(120)
             assert job.state is JobState.DONE, job.error
-        costs = {job.result.compute_cost for job in jobs}
+        costs = {job.result["compute_cost"] for job in jobs}
         assert len(costs) == 1
         after = _worker_solver_calls(process_queue.backend)
         assert after - before == 1
@@ -170,7 +179,7 @@ class TestProcessBackend:
         assert process_queue.backend.stats()["tasks_shipped"] == shipped
         # The parent-cache tier counts through the service's counter.
         assert process_queue.service.statistics()["cache_hits"] == hits + 1
-        assert again.result.compute_cost == first.result.compute_cost
+        assert again.result["compute_cost"] == first.result["compute_cost"]
 
     def test_byte_identical_schedule_thread_vs_process(self, process_queue,
                                                        mlp_train):
@@ -206,10 +215,17 @@ class TestProcessBackend:
         assert backend["name"] == "process"
         assert backend["pool_size"] == 2
         assert backend["tasks_shipped"] >= 1
-        assert set(backend["worker_totals"]) == {"solver_calls", "cache_hits",
-                                                 "disk_hits"}
-        for stats in backend["workers"].values():
-            assert "solver_calls" in stats
+        # Every counter a worker ships is summed, certificates per kind.
+        totals = backend["worker_totals"]
+        assert set(totals) == {"solver_calls", "cache_hits", "cache_misses",
+                               "warm_seeds", "disk_hits", "certificates"}
+        assert set(totals["certificates"]) == set(CERTIFICATE_KINDS)
+        workers = backend["workers"].values()
+        for key in ("solver_calls", "cache_misses", "warm_seeds"):
+            assert totals[key] == sum(stats[key] for stats in workers)
+        for kind in CERTIFICATE_KINDS:
+            assert totals["certificates"][kind] == sum(
+                stats["certificates"][kind] for stats in workers)
 
     def test_execute_falls_back_to_local(self, process_queue):
         """Execute jobs (results carry live tensors: no wire format) run on
@@ -225,6 +241,97 @@ class TestProcessBackend:
     def test_make_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             make_backend("fibers", SolveService())
+
+
+def _body_bytes(wire: dict) -> str:
+    """An encoded result as bytes, minus its wall-clock ``solve_time_s``."""
+    return json.dumps(dict(wire, solve_time_s=None), sort_keys=True)
+
+
+class TestTrustedResults:
+    """Results cross from the worker by pickle: validated and encoded once
+    in the worker, trusted by the parent, equal to the thread backend's."""
+
+    def test_thread_and_process_agree_on_a_solve_and_a_sweep(
+            self, process_queue, mlp_train):
+        solve = SolveWork(mlp_train, "checkmate_ilp",
+                          float(below_liveness_budget(mlp_train, 0.55)))
+        sweep = SweepWork(mlp_train, (
+            SweepCell("checkmate_ilp",
+                      float(below_liveness_budget(mlp_train, 0.45))),
+            SweepCell("chen_sqrt_n", float(ample_budget(mlp_train)) + 7.0)))
+        thread = ThreadBackend(SolveService(cache=None))
+        for work in (solve, sweep):
+            local = thread.run(work, _never)
+            remote = process_queue.backend.run(work, _never)
+            if isinstance(work, SolveWork):
+                local, remote = [local], [remote]
+            assert len(local) == len(remote)
+            for a, b in zip(local, remote):
+                assert b.graph is mlp_train
+                assert (a.matrices.R == b.matrices.R).all()
+                assert (a.matrices.S == b.matrices.S).all()
+                assert (a.compute_cost, a.peak_memory, a.solver_status,
+                        a.feasible) == (b.compute_cost, b.peak_memory,
+                                        b.solver_status, b.feasible)
+                assert _body_bytes(result_to_wire(a)) \
+                    == _body_bytes(result_to_wire(b))
+
+    def test_parent_neither_decodes_nor_revalidates(self, process_queue,
+                                                    mlp_train, monkeypatch):
+        """A shipped solve costs the parent no ``result_from_wire``, no
+        ``validate_correctness_constraints`` and no ``schedule_peak_memory``:
+        the worker already built (and validated) the result."""
+        calls = {"result_from_wire": 0, "validate_correctness_constraints": 0,
+                 "schedule_peak_memory": 0}
+        for name, module in (("result_from_wire", serialization),
+                             ("validate_correctness_constraints", schedule),
+                             ("schedule_peak_memory", simulator)):
+            original = getattr(module, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # Every module that bound the function by name.
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("repro")
+                        and getattr(mod, "__dict__", {}).get(name) is original):
+                    monkeypatch.setattr(mod, name, spy)
+        shipped = process_queue.backend.stats()["tasks_shipped"]
+        work = SolveWork(mlp_train, "checkmate_ilp",
+                         float(below_liveness_budget(mlp_train, 0.35)))
+        result = process_queue.backend.run(work, _never)
+        assert process_queue.backend.stats()["tasks_shipped"] == shipped + 1
+        assert result.feasible and result.graph is mlp_train
+        assert calls == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("returned, error", [
+        # Built by build_scheduled_result, which rejects it in the worker.
+        (lambda graph: build_scheduled_result(
+            "invalid", graph, ScheduleMatrices(
+                np.zeros((graph.size, graph.size), np.uint8),
+                np.zeros((graph.size, graph.size), np.uint8))),
+         "incorrect schedule"),
+        # A valid result that does not pickle back to the parent.
+        (lambda graph: dataclasses.replace(
+            solve_checkpoint_all(graph, None), extra={"lock": threading.Lock()}),
+         "pickle"),
+    ], ids=["invalid-schedule", "unpicklable-result"])
+    def test_worker_side_failures_come_back_structured(
+            self, returned, error, chain5_train, monkeypatch):
+        registry = default_registry()
+        registry.register(SolverSpec(
+            key="faulty", description="test fixture",
+            solve=lambda graph, budget=None, **kwargs: returned(graph)))
+        monkeypatch.setattr(backends, "_WORKER_SERVICE",
+                            SolveService(registry=registry, cache=None))
+        backend = ProcessBackend(SolveService(registry=registry, cache=None))
+        payload = backend._encode(SolveWork(chain5_train, "faulty"))
+        response = backends._run_task(pickle.loads(pickle.dumps(payload)))
+        assert response["ok"] is False
+        assert error in response["error"]["message"]
+        pickle.loads(pickle.dumps(response))  # crosses back to the parent
 
 
 class TestHashOnce:

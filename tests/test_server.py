@@ -8,7 +8,10 @@ exactly one solver invocation, all receive identical results, and the
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -96,7 +99,7 @@ class TestJobQueueLifecycle:
             job = queue.submit_solve(chain5_train, "checkpoint_all")
             assert job.wait(30)
             assert job.state is JobState.DONE
-            assert job.result.feasible
+            assert job.result["feasible"]
             assert job.started_at is not None and job.finished_at is not None
             assert job.error is None
 
@@ -179,7 +182,7 @@ class TestJobQueueLifecycle:
                 chain5_train, [("checkpoint_all", budget), ("chen_sqrt_n", budget)])
             assert job.wait(30)
             assert job.state is JobState.DONE
-            assert [r.strategy for r in job.result] == \
+            assert [r["strategy"] for r in job.result] == \
                    ["checkpoint-all", "chen-sqrt(n)"]
 
     def test_sweep_requires_cells(self, chain5_train):
@@ -809,6 +812,42 @@ class TestKeepAlive:
         finally:
             gate.release.set()
             srv.stop()
+
+
+class TestSettledJobs:
+    def test_settled_job_pins_no_uploaded_graph(self, chain5_train,
+                                                monkeypatch):
+        """A settled job keeps only its encoded body: without a plan cache,
+        the graph a request uploaded is freed once its job settles, and the
+        job still answers ``/result``."""
+        from repro.server import http
+
+        uploaded = []
+        decode = http.graph_from_wire
+
+        def tracked(payload):
+            graph = decode(payload)
+            uploaded.append(weakref.ref(graph))
+            return graph
+
+        monkeypatch.setattr(http, "graph_from_wire", tracked)
+        with SolveServer(port=0, service=SolveService(cache=None),
+                         num_workers=1) as srv:
+            client = ServeClient(srv.url, timeout=30)
+            handle = client.submit_solve(
+                graph=chain5_train, strategy="chen_sqrt_n",
+                budget=ample_budget(chain5_train), wait_s=None)
+            assert client.wait(handle["job_id"], timeout=30)["state"] == "done"
+            assert len(uploaded) == 1
+            # The queue thread lets go of the flight just after settling it.
+            deadline = time.monotonic() + 10
+            while uploaded[0]() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert uploaded[0]() is None
+            body = client.result(handle["job_id"])
+            assert body["result"]["feasible"] is True
+            assert body["result"]["strategy"] == "chen-sqrt(n)"
 
 
 class TestInlineSettle:

@@ -256,6 +256,35 @@ class TestResultWireFormat:
         assert (restored.matrices.S == original.matrices.S).all()
         assert restored.plan is not None
 
+    def test_encode_is_memoized_on_the_result(self, chain5_train, monkeypatch):
+        """The wire dict is built once per result: a second encode renders
+        no schedule, each caller gets its own copy, and a ``replace``d
+        result encodes afresh."""
+        import dataclasses
+
+        from repro.utils import serialization
+
+        result = SolveService(cache=None).solve(chain5_train, "chen_sqrt_n")
+        renders = []
+        render = serialization.schedule_to_json
+
+        def counted(*args, **kwargs):
+            renders.append(1)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(serialization, "schedule_to_json", counted)
+        first = result_to_wire(result)
+        second = result_to_wire(result)
+        assert len(renders) == 1
+        assert second == first and second is not first
+        first["strategy"] = "tampered"
+        first["extra"]["tampered"] = True
+        assert result_to_wire(result) == second
+        rebudgeted = result_to_wire(dataclasses.replace(result, budget=123))
+        assert len(renders) == 2
+        assert rebudgeted["budget"] == 123
+        assert result_to_wire(result)["budget"] == second["budget"] != 123
+
     def test_graph_mismatch_degrades_to_error(self, chain5_train, diamond_train):
         service = SolveService(cache=None)
         payload = result_to_wire(service.solve(chain5_train, "chen_sqrt_n"))
