@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Each benchmark module regenerates one table or figure of the paper at CI scale
+Each figure module regenerates one table or figure of the paper at CI scale
 (small batch sizes / resolutions, short MILP time limits) so the whole harness
 runs on a single CPU core.  The printed output of each benchmark is the text
-analogue of the corresponding figure; EXPERIMENTS.md records how the measured
-shapes compare with the paper's reported numbers.
+analogue of the corresponding figure.  ``test_perf_gates.py`` holds the
+relative performance gates CI runs.
 
 Run with:  pytest benchmarks/ --benchmark-only
 """

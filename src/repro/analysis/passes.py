@@ -3,8 +3,8 @@
 The pass pipeline shrinks a :class:`~repro.core.dfgraph.DFGraph` *before* the
 MILP is compiled, in the spirit of a compiler's canonicalization level: every
 node removed deletes ``O(T)`` rows and columns from the formulation, so a
-handful of fused nodes buys a measurable variables/nnz reduction (recorded in
-``BENCH_PR9.json``).
+handful of fused nodes buys a measurable variables/nnz reduction (a tier-1
+test holds ``deepblock``'s nnz shrink at 5% or more).
 
 Two transforms ship, both provably schedule-safe:
 
@@ -30,12 +30,14 @@ equalities on every decode and the test-suite closes the loop with the PR 4
 
 The converse direction -- that the *optimal* objective on the fused graph
 equals the optimal on the original -- does not hold: the original graph may
-free a fused member early where the fused graph holds both together.  At or
-above the no-recompute peak both optima are ``sum(C)``; below it the fused
-optimum can be higher (``deepblock`` at 0.7 of the way from its budget floor
-to that peak: 3,669,428 vs 3,613,108 raw).  The ``--pr9`` mode of
-``benchmarks/perf_formulation.py`` still compares objectives above that
-peak, where both solves are liveness certificates.
+free a fused member early where the fused graph holds both together, so the
+fused graph's no-recompute peak can sit above the raw one (``deepblock``:
+123,344 vs 119,248 bytes).  Both optima are ``sum(C)`` only at or above the
+*higher* of the two peaks.  Between the peaks the raw solve is the liveness
+certificate (3,611,060) while the fused one is an ``optimal`` 3,612,084, and
+below the raw peak the gap grows (``deepblock`` at 0.7 of the way from its
+budget floor to the raw peak: 3,669,428 vs 3,613,108 raw).  The tier-1
+objective check solves at a budget above both peaks.
 """
 
 from __future__ import annotations

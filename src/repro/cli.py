@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -275,6 +276,9 @@ def cmd_serve(args) -> int:
           f"({server.queue.num_workers} {args.backend} workers{disk}{shed}, "
           f"tracing {trace}); Ctrl-C to stop",
           flush=True)
+    # SIGTERM stops the daemon like Ctrl-C does, so the worker pool is shut
+    # down instead of orphaned.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     server.serve_forever()
     return 0
 

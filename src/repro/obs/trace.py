@@ -11,9 +11,9 @@ Design constraints, in order:
 
 **Off means free.**  Tracing is disabled by default and every instrumentation
 point is a single ``tracer.span(...)`` call that returns a shared no-op
-context manager when disabled -- one attribute check, no allocation.  The
-perf harness (``benchmarks/perf_formulation.py --pr7``) asserts the *enabled*
-overhead stays under 2% on a warm sweep, so the enabled path is lean too:
+context manager when disabled -- one attribute check, no allocation.  A perf
+gate (``benchmarks/test_perf_gates.py``) holds the *enabled* overhead on a
+plan-cache-hit sweep at 5% or less, so the enabled path is lean too:
 span ids are counter ints (no uuid), timestamps are two ``perf_counter``
 calls, and recording is one list append under a short lock.
 

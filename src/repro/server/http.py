@@ -516,7 +516,7 @@ class SolveServer:
         return self
 
     def serve_forever(self) -> None:
-        """Blocking variant used by ``repro serve`` (Ctrl-C to stop)."""
+        """Blocking variant used by ``repro serve`` (Ctrl-C or SIGTERM stops it)."""
         self.queue.start()
         self._serving = True
         try:

@@ -36,6 +36,10 @@ from repro.core.schedule import ScheduleMatrices, validate_correctness_constrain
 
 from helpers import tight_budget
 
+#: The repeated-block preset's compiled formulation must shrink by at least
+#: this fraction of its nonzeros once canonicalized.
+MIN_NNZ_REDUCTION = 0.05
+
 
 def graph_with_dead_branch() -> DFGraph:
     """0 -> 1 -> 4(loss); 0 -> 2 -> 3 is a dead side branch."""
@@ -382,6 +386,18 @@ class TestServiceIntegration:
         violations = validate_correctness_constraints(
             graph, canon.matrices, frontier_advancing=False)
         assert violations == []
+
+    def test_canonicalization_shrinks_the_formulation(self):
+        from repro.experiments.presets import build_training_graph
+        from repro.solvers import CompiledFormulation
+
+        graph = build_training_graph("deepblock")
+        raw = CompiledFormulation(graph).stats["nnz"]
+        fused = CompiledFormulation(optimize_graph(graph).graph).stats["nnz"]
+        reduction = 1.0 - fused / raw
+        assert reduction >= MIN_NNZ_REDUCTION, (
+            f"nnz {raw} -> {fused}: {reduction:.1%} shrink, "
+            f"need {MIN_NNZ_REDUCTION:.0%}")
 
     def test_solve_canonicalized_unchanged_graph_falls_through(self, chain5_train):
         from repro.service import SolveService

@@ -209,7 +209,14 @@ class TestProcessBackend:
         assert retry.wait(60)
         assert retry.state is JobState.DONE, retry.error
 
-    def test_metrics_expose_backend_and_workers(self, process_queue):
+    def test_metrics_expose_backend_and_workers(self, process_queue,
+                                                mlp_train):
+        # Ship a solve of its own (a budget no other test uses): the test
+        # must not rely on earlier tests having used the pool.
+        job = process_queue.submit_solve(
+            mlp_train, "checkpoint_all", float(ample_budget(mlp_train)) + 13.0)
+        assert job.wait(120)
+        assert job.state is JobState.DONE, job.error
         metrics = process_queue.metrics()
         backend = metrics["backend"]
         assert backend["name"] == "process"

@@ -8,8 +8,10 @@ package, with ``PYTHONPATH`` pointing at the live source tree.
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,12 +20,16 @@ from repro.cli import parse_budget
 from repro.server import ServeClient, SolveServer
 
 
-def run_cli(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
+def _cli_env() -> dict:
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "repro", *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_cli_env(),
                           timeout=timeout)
 
 
@@ -269,3 +275,46 @@ class TestCliAgainstServer:
         report = json_mod.loads(proc.stdout.split("\n", 1)[1])
         assert report["ok"] is True
         assert report["within_budget"] is True
+
+
+class TestServeDaemon:
+    def test_sigterm_stops_the_daemon_and_its_workers(self):
+        """``kill <pid>`` takes the Ctrl-C path: the daemon exits 0 and
+        shuts its process pool down instead of orphaning the workers."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--backend", "process", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=_cli_env())
+        pids: list = []
+        try:
+            banner = proc.stdout.readline()  # '' if the daemon exits first
+            url = banner.split("listening on ", 1)[1].split()[0]
+            client = ServeClient(url)
+            handle = client.submit_solve(strategy="ap_sqrt_n",
+                                         preset="resnet_tiny", budget=8 * 2**30)
+            assert client.wait(handle["job_id"], timeout=120)["state"] == "done"
+            backend = client.metrics()["backend"]
+            assert backend["tasks_shipped"] >= 1, backend
+            pids = [int(pid) for pid in backend["workers"]]
+            assert pids, backend
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        deadline = time.monotonic() + 10
+        alive = set(pids)
+        while alive and time.monotonic() < deadline:
+            alive = {pid for pid in alive if _pid_alive(pid)}
+            time.sleep(0.1)
+        assert not alive, f"worker processes outlived the daemon: {alive}"
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
