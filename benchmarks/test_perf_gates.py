@@ -9,9 +9,10 @@ host (no absolute wall-clock bounds), on the smallest preset:
 * tracing a plan-cache-hit sweep costs at most a few percent;
 * the deadline race answers feasibly within the longest smoke deadline;
 * thread and process daemons (each with a disk plan cache) serve the same
-  open-loop replay with zero failed jobs, byte-identical schedules and
-  strict Prometheus scrapes, and the process backend keeps up with the
-  thread backend.
+  open-loop replay of exact solves below the no-recompute peak, offered
+  faster than they are served, with zero failed jobs, byte-identical
+  schedules and strict Prometheus scrapes, and the process backend keeps
+  up with the thread backend.
 
 Each threshold is a module constant; a failing assertion prints the measured
 value.  Run with:  PYTHONPATH=src python -m pytest benchmarks/test_perf_gates.py -q
@@ -53,9 +54,17 @@ RACE_BUDGET_FRACTION = 0.5
 RACE_DEADLINES_S = (0.5, 2.0)
 MIN_PROCESS_OVER_THREAD = 1.0
 
-#: The load replay's mixed solve workload (see :func:`_workload`).
-LOAD_PRESETS = ("linear_mlp", "linear_cnn", "resnet_tiny")
-LOAD_FRACTIONS = (0.45, 0.55, 0.65, 0.75)
+#: The load replay's exact solve workload (see :func:`_workload`): budgets
+#: at these fractions of the way from each preset's budget floor to its
+#: no-recompute peak, so every cell reaches the solver (none is a liveness
+#: certificate).  resnet_tiny is left out: below its peak a cell takes
+#: 0.05-16 s, and one long cell would decide the replay's span.
+LOAD_PRESETS = ("linear_mlp", "linear_cnn")
+LOAD_FRACTIONS = (0.5, 0.7, 0.9)
+LOAD_REQUESTS = 48
+#: Arrivals per second: several times what two workers serve (about 6/s on
+#: 2 CPUs), so both daemons run saturated and per-task IPC costs show.
+LOAD_RATE_PER_S = 50.0
 
 
 @pytest.fixture(scope="module")
@@ -188,18 +197,19 @@ def test_race_is_feasible_at_the_longest_deadline(graph):
 # --------------------------------------------------------------------------- #
 def _workload(num_requests: int) -> list:
     """``num_requests`` exact solve cells cycling over the presets at stepped
-    budget fractions, each with a unique budget (``+ i``), so no two requests
-    share a flight or a plan-cache entry."""
+    budgets below the no-recompute peak, each with a unique budget (``+ i``),
+    so no two requests share a flight or a plan-cache entry."""
     spans = {}
     for preset in LOAD_PRESETS:
         g = build_training_graph(preset, scale="ci")
-        spans[preset] = (g.constant_overhead, g.total_activation_memory())
+        spans[preset] = (min_feasible_budget_floor(g),
+                         schedule_peak_memory(g, no_recompute_schedule(g)))
     requests = []
     for i in range(num_requests):
         preset = LOAD_PRESETS[i % len(LOAD_PRESETS)]
         fraction = LOAD_FRACTIONS[(i // len(LOAD_PRESETS)) % len(LOAD_FRACTIONS)]
-        overhead, activations = spans[preset]
-        requests.append((preset, float(int(overhead + activations * fraction + i))))
+        floor, peak = spans[preset]
+        requests.append((preset, float(int(floor + (peak - floor) * fraction + i))))
     return requests
 
 
@@ -289,11 +299,11 @@ def test_thread_and_process_daemons_agree_and_keep_pace(tmp_path):
     jobs, byte-identical schedules per cell, a strict Prometheus scrape of
     each daemon, and process throughput at least on par with threads
     (the check catches regressions on the worker IPC path)."""
-    requests = _workload(24)
+    requests = _workload(LOAD_REQUESTS)
     runs = {}
     for backend in ("thread", "process"):
         with _daemon(backend, tmp_path / backend) as url:
-            runs[backend] = _replay(url, requests, rate_per_s=12.0)
+            runs[backend] = _replay(url, requests, LOAD_RATE_PER_S)
             scrape = ServeClient(url).metrics_prometheus()
         samples = validate_prometheus_text(scrape)  # raises on a malformed line
         assert sum(samples.values()) > 0, (backend, scrape)

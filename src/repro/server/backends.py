@@ -9,21 +9,23 @@ through its :data:`~repro.server.ops.OPERATIONS` entry:
   shared in-process :class:`SolveService`: the cheapest dispatch, but every
   solve contends on one GIL for its Python-side work.
 * :class:`ProcessBackend` ships work whose operation ``ships`` (solve,
-  sweep) to a pool of long-lived worker *processes* -- the pickled
-  :class:`~repro.core.dfgraph.DFGraph` itself, content-hash memo included,
-  plus the operation's request fields -- so solves scale across cores.  The
-  graph crosses the process boundary without a wire-format encode or decode,
-  and the worker's plan-cache and lint lookups reuse the digest the parent
-  computed instead of re-hashing.  Results cross back by pickle too: the
-  worker validates a schedule once (``build_scheduled_result``, as on the
-  thread backend), encodes it once (the wire dict is memoized on the result
-  and travels with it), and ships the result without its graph; the parent
-  reattaches its own graph and trusts the result -- no decode, no second
-  validation or simulation.  Wire formats stay at the HTTP and disk-cache
-  boundaries, where the bytes come from outside.  Each worker builds its
-  own :class:`SolveService`; a shared on-disk plan-cache directory makes
-  any worker's solve a disk hit for the others and the parent.  Duplicates
-  collapse into one flight before the backend sees them.
+  sweep) to a pool of long-lived worker *processes* -- the pickled work
+  dataclass itself, already normalized and validated at submission, its
+  :class:`~repro.core.dfgraph.DFGraph` and that graph's content-hash memo
+  included -- so solves scale across cores.  The work crosses the process
+  boundary without a wire-format encode or decode, the worker runs it as
+  it arrives, and the worker's plan-cache and lint lookups reuse the digest
+  the parent computed instead of re-hashing.  Results cross back by pickle
+  too: the worker validates a schedule once (``build_scheduled_result``, as
+  on the thread backend), encodes it once (the wire dict is memoized on the
+  result and travels with it), and ships the result without its graph; the
+  parent reattaches its own graph and trusts the result -- no decode, no
+  second validation or simulation.  Wire formats stay at the HTTP and
+  disk-cache boundaries, where the bytes come from outside.  Each worker
+  builds its own :class:`SolveService`; a shared on-disk plan-cache
+  directory makes any worker's solve a disk hit for the others and the
+  parent.  Duplicates collapse into one flight before the backend sees
+  them.
 
 Crash containment: a worker dying mid-task (``BrokenProcessPool``) becomes a
 structured :class:`WorkerCrashError` and a pool rebuild, so one crash costs
@@ -55,8 +57,7 @@ from typing import Callable, Dict, List, Optional
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
 from ..service import SolveCancelledError, SolveService
-from ..utils.serialization import options_to_wire
-from .ops import OPERATIONS, SolveWork, operation_for, request_fields
+from .ops import SolveWork, operation_for
 
 __all__ = [
     "WorkerBackend",
@@ -67,6 +68,9 @@ __all__ = [
 ]
 
 _log = get_logger("server.backends")
+
+#: Cadence of the ``should_abandon`` poll while a flight waits on a worker.
+POLL_INTERVAL_S = 0.05
 
 
 class WorkerCrashError(RuntimeError):
@@ -154,9 +158,8 @@ def _run_task(payload: dict) -> dict:
         if service is None:  # initializer not run (direct use in tests)
             _worker_init(None, 0)
             service = _WORKER_SERVICE
-        op = OPERATIONS[payload["op"]]
-        work = op.parse(payload["request"], payload["graph"])
-        options = getattr(work, "options", None)
+        work = payload["work"]
+        op = operation_for(work)
         tracer = get_tracer()
         trace_id = None
         if payload.get("trace"):
@@ -173,10 +176,6 @@ def _run_task(payload: dict) -> dict:
             "pid": os.getpid(),
             "result": pickle.dumps(_detached(result),
                                    protocol=pickle.HIGHEST_PROTOCOL),
-            # Echo of the decoded options: lets callers assert the wire
-            # round-trip field-for-field against what they sent.
-            "options_echo": (options_to_wire(options)
-                            if options is not None else None),
             "stats": _worker_stats_snapshot(service),
             "spans": (tracer.store.pop_rows(trace_id)
                       if trace_id is not None else []),
@@ -254,17 +253,13 @@ class ProcessBackend(WorkerBackend):
     num_workers:
         Pool size.  Workers are spawned, never forked: the daemon is heavily
         threaded and fork would inherit locks in unknown states.
-    poll_interval_s:
-        Cadence of the ``should_abandon`` poll while waiting on a worker.
     """
 
     name = "process"
 
-    def __init__(self, service: SolveService, *, num_workers: int = 2,
-                 poll_interval_s: float = 0.05) -> None:
+    def __init__(self, service: SolveService, *, num_workers: int = 2) -> None:
         self.service = service
         self.num_workers = max(1, int(num_workers))
-        self.poll_interval_s = float(poll_interval_s)
         cache = service.cache
         self._cache_dir = cache.cache_dir if cache is not None else None
         self._cache_entries = cache.max_entries if cache is not None else 0
@@ -342,16 +337,14 @@ class ProcessBackend(WorkerBackend):
         return result
 
     def _encode(self, work) -> dict:
-        """The task payload: the work's graph object and its request fields.
+        """The task payload: the work object itself, and whether to trace.
 
         The executor pickles the payload; the graph's ``__dict__`` carries
         its content-hash memo along, so the worker does not re-hash it.
         """
         tracer = get_tracer()
         return {
-            "op": operation_for(work).name,
-            "graph": work.graph,
-            "request": request_fields(work),
+            "work": work,
             "trace": bool(tracer.enabled
                           and tracer.current_trace_id() is not None),
         }
@@ -368,7 +361,7 @@ class ProcessBackend(WorkerBackend):
             self._tasks_shipped += 1
         while True:
             try:
-                response = future.result(timeout=self.poll_interval_s)
+                response = future.result(timeout=POLL_INTERVAL_S)
             except _FutureTimeout:
                 if should_abandon():
                     if future.cancel():

@@ -220,7 +220,7 @@ class _App:
     def get_metrics(self, fmt: Optional[str] = None):
         """``/v1/metrics``: JSON, or with ``?format=prometheus`` the typed
         instrument registry and the service's certificate counter, plus the
-        JSON payload flattened into ``repro_*`` gauges (so every
+        JSON payload flattened into ``repro_*`` gauges (so every other
         ``SolveService.statistics()`` counter scrapes)."""
         payload = self.queue.metrics()
         tracer = get_tracer()
@@ -231,9 +231,13 @@ class _App:
         if fmt != "prometheus":
             raise ApiError(400, f"unknown metrics format {fmt!r}; "
                                 "use 'json' or 'prometheus'")
+        # Certificate counts scrape once, as the typed counter.
+        service = {key: value for key, value in payload["service"].items()
+                   if key != "certificates"}
         registry = get_metrics_registry()
         text = registry.render_prometheus(
-            extra_numeric=flatten_numeric(payload, prefix="repro"),
+            extra_numeric=flatten_numeric(dict(payload, service=service),
+                                          prefix="repro"),
             extra_instruments=(self.queue.service.certificates,))
         return 200, text
 
@@ -431,6 +435,8 @@ class _HTTPServer(ThreadingHTTPServer):
     """A threading HTTP server that can end its kept-alive connections."""
 
     daemon_threads = True
+    # socketserver's default backlog of 5 drops a burst of connects.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, handler) -> None:
         super().__init__(address, handler)

@@ -564,14 +564,14 @@ class JobQueue:
         job._terminal.set()
 
     def _prune_locked(self) -> None:
-        if len(self._jobs) <= self.max_history:
-            return
-        removable = [j.id for j in sorted(self._jobs.values(),
-                                          key=lambda j: j.submitted_at)
-                     if j.state in TERMINAL_STATES]
+        """Drop the oldest terminal jobs past ``max_history``.  ``_jobs``
+        keeps submission order, so the scan stops at the excess."""
         excess = len(self._jobs) - self.max_history
-        for job_id in removable[:excess]:
-            del self._jobs[job_id]
+        if excess > 0:
+            terminal = (job_id for job_id, job in self._jobs.items()
+                        if job.state in TERMINAL_STATES)
+            for job_id in list(itertools.islice(terminal, excess)):
+                del self._jobs[job_id]
 
 
 def _describe(operation: str, work) -> str:

@@ -11,10 +11,11 @@ run time feeds and whether worker processes run it.  A result is encoded
 once, where it is computed; a settled job keeps only that body.  The other
 layers derive from the table: the HTTP routes and result bodies
 (:mod:`repro.server.http`), flight keys, latency histograms and settled
-bodies (:mod:`repro.server.jobs`), backend dispatch and the process-worker
-request format (:mod:`repro.server.backends`),
-:meth:`~repro.server.client.ServeClient.post` and the ``repro`` verbs, which
-run an entry locally or through a daemon and render the same body.
+bodies (:mod:`repro.server.jobs`), backend dispatch
+(:mod:`repro.server.backends`, which ships a work object to a worker process
+as it is), :meth:`~repro.server.client.ServeClient.post` and the ``repro``
+verbs, which run an entry locally or through a daemon and render the same
+body.
 
 Each request field name has one reader shared by every operation
 (:func:`queue_fields` reads ``priority``, ``deadline_s`` and ``wait_s``); the
@@ -37,7 +38,6 @@ from ..core.dfgraph import DFGraph
 from ..service import PlanCacheKey, SolveService, SolverOptions, SweepCell
 from ..solvers.race import check_entrants
 from ..utils import serialization
-from ..utils.serialization import options_to_wire
 
 __all__ = [
     "ApiError",
@@ -51,7 +51,6 @@ __all__ = [
     "MAX_WAIT_S",
     "operation_for",
     "queue_fields",
-    "request_fields",
     "seconds",
 ]
 
@@ -420,20 +419,3 @@ def operation_for(work) -> Operation:
     """The table entry whose work type ``work`` is."""
     return _BY_WORK[type(work)]
 
-
-def request_fields(work) -> dict:
-    """The request fields (everything but the graph) that the operation's
-    parser reads back into an equal ``work``."""
-    return {f.name: _jsonable(getattr(work, f.name))
-            for f in fields(work) if f.name != "graph"}
-
-
-def _jsonable(value):
-    if isinstance(value, SolverOptions):
-        return options_to_wire(value)["fields"]
-    if isinstance(value, SweepCell):
-        return {"strategy": value.strategy, "budget": value.budget,
-                "options": _jsonable(value.options)}
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value

@@ -50,7 +50,6 @@ __all__ = [
     "SCHEDULE_FORMAT",
     "GRAPH_FORMAT",
     "RESULT_FORMAT",
-    "OPTIONS_FORMAT",
     "schedule_to_json",
     "schedule_from_json",
     "graph_to_wire",
@@ -59,8 +58,6 @@ __all__ = [
     "graph_from_json",
     "result_to_wire",
     "result_from_wire",
-    "options_to_wire",
-    "options_from_wire",
     "jsonable",
     "META_TAGS",
     "meta_list_tag",
@@ -69,7 +66,6 @@ __all__ = [
 SCHEDULE_FORMAT = "repro.checkmate.schedule/v2"
 GRAPH_FORMAT = "repro.checkmate.dfgraph/v1"
 RESULT_FORMAT = "repro.checkmate.result/v1"
-OPTIONS_FORMAT = "repro.checkmate.options/v1"
 
 
 def _to_indices(matrix: np.ndarray) -> list:
@@ -303,53 +299,6 @@ def graph_from_json(data: Union[str, bytes, dict]) -> DFGraph:
     """Accept a JSON string (or an already-parsed dict) and decode the graph."""
     payload = json.loads(data) if isinstance(data, (str, bytes)) else data
     return graph_from_wire(payload)
-
-
-# --------------------------------------------------------------------------- #
-# SolverOptions wire format
-# --------------------------------------------------------------------------- #
-def options_to_wire(options) -> dict:
-    """Serialize a :class:`~repro.service.options.SolverOptions` to a dict.
-
-    Only non-``None`` fields travel; ``checkpoints`` (a tuple) becomes a
-    list.  The process-pool backend ships options to worker processes with
-    this, so the round trip must preserve every field exactly --
-    ``options_from_wire(options_to_wire(o)) == o``.
-    """
-    import dataclasses
-
-    fields = {}
-    for field in dataclasses.fields(options):
-        value = getattr(options, field.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        fields[field.name] = value
-    return {"format": OPTIONS_FORMAT, "fields": fields}
-
-
-def options_from_wire(payload: dict):
-    """Rebuild a :class:`~repro.service.options.SolverOptions` from
-    :func:`options_to_wire` output.  Unknown fields raise ``ValueError``
-    (a newer client talking to an older worker must fail loudly, not
-    silently drop a solver knob)."""
-    # Imported lazily: repro.service.cache imports this module at package
-    # init, so a top-level import of repro.service here would be circular.
-    from ..service.options import SolverOptions
-
-    if not isinstance(payload, dict) or payload.get("format") != OPTIONS_FORMAT:
-        raise ValueError("not serialized repro solver options")
-    fields = payload.get("fields") or {}
-    known = set(SolverOptions.__dataclass_fields__)
-    unknown = set(fields) - known
-    if unknown:
-        raise ValueError(f"unknown solver option fields on the wire: "
-                         f"{sorted(unknown)}")
-    for tuple_field in ("checkpoints", "entrants"):
-        if fields.get(tuple_field) is not None:
-            fields = dict(fields, **{tuple_field: tuple(fields[tuple_field])})
-    return SolverOptions(**fields)
 
 
 # --------------------------------------------------------------------------- #

@@ -47,13 +47,7 @@ from repro.service import (
 from repro.service.solve import CERTIFICATE_KINDS
 from repro.solvers.common import build_scheduled_result
 from repro.utils import serialization
-from repro.utils.serialization import (
-    OPTIONS_FORMAT,
-    options_from_wire,
-    options_to_wire,
-    result_to_wire,
-    schedule_to_json,
-)
+from repro.utils.serialization import result_to_wire, schedule_to_json
 
 from helpers import ample_budget, below_liveness_budget, tight_budget
 
@@ -74,39 +68,6 @@ FULL_OPTIONS = SolverOptions(
 
 def _never() -> bool:
     return False
-
-
-# --------------------------------------------------------------------------- #
-# Options wire format
-# --------------------------------------------------------------------------- #
-class TestOptionsWire:
-    def test_round_trip_every_field(self):
-        # Guard against the dataclass growing a field the wire format forgets.
-        wire = options_to_wire(FULL_OPTIONS)
-        assert wire["format"] == OPTIONS_FORMAT
-        import dataclasses
-
-        field_names = {f.name for f in dataclasses.fields(SolverOptions)}
-        assert set(wire["fields"]) == field_names
-        restored = options_from_wire(wire)
-        assert restored == FULL_OPTIONS
-        assert isinstance(restored.checkpoints, tuple)
-
-    def test_none_fields_omitted(self):
-        wire = options_to_wire(SolverOptions(seed=3))
-        assert wire["fields"] == {"seed": 3}
-        assert options_from_wire(wire) == SolverOptions(seed=3)
-
-    def test_rejects_unknown_fields_and_bad_format(self):
-        with pytest.raises(ValueError):
-            options_from_wire({"format": OPTIONS_FORMAT,
-                               "fields": {"warp_factor": 9}})
-        with pytest.raises(ValueError):
-            options_from_wire({"format": "something/else", "fields": {}})
-
-    def test_json_safe(self):
-        wire = options_to_wire(FULL_OPTIONS)
-        assert options_from_wire(json.loads(json.dumps(wire))) == FULL_OPTIONS
 
 
 # --------------------------------------------------------------------------- #
@@ -138,17 +99,33 @@ def _worker_solver_calls(backend) -> int:
 
 
 class TestProcessBackend:
-    def test_options_round_trip_through_worker_process(self, process_queue,
-                                                       chain5_train):
-        """Every SolverOptions field survives a real pool round trip: the
-        worker decodes the wire options and echoes them back re-encoded."""
+    def test_options_arrive_intact_in_worker_process(self, process_queue,
+                                                     chain5_train):
+        """Work crosses to the pool as the pickled dataclass: results solved
+        in a worker show every shipped option, tuple fields included -- the
+        race's lanes are the shipped entrants in order, its deadline the
+        shipped one, and min_r completes the shipped checkpoints exactly as
+        a local solve does."""
         backend = process_queue.backend
-        work = SolveWork(chain5_train, "checkpoint_all",
-                         float(ample_budget(chain5_train)), FULL_OPTIONS)
-        response = backend._ship(backend._encode(work), _never)
-        assert response["ok"], response.get("error")
-        assert response["options_echo"] == options_to_wire(FULL_OPTIONS)
-        assert options_from_wire(response["options_echo"]) == FULL_OPTIONS
+        budget = float(ample_budget(chain5_train)) + 17.0
+        shipped = backend.stats()["tasks_shipped"]
+        race = process_queue.submit_solve(chain5_train, "race", budget,
+                                          FULL_OPTIONS)
+        min_r = process_queue.submit_solve(chain5_train, "min_r", budget,
+                                           FULL_OPTIONS)
+        for job in (race, min_r):
+            assert job.wait(120)
+            assert job.state is JobState.DONE, job.error
+        assert backend.stats()["tasks_shipped"] == shipped + 2
+        provenance = race.result["extra"]["race"]
+        assert [lane["strategy"] for lane in provenance["entrants"]] == \
+            list(FULL_OPTIONS.entrants)
+        assert provenance["deadline_s"] == FULL_OPTIONS.deadline_s
+        assert min_r.result["extra"]["checkpoints"] == \
+            sorted(FULL_OPTIONS.checkpoints)
+        local = SolveService(cache=None).solve(chain5_train, "min_r", budget,
+                                               FULL_OPTIONS)
+        assert min_r.result["schedule"] == result_to_wire(local)["schedule"]
 
     def test_duplicate_submissions_one_solver_call_across_processes(
             self, process_queue, mlp_train):
@@ -342,7 +319,7 @@ class TestTrustedResults:
 
 
 class TestHashOnce:
-    """The task payload carries the graph object, and with it the parent's
+    """The task payload carries the work object, its graph and with it the parent's
     content-hash memo: the worker's plan-cache and lint lookups are memo
     hits, never a second canonical walk."""
 
@@ -374,7 +351,7 @@ class TestHashOnce:
         backend = ProcessBackend(SolveService(cache=None))
         work = SolveWork(graph, "chen_sqrt_n", float(ample_budget(graph)))
         payload = pickle.loads(pickle.dumps(backend._encode(work)))
-        assert payload["graph"] is not graph
+        assert payload["work"].graph is not graph
         return payload, backends._run_task(payload)
 
     def test_worker_does_no_walk_for_a_parent_hashed_graph(self, counted):
@@ -385,7 +362,7 @@ class TestHashOnce:
         assert response["ok"], response.get("error")
         assert counted["hashes"] >= 2  # plan-cache lookup and lint
         assert counted["walks"] == 0
-        assert graph_content_hash(payload["graph"]) == digest
+        assert graph_content_hash(payload["work"].graph) == digest
 
     def test_worker_walks_once_for_an_unhashed_graph(self, counted):
         graph_content_hash(build_training_graph("linear_cnn", batch_size=5))

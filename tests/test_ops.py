@@ -2,9 +2,8 @@
 
 Covers the "declared once" contract (each ``OPERATIONS`` entry is reachable
 over HTTP, from ``ServeClient``, from the ``repro`` CLI and, when queued,
-from ``JobQueue``), the process-worker request round trip, and the input
-boundary: malformed graphs and presets get a 4xx on every endpoint, never a
-5xx.
+from ``JobQueue``), and the input boundary: malformed graphs and presets
+get a 4xx on every endpoint, never a 5xx.
 """
 
 from __future__ import annotations
@@ -17,16 +16,7 @@ from repro.analysis.lint import lint_graph
 from repro.core import DFGraph, GraphError, NodeInfo
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, ServeAPIError, ServeClient, SolveServer
-from repro.server.ops import (
-    OPERATIONS,
-    ExecuteWork,
-    LintWork,
-    ParetoWork,
-    SolveWork,
-    SweepWork,
-    request_fields,
-)
-from repro.service import SolverOptions, SweepCell
+from repro.server.ops import OPERATIONS
 from repro.utils.serialization import graph_to_wire
 
 #: CLI verbs whose name differs from their operation's.
@@ -70,29 +60,6 @@ def test_every_operation_is_wired_on_every_surface(name, client):
     # Queue: ``JobQueue.submit_<name>`` for queued operations.
     if op.queued:
         assert callable(getattr(JobQueue, f"submit_{name}", None))
-
-
-def _sample_work(name: str, graph: DFGraph):
-    options = SolverOptions(seed=3, checkpoints=(2, 1), entrants=("a", "b"))
-    return {
-        "solve": SolveWork(graph, "checkpoint_all", 100.0, options),
-        "sweep": SweepWork(graph, (SweepCell("checkpoint_all", 1.0, options),
-                                   SweepCell("ap_sqrt_n")), SolverOptions()),
-        "execute": ExecuteWork(graph, "checkmate_ilp", 5.0, None, seed=4),
-        "pareto": ParetoWork(graph, "checkmate_ilp", 1.0, 2.0, 0.5, options),
-        "lint": LintWork(graph, 7.0),
-    }[name]
-
-
-@pytest.mark.parametrize("name", sorted(OPERATIONS))
-def test_request_fields_parse_back_to_the_same_work(name):
-    """Process workers receive work in the HTTP request format: the
-    operation's parser must read its own encoding back exactly."""
-    graph = build_training_graph("linear_mlp")
-    work = _sample_work(name, graph)
-    op = OPERATIONS[name]
-    assert isinstance(work, op.work)
-    assert op.parse(request_fields(work), graph) == work
 
 
 # --------------------------------------------------------------------------- #

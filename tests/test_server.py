@@ -9,6 +9,7 @@ exactly one solver invocation, all receive identical results, and the
 from __future__ import annotations
 
 import gc
+import socket
 import threading
 import time
 import weakref
@@ -202,6 +203,26 @@ class TestJobQueueLifecycle:
             for j in jobs:
                 assert j.wait(30)
             assert len(queue.jobs()) <= 3
+
+    def test_history_pruning_drops_the_oldest_terminal_jobs(self,
+                                                             chain5_train):
+        registry, gate, _ = counting_registry()
+        with JobQueue(SolveService(registry=registry, cache=None),
+                      num_workers=2, max_history=3) as queue:
+            active = queue.submit_solve(chain5_train, "gated")
+            assert gate.started.wait(30)
+            done = []
+            for i in range(4):
+                done.append(queue.submit_solve(
+                    chain5_train, "checkpoint_all",
+                    ample_budget(chain5_train) + i))
+                assert done[-1].wait(30)
+            # The running job is the oldest but survives; the two oldest
+            # terminal jobs went, in submission order.
+            assert [j.id for j in queue.jobs()] == \
+                [active.id, done[2].id, done[3].id]
+            gate.release.set()
+            assert active.wait(30)
 
     def test_restart_after_undrained_shutdown(self, chain5_train):
         # A drain=False shutdown must retire queued flights: a later restart
@@ -552,6 +573,9 @@ class TestParetoApi:
         assert "# TYPE repro_service_certificates_total counter" in text
         assert 'repro_service_certificates_total{kind="liveness"} 2' in text
         assert 'repro_service_certificates_total{kind="lp-gap"} 0' in text
+        # One series per count: the JSON payload's copy is not re-scraped.
+        assert "repro_service_certificates_liveness" not in text
+        assert "repro_service_certificates_lp_gap" not in text
 
     def test_strategies_advertise_warm_capability(self, client):
         by_key = {e["key"]: e for e in client.strategies()}
@@ -690,6 +714,25 @@ def _count_requests(monkeypatch):
 
 
 class TestKeepAlive:
+    def test_listen_backlog_takes_a_burst_of_connections(self):
+        """A burst of connects queues in the listen backlog until the
+        server accepts: here it never does, so every connect that succeeds
+        sits in the backlog."""
+        server = SolveServer(port=0)  # bound and listening, never started
+        connected = []
+        try:
+            for _ in range(32):
+                try:
+                    connected.append(socket.create_connection(
+                        (server.host, server.port), timeout=0.25))
+                except OSError:
+                    pass
+        finally:
+            for sock in connected:
+                sock.close()
+            server.stop()
+        assert len(connected) == 32
+
     def test_sequential_posts_on_one_connection_do_not_stall(self, server,
                                                               chain5_train):
         """A kept-alive connection must not pay Nagle plus delayed-ACK
