@@ -71,6 +71,47 @@ def _never() -> bool:
 
 
 # --------------------------------------------------------------------------- #
+# Task payload: the work object itself crosses to the worker
+# --------------------------------------------------------------------------- #
+class TestTaskPayload:
+    def test_full_options_set_every_field(self):
+        # Guard against the dataclass growing a field the shipping tests
+        # below would not exercise.
+        unset = [f.name for f in dataclasses.fields(SolverOptions)
+                 if getattr(FULL_OPTIONS, f.name) == f.default]
+        assert unset == []
+
+    def test_payload_pickles_with_every_option_intact(self, chain5_train):
+        backend = ProcessBackend(SolveService(cache=None))
+        work = SolveWork(chain5_train, "checkpoint_all",
+                         float(ample_budget(chain5_train)), FULL_OPTIONS)
+        payload = pickle.loads(pickle.dumps(backend._encode(work)))
+        assert set(payload) == {"work", "trace"}
+        assert payload["work"] == work
+        assert payload["work"].options == FULL_OPTIONS
+        assert isinstance(payload["work"].options.checkpoints, tuple)
+        assert isinstance(payload["work"].options.entrants, tuple)
+
+    def test_payload_asks_for_trace_only_inside_a_trace(self, chain5_train):
+        from repro.obs import Tracer, set_tracer
+
+        backend = ProcessBackend(SolveService(cache=None))
+        work = SolveWork(chain5_train, "checkpoint_all",
+                         float(ample_budget(chain5_train)))
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            assert backend._encode(work)["trace"] is False
+            tracer.enable()
+            assert backend._encode(work)["trace"] is False
+            with tracer.context(tracer.new_trace_id()):
+                assert backend._encode(work)["trace"] is True
+            tracer.disable()
+        finally:
+            set_tracer(previous)
+
+
+# --------------------------------------------------------------------------- #
 # Process backend (module-scoped pool: spawn cost is paid once)
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")

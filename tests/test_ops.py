@@ -2,12 +2,14 @@
 
 Covers the "declared once" contract (each ``OPERATIONS`` entry is reachable
 over HTTP, from ``ServeClient``, from the ``repro`` CLI and, when queued,
-from ``JobQueue``), and the input boundary: malformed graphs and presets
+from ``JobQueue``), the process-worker payload (the pickled work), and
+the input boundary: malformed graphs and presets
 get a 4xx on every endpoint, never a 5xx.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -16,7 +18,17 @@ from repro.analysis.lint import lint_graph
 from repro.core import DFGraph, GraphError, NodeInfo
 from repro.experiments import build_training_graph
 from repro.server import JobQueue, ServeAPIError, ServeClient, SolveServer
-from repro.server.ops import OPERATIONS
+from repro.server.ops import (
+    OPERATIONS,
+    ExecuteWork,
+    LintWork,
+    ParetoWork,
+    SolveWork,
+    SweepWork,
+    operation_for,
+)
+from repro.service import SolverOptions, SolveService, SweepCell
+from repro.service.hashing import graph_content_hash
 from repro.utils.serialization import graph_to_wire
 
 #: CLI verbs whose name differs from their operation's.
@@ -60,6 +72,39 @@ def test_every_operation_is_wired_on_every_surface(name, client):
     # Queue: ``JobQueue.submit_<name>`` for queued operations.
     if op.queued:
         assert callable(getattr(JobQueue, f"submit_{name}", None))
+
+
+def _sample_work(name: str, graph: DFGraph):
+    options = SolverOptions(seed=3, checkpoints=(2, 1), entrants=("a", "b"))
+    return {
+        "solve": SolveWork(graph, "checkpoint_all", 100.0, options),
+        "sweep": SweepWork(graph, (SweepCell("checkpoint_all", 1.0, options),
+                                   SweepCell("ap_sqrt_n")), SolverOptions()),
+        "execute": ExecuteWork(graph, "checkmate_ilp", 5.0, None, seed=4),
+        "pareto": ParetoWork(graph, "checkmate_ilp", 1.0, 2.0, 0.5, options),
+        "lint": LintWork(graph, 7.0),
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_work_pickles_back_to_the_same_work(name):
+    """Process workers receive the pickled work dataclass: it must come back
+    equal, dispatch to the same operation, carry the graph's content-hash
+    memo and, for queued operations, single-flight under the same key."""
+    graph = build_training_graph("linear_mlp")
+    digest = graph_content_hash(graph)
+    work = _sample_work(name, graph)
+    op = OPERATIONS[name]
+    assert isinstance(work, op.work)
+    restored = pickle.loads(pickle.dumps(work))
+    assert restored == work
+    assert operation_for(restored) is op
+    assert restored.graph.__dict__.keys() >= graph.__dict__.keys()
+    assert graph_content_hash(restored.graph) == digest
+    if op.queued:
+        service = SolveService(cache=None)
+        assert op.flight(service, restored, digest) == \
+            op.flight(service, work, digest)
 
 
 # --------------------------------------------------------------------------- #
