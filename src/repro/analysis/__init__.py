@@ -1,21 +1,16 @@
-"""Static analysis over :class:`~repro.core.dfgraph.DFGraph`: passes + linting.
+"""Static analysis over :class:`~repro.core.dfgraph.DFGraph`: analyses + linting.
 
-This package is the graph-level counterpart of the compiled-formulation work
-in :mod:`repro.solvers.compiled`: instead of making one MILP compile fast, it
-makes the MILP *smaller* before it is ever compiled, and it checks graphs for
-structural defects before solver time is spent on them.
+This package checks graphs for structural defects before solver time is
+spent on them, and supplies the structural hash that keys the process-wide
+formulation cache.  It never rewrites a graph: a schedule always targets the
+graph the caller gave.
 
-Three layers, mirroring a classic compiler pipeline:
+Two layers:
 
 * :mod:`repro.analysis.analyses` -- pure, side-effect-free analyses
   (liveness/last-use intervals, reachability from the loss and gradient
   outputs, structural hashing, isomorphic-segment detection).  Nothing here
   mutates or rebuilds a graph.
-* :mod:`repro.analysis.passes` -- verified transforms driven by a fixed-point
-  :class:`~repro.analysis.passes.PassManager`: dead-node elimination and
-  zero-cost chain fusion, each emitting a :class:`~repro.analysis.passes.NodeProvenance`
-  so schedules solved on the optimized graph decode back onto the original
-  one, stage for stage.
 * :mod:`repro.analysis.lint` -- a structured-diagnostics linter
   (severity/code/node locus) surfaced as ``repro lint``, ``POST /v1/lint``
   and a warn-only pre-solve hook inside
@@ -32,23 +27,10 @@ from .analyses import (
     structural_graph_hash,
 )
 from .lint import Diagnostic, LintReport, lint_graph, lint_graph_cached
-from .passes import (
-    DeadNodeElimination,
-    NodeProvenance,
-    OptimizationResult,
-    PassManager,
-    ZeroCostChainFusion,
-    optimize_graph,
-)
 
 __all__ = [
     "Diagnostic",
-    "DeadNodeElimination",
     "LintReport",
-    "NodeProvenance",
-    "OptimizationResult",
-    "PassManager",
-    "ZeroCostChainFusion",
     "dead_nodes",
     "isomorphic_segment_groups",
     "lint_graph",
@@ -56,7 +38,6 @@ __all__ = [
     "live_node_mask",
     "live_roots",
     "liveness_intervals",
-    "optimize_graph",
     "reachable_from",
     "structural_graph_hash",
 ]

@@ -2,10 +2,8 @@
 
 Everything in this module is read-only: the functions inspect a graph and
 return facts about it (liveness intervals, reachability sets, structural
-digests, repeated-segment groupings).  The transforms in
-:mod:`repro.analysis.passes` and the diagnostics in
-:mod:`repro.analysis.lint` are both built on these analyses, so a fact is
-computed once and interpreted twice -- once to rewrite, once to warn.
+digests, repeated-segment groupings).  The diagnostics in
+:mod:`repro.analysis.lint` are built on these analyses.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ def liveness_intervals(graph: DFGraph) -> np.ndarray:
     (the checkpoint-all schedule), node ``i`` is defined at stage ``i`` and
     must stay resident until its highest-numbered consumer runs; a node with
     no consumers dies in its own stage.  This is the interval the paper's
-    memory recurrence integrates over, and the last-use column is what the
-    fusion pass consults to prove a zero-cost chain never outlives its head.
+    memory recurrence integrates over.
     """
     n = graph.size
     intervals = np.empty((n, 2), dtype=np.int64)
@@ -57,7 +54,7 @@ def live_roots(graph: DFGraph) -> List[int]:
     is one too -- each is a parameter gradient the optimizer step consumes,
     even though nothing inside the graph reads it.  Forward sinks other than
     the terminal are *not* roots: a forward value nobody consumes cannot
-    influence the loss and is exactly what dead-node elimination removes.
+    influence the loss and is dead code (lint ``R001``).
     """
     if graph.size == 0:
         return []
@@ -73,9 +70,8 @@ def reachable_from(graph: DFGraph, roots: Iterable[int]) -> Set[int]:
 
     This is the set of nodes whose values can influence at least one root --
     the complement is dead code.  Ancestor-closed by construction: every
-    parent of a reachable node is reachable, which is what lets dead-node
-    elimination drop the complement without breaking any dependency of a
-    kept node.
+    parent of a reachable node is reachable, so dropping the complement
+    would break no dependency of a kept node.
     """
     seen: Set[int] = set()
     stack = [r for r in roots if 0 <= r < graph.size]

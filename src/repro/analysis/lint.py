@@ -22,8 +22,8 @@ M002  error     positional op metadata (``op_types``/``op_attrs``/
                 ``shapes``/``flops``/``params``) has the wrong length
 C001  error     non-finite cost or memory (the constructor rejects them;
                 this guards nodes replaced after construction)
-C002  info      zero-cost single-input node -- a fusion candidate the
-                canonicalizer would merge into its dependency
+C002  info      zero-cost single-input node -- a view of its dependency
+                (``flatten``, ``identity``) and a fusion candidate
 T001  error     a forward node depends on a backward node (the topological
                 numbering cannot represent a training step's dataflow)
 B001  warning   requested budget sits below the arithmetic minimum-feasible
@@ -194,7 +194,7 @@ def lint_graph(graph: DFGraph, *, budget: Optional[float] = None) -> LintReport:
     for i in dead_nodes(graph):
         _diag(out, graph, "R001", "warning",
               "node cannot reach the loss or any gradient output; "
-              "dead-node elimination would remove it", node=i)
+              "no schedule needs its value", node=i)
 
     _check_meta(out, graph)
 
@@ -214,8 +214,8 @@ def lint_graph(graph: DFGraph, *, budget: Optional[float] = None) -> LintReport:
                 and graph.nodes[parents[0]].is_backward
                 == graph.nodes[j].is_backward):
             _diag(out, graph, "C002", "info",
-                  f"zero-cost node with single input {parents[0]}; the "
-                  "canonicalizer would fuse it into its dependency", node=j)
+                  f"zero-cost node with single input {parents[0]}; a view "
+                  "of its dependency and a fusion candidate", node=j)
         if not graph.nodes[j].is_backward:
             for i in parents:
                 if graph.nodes[i].is_backward:

@@ -109,8 +109,8 @@ EXPERIMENT_MODELS: Dict[str, ExperimentModel] = {
     ),
     # Deep repeated-block family: every residual block is structurally
     # identical and carries a zero-cost identity alias, making this the
-    # showcase (and CI gate) for the graph-canonicalization passes and the
-    # isomorphic-segment census -- see repro.models.deepblock.
+    # showcase for the isomorphic-segment census and the linter's C002
+    # fusion candidates -- see repro.models.deepblock.
     "deepblock": ExperimentModel(
         name="DeepBlock",
         builder=deepblock,

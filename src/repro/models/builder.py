@@ -203,9 +203,8 @@ class LayerGraphBuilder:
 
         Stands in for the framework ops that materialize a new tensor name
         without computing anything -- views, block-output aliases, residual
-        joins in traced graphs.  Zero-cost single-input nodes are exactly
-        what :class:`~repro.analysis.passes.ZeroCostChainFusion` merges into
-        their dependency before the MILP is compiled.
+        joins in traced graphs.  The linter reports each zero-cost
+        single-input node as a ``C002`` fusion candidate.
         """
         shape = self.shape_of(parent)
         return self.add_layer(name, "identity", [parent], shape, 0.0)

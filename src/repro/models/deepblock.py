@@ -9,12 +9,10 @@ That makes DeepBlock the showcase preset for the static-analysis layer:
   ``blocks`` segments under a single structural hash (repeated structure the
   MILP would otherwise pay for node-by-node), and
 * the ``identity`` block-output alias is a zero-cost single-input node, so
-  :class:`~repro.analysis.passes.ZeroCostChainFusion` removes one node per
-  block, which is what the CI ``analysis-smoke`` job gates the nnz reduction
-  on.
+  the linter reports one ``C002`` fusion candidate per block.
 
-All ops have NumPy kernels, so the preset is executable end to end and the
-provenance-decoded schedules can be proven bit-exact by the
+All ops have NumPy kernels, so the preset is executable end to end and its
+rematerialized schedules can be proven bit-exact by the
 :class:`~repro.execution.report.ExecutionReport`.
 """
 
@@ -38,7 +36,7 @@ def deepblock(
 
     ``blocks`` identical residual blocks at constant width; each block
     contributes four nodes (two convolutions, the residual ``add``, and the
-    zero-cost ``identity`` block-output alias the canonicalizer fuses away).
+    zero-cost ``identity`` block-output alias).
     """
     if blocks < 1:
         raise ValueError("blocks must be at least 1")

@@ -112,19 +112,27 @@ class PlanCache:
 
     def put(self, key: PlanCacheKey, result: ScheduledResult, *,
             family: Optional[str] = None, budget: Optional[float] = None) -> None:
-        """Store ``result``; optionally index it for neighbor lookup.
+        """Store ``result`` in both tiers; optionally index it for neighbor
+        lookup.
 
         ``family`` groups cells that differ only in budget (same graph,
         strategy and options); together with ``budget`` it feeds
         :meth:`neighbor_above`.
         """
+        self.remember(key, result, family=family, budget=budget)
+        self._store_to_disk(key, result)
+
+    def remember(self, key: PlanCacheKey, result: ScheduledResult, *,
+                 family: Optional[str] = None,
+                 budget: Optional[float] = None) -> None:
+        """:meth:`put`'s memory half: the LRU and the family index, no disk
+        write (for a result whose solving process already stored it there)."""
         with self._lock:
             self._store_locked(key, result)
             if (family is not None and budget is not None
                     and self.max_entries > 0):
                 self._family_index.setdefault(family, {})[float(budget)] = result
                 self._key_family[key] = (family, float(budget))
-        self._store_to_disk(key, result)
 
     def _store_locked(self, key: PlanCacheKey, result: ScheduledResult) -> None:
         for evicted in self._memory.put(key, result):

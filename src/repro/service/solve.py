@@ -130,8 +130,7 @@ _COUNTED = {
     None: ("solver_calls", "cache_hits", "cache_misses", "executions",
            "warm_seeds", "incumbent_prunes", "bound_skips",
            "infeasible_shortcuts"),
-    "analysis": ("lint_runs", "lint_errors", "lint_warnings",
-                 "canonical_solves", "canonical_nodes_removed"),
+    "analysis": ("lint_runs", "lint_errors", "lint_warnings"),
     "race": ("races", "wins", "no_feasible", "deadline_hits",
              "entrants_finished", "entrants_cancelled"),
 }
@@ -298,11 +297,14 @@ class SolveService:
         return key, family, cached
 
     def _plan_store(self, key: PlanCacheKey, family: Optional[str],
-                    budget: Optional[float], result: ScheduledResult) -> None:
+                    budget: Optional[float], result: ScheduledResult, *,
+                    memory_only: bool = False) -> None:
         """Cache a fresh result under :meth:`_plan_lookup`'s key, unless its
-        verdict is load-dependent."""
+        verdict is load-dependent.  ``memory_only`` skips the disk tier, for
+        a result the process that solved it has already written there."""
         if _cacheable(result):
-            self.cache.put(key, result, family=family, budget=budget)
+            store = self.cache.remember if memory_only else self.cache.put
+            store(key, result, family=family, budget=budget)
 
     def _count_fresh(self, result: ScheduledResult) -> None:
         """Count a fresh solve's warm-start, shortcut, certificate and race
@@ -387,92 +389,6 @@ class SolveService:
                 budget=int(budget) if budget is not None else None,
                 feasible=False, solver_status=f"not-applicable: {exc}",
             ), False
-
-    # ------------------------------------------------------------------ #
-    # Canonicalized solve
-    # ------------------------------------------------------------------ #
-    def solve_canonicalized(
-        self,
-        graph: DFGraph,
-        strategy: str,
-        budget: Optional[float] = None,
-        options: Optional[SolverOptions] = None,
-        *,
-        use_cache: bool = True,
-        strict: bool = False,
-        should_cancel: Optional[Callable[[], bool]] = None,
-        max_passes: int = 10,
-    ) -> ScheduledResult:
-        """Canonicalize the graph, solve the smaller MILP, decode back.
-
-        Runs the :mod:`repro.analysis` pass pipeline (dead-node elimination +
-        zero-cost chain fusion), solves the optimized graph through the
-        ordinary :meth:`solve` path (plan cache, warm starts and the compiled
-        formulation all apply -- to the *optimized* graph's content hash),
-        then maps the schedule back onto the original graph through the node
-        provenance.  The decode is cross-checked on every call: the decoded
-        schedule's simulated peak and compute cost must equal the optimized
-        solve's exactly, otherwise a ``ValueError`` flags the transform as
-        unsafe.  The returned result targets the *original* graph; its
-        ``extra['analysis']`` carries the pass statistics plus the
-        peak/objective cross-check values.
-
-        When canonicalization changes nothing, this degrades to a plain
-        :meth:`solve` of the original graph (no decode, no extra dict).
-        """
-        from ..analysis import optimize_graph
-        from ..core.schedule import schedule_compute_cost
-        from ..core.simulator import schedule_peak_memory
-        from ..solvers.common import build_scheduled_result
-
-        tracer = get_tracer()
-        with tracer.span("solve-canonical", strategy=strategy):
-            with tracer.span("canonicalize", graph=graph.name):
-                opt = optimize_graph(graph, max_passes=max_passes)
-            if not opt.changed:
-                return self.solve(graph, strategy, budget, options,
-                                  use_cache=use_cache, strict=strict,
-                                  should_cancel=should_cancel)
-            inner = self.solve(opt.graph, strategy, budget, options,
-                               use_cache=use_cache, strict=strict,
-                               should_cancel=should_cancel)
-            self._events.inc(event="canonical_solves")
-            self._events.inc(int(opt.stats.get("nodes_removed", 0)),
-                             event="canonical_nodes_removed")
-            analysis = dict(opt.stats)
-            extra = dict(inner.extra or {})
-            if not inner.feasible or inner.matrices is None:
-                extra["analysis"] = analysis
-                return build_scheduled_result(
-                    strategy, graph, None, budget=budget, feasible=False,
-                    solve_time_s=inner.solve_time_s,
-                    solver_status=inner.solver_status, extra=extra)
-            with tracer.span("decode-provenance"):
-                decoded = opt.decode_matrices(inner.matrices)
-            decoded_peak = schedule_peak_memory(graph, decoded)
-            decoded_cost = schedule_compute_cost(graph, decoded)
-            # The transform-safety contract: fused members are resident
-            # exactly when their fused node is, so decoding must preserve
-            # the peak byte for byte and the objective exactly.
-            if inner.peak_memory is not None and decoded_peak != inner.peak_memory:
-                raise ValueError(
-                    f"canonicalization decode changed the peak: optimized "
-                    f"{inner.peak_memory} B vs decoded {decoded_peak} B")
-            if (inner.compute_cost is not None
-                    and abs(decoded_cost - inner.compute_cost)
-                    > 1e-9 * max(1.0, abs(inner.compute_cost))):
-                raise ValueError(
-                    f"canonicalization decode changed the objective: "
-                    f"optimized {inner.compute_cost} vs decoded {decoded_cost}")
-            analysis["optimized_peak_memory"] = inner.peak_memory
-            analysis["decoded_peak_memory"] = decoded_peak
-            extra["analysis"] = analysis
-            return build_scheduled_result(
-                strategy, graph, decoded, budget=budget, feasible=True,
-                solve_time_s=inner.solve_time_s,
-                solver_status=inner.solver_status,
-                frontier_advancing=False, peak_memory=decoded_peak,
-                extra=extra)
 
     # ------------------------------------------------------------------ #
     # Solve-and-execute

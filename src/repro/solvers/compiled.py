@@ -553,6 +553,11 @@ class CompiledFormulation:
         """Un-normalized objective (total recomputation cost) as one dot product."""
         return float(self._c_unnormalized @ np.asarray(x)[: self.num_r])
 
+    def unnormalized_bound(self, bound: Optional[float]) -> Optional[float]:
+        """A bound on the solver's normalized objective ``c``, in the
+        ``compute_cost`` units :meth:`objective_value` reports."""
+        return None if bound is None else float(bound) * self._cost_scale
+
     def describe(self) -> str:
         """Human readable summary of problem dimensions (for logs and reports)."""
         return (

@@ -286,7 +286,8 @@ def solve_ilp_rematerialization(
         )
 
     extra.update({
-        "objective_lower_bound": getattr(res, "mip_dual_bound", None),
+        "objective_lower_bound": formulation.unnormalized_bound(
+            getattr(res, "mip_dual_bound", None)),
         "mip_gap": getattr(res, "mip_gap", None),
         "mip_node_count": getattr(res, "mip_node_count", None),
     })

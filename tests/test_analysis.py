@@ -1,11 +1,11 @@
-"""Graph static-analysis framework: analyses, passes, provenance, linter.
+"""Graph static-analysis framework: analyses, structural hashing, linter.
 
-Covers the edge cases the pass manager must survive (empty graph, single
-node, everything-dead-but-the-loss, the fixed-point termination bound),
-round-trips schedules through provenance under repeated fusion, checks the
-linter's diagnostics against deliberately corrupted presets, and closes the
-loop end-to-end: ``solve_canonicalized`` must produce the raw solve's
-objective and an execution report with bit-identical outputs.
+Covers the pure analyses (liveness, reachability, dead nodes, isomorphic
+segments), the structural hash that keys the formulation cache, the
+linter's diagnostics against deliberately corrupted presets, and the
+service's warn-only lint hook.  The repeated-block preset also closes the
+loop end-to-end: its exact schedule below the no-recompute peak executes
+with bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    DeadNodeElimination,
-    PassManager,
-    ZeroCostChainFusion,
     dead_nodes,
     isomorphic_segment_groups,
     lint_graph,
@@ -27,18 +24,12 @@ from repro.analysis import (
     live_node_mask,
     live_roots,
     liveness_intervals,
-    optimize_graph,
+    reachable_from,
     structural_graph_hash,
 )
-from repro.analysis.passes import NodeProvenance
 from repro.core import DFGraph, GraphError, NodeInfo
-from repro.core.schedule import ScheduleMatrices, validate_correctness_constraints
 
-from helpers import tight_budget
-
-#: The repeated-block preset's compiled formulation must shrink by at least
-#: this fraction of its nonzeros once canonicalized.
-MIN_NNZ_REDUCTION = 0.05
+from helpers import below_liveness_budget
 
 
 def graph_with_dead_branch() -> DFGraph:
@@ -48,12 +39,18 @@ def graph_with_dead_branch() -> DFGraph:
     return DFGraph(nodes=nodes, deps=deps, name="dead-branch")
 
 
+def mostly_dead() -> DFGraph:
+    """Every non-terminal node but one is a sink nothing consumes."""
+    nodes = [NodeInfo(f"n{i}", cost=1.0, memory=2) for i in range(4)]
+    deps = {0: [], 1: [], 2: [], 3: [0]}
+    return DFGraph(nodes=nodes, deps=deps, name="mostly-dead")
+
+
 def zero_chain(length: int) -> DFGraph:
-    """A head with cost 1 followed by ``length - 1`` zero-cost tail nodes."""
+    """A head with cost 1, ``length - 1`` zero-cost tail nodes, then a loss."""
     nodes = [NodeInfo("head", cost=1.0, memory=4)]
     nodes += [NodeInfo(f"z{i}", cost=0.0, memory=1) for i in range(length - 1)]
     deps = {i: ([i - 1] if i else []) for i in range(length)}
-    # A non-zero-cost terminal so the chain nodes are all fusable.
     nodes.append(NodeInfo("loss", cost=2.0, memory=4))
     deps[length] = [length - 1]
     return DFGraph(nodes=nodes, deps=deps, name="zero-chain")
@@ -87,6 +84,58 @@ class TestAnalyses:
         mask = live_node_mask(graph)
         assert mask.tolist() == [True, True, False, False, True]
 
+    def test_forward_sinks_besides_the_terminal_are_not_roots(self):
+        graph = graph_with_dead_branch()
+        assert live_roots(graph) == [graph.terminal_node] == [4]
+
+    def test_dead_sink_dies_in_its_own_stage(self):
+        intervals = liveness_intervals(graph_with_dead_branch())
+        # Node 0 feeds nodes 1 and 2: it lives until its last consumer.
+        assert intervals[0].tolist() == [0, 2]
+        assert intervals[3].tolist() == [3, 3]
+        assert intervals[4].tolist() == [4, 4]
+
+    def test_reachable_from_skips_out_of_range_roots(self):
+        graph = graph_with_dead_branch()
+        assert reachable_from(graph, [-1, graph.size, 1]) == {0, 1}
+        assert reachable_from(graph, []) == set()
+
+    def test_live_set_is_ancestor_closed(self, tiny_unet_train):
+        for graph in (graph_with_dead_branch(), mostly_dead(), tiny_unet_train):
+            mask = live_node_mask(graph)
+            for i in np.flatnonzero(mask):
+                assert all(mask[p] for p in graph.predecessors(int(i))), graph.name
+
+
+class TestAnalysisEdgeCases:
+    def test_empty_graph(self):
+        empty = DFGraph(nodes=(), deps={}, name="empty")
+        assert liveness_intervals(empty).shape == (0, 2)
+        assert live_roots(empty) == []
+        assert live_node_mask(empty).shape == (0,)
+        assert dead_nodes(empty) == []
+        assert isomorphic_segment_groups(empty) == {}
+        assert structural_graph_hash(empty) == structural_graph_hash(
+            DFGraph(nodes=(), deps={}, name="other-empty"))
+
+    def test_single_node_graph(self):
+        one = DFGraph(nodes=(NodeInfo("only", cost=1.0, memory=1),),
+                      deps={0: []}, name="one")
+        assert liveness_intervals(one).tolist() == [[0, 0]]
+        assert live_roots(one) == [0]
+        assert dead_nodes(one) == []
+        assert isomorphic_segment_groups(one) == {}
+        report = lint_graph(one)
+        assert report.diagnostics == [] and report.ok
+
+    def test_all_dead_except_loss(self):
+        # Only the loss and its one ancestor survive.
+        graph = mostly_dead()
+        assert dead_nodes(graph) == [1, 2]
+        assert live_node_mask(graph).tolist() == [True, False, False, True]
+        r001 = [d for d in lint_graph(graph).diagnostics if d.code == "R001"]
+        assert [(d.node, d.node_name) for d in r001] == [(1, "n1"), (2, "n2")]
+
 
 class TestStructuralHash:
     def test_name_and_meta_invariance(self, chain5_train):
@@ -105,6 +154,16 @@ class TestStructuralHash:
         costs[0] += 1.0
         bumped = chain5_train.with_costs(costs)
         assert structural_graph_hash(bumped) != structural_graph_hash(chain5_train)
+
+    def test_memory_and_edge_sensitivity(self):
+        base = graph_with_dead_branch()
+        heavier = DFGraph(
+            nodes=(dataclasses.replace(base.nodes[0], memory=5),) + base.nodes[1:],
+            deps=base.deps, name=base.name)
+        rewired = DFGraph(nodes=base.nodes, deps={**base.deps, 3: [0]},
+                          name=base.name)
+        digests = {structural_graph_hash(g) for g in (base, heavier, rewired)}
+        assert len(digests) == 3
 
     def test_memoized_on_instance(self, chain5):
         first = structural_graph_hash(chain5)
@@ -125,123 +184,13 @@ class TestStructuralHash:
         assert len(flat) == len(set(flat))
 
 
-class TestPassEdgeCases:
-    def test_empty_graph(self):
+class TestLinter:
+    def test_empty_graph_is_g001_warning(self):
         empty = DFGraph(nodes=(), deps={}, name="empty")
-        result = optimize_graph(empty)
-        assert result.graph.size == 0
-        assert result.stats["converged"] is True
-        assert result.stats["nodes_removed"] == 0
         report = lint_graph(empty)
         assert [d.code for d in report.diagnostics] == ["G001"]
         assert report.ok  # G001 is a warning, not an error
 
-    def test_single_node_graph(self):
-        one = DFGraph(nodes=(NodeInfo("only", cost=1.0, memory=1),),
-                      deps={0: []}, name="one")
-        result = optimize_graph(one)
-        assert result.changed is False
-        assert result.graph.size == 1
-        assert result.provenance.orig_to_opt == (0,)
-
-    def test_all_dead_except_loss(self):
-        # Every non-terminal node is a sink nothing consumes: one DCE round
-        # must strip the graph down to the loss alone.
-        nodes = [NodeInfo(f"n{i}", cost=1.0, memory=2) for i in range(4)]
-        deps = {0: [], 1: [], 2: [], 3: [0]}
-        graph = DFGraph(nodes=nodes, deps=deps, name="mostly-dead")
-        result = optimize_graph(graph)
-        assert result.graph.size == 2  # the loss and its one ancestor
-        assert result.stats["dce"] == 2
-        assert result.provenance.orig_to_opt == (0, None, None, 1)
-
-    def test_fixed_point_termination_bound(self):
-        # A 5-deep zero-cost chain needs several pairwise fusion rounds;
-        # max_passes=1 must stop early and report non-convergence.
-        graph = zero_chain(5)
-        bounded = optimize_graph(graph, max_passes=1)
-        assert bounded.stats["converged"] is False
-        full = optimize_graph(graph)
-        assert full.stats["converged"] is True
-        assert full.graph.size < bounded.graph.size
-        # Fixed point: the whole zero-cost chain fuses into its head.
-        assert full.graph.size == 2
-        assert full.graph.total_cost() == graph.total_cost()
-        assert (full.graph.total_activation_memory()
-                == graph.total_activation_memory())
-
-    def test_max_passes_validation(self):
-        with pytest.raises(ValueError):
-            PassManager(max_passes=0)
-
-    def test_fusion_skips_terminal_and_mixed_direction(self, chain5_train):
-        # chain5_train has unit costs everywhere: nothing is zero-cost, so
-        # fusion must be a no-op and DCE must keep everything.
-        result = optimize_graph(chain5_train)
-        assert result.changed is False
-        assert result.stats["fusion"] == 0
-        assert result.stats["dce"] == 0
-
-
-class TestProvenance:
-    def test_identity_round_trip(self, chain5_train):
-        n = chain5_train.size
-        prov = NodeProvenance.identity(n)
-        R = np.eye(n, dtype=np.uint8)
-        S = np.zeros((n, n), dtype=np.uint8)
-        matrices = ScheduleMatrices(R, S)
-        decoded = prov.decode_matrices(chain5_train, matrices)
-        assert (decoded.R == R).all() and (decoded.S == S).all()
-
-    def test_compose_size_mismatch_rejected(self):
-        a = NodeProvenance.identity(3)
-        b = NodeProvenance.identity(4)
-        with pytest.raises(ValueError):
-            a.compose(b)
-
-    def test_decode_width_mismatch_rejected(self, chain5):
-        prov = NodeProvenance.identity(chain5.size)
-        wrong = ScheduleMatrices(np.ones((2, 3), dtype=np.uint8),
-                                 np.zeros((2, 3), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            prov.decode_matrices(chain5, wrong)
-
-    def test_round_trip_under_repeated_fusion(self):
-        # 5-node zero chain + loss fuses down to 2 nodes over multiple
-        # rounds; a checkpoint-all schedule of the optimized graph must
-        # decode to a *valid* original-graph schedule with the same cost.
-        graph = zero_chain(5)
-        result = optimize_graph(graph)
-        assert result.graph.size == 2
-        m = result.graph.size
-        R = np.tril(np.ones((m, m), dtype=np.uint8))  # checkpoint-all
-        S = np.triu(np.tril(np.ones((m, m), dtype=np.uint8)), k=0)
-        S = np.zeros((m, m), dtype=np.uint8)
-        for t in range(1, m):
-            S[t, :t] = 1
-        matrices = ScheduleMatrices(R, S)
-        decoded = result.decode_matrices(matrices)
-        assert decoded.num_nodes == graph.size
-        assert decoded.num_stages == m
-        violations = validate_correctness_constraints(
-            graph, decoded, frontier_advancing=False)
-        assert violations == []
-        # Compute cost is preserved exactly: fused tails cost zero.
-        orig_cost = sum(graph.cost(i) * int(decoded.R[:, i].sum())
-                        for i in range(graph.size))
-        opt_cost = sum(result.graph.cost(k) * int(matrices.R[:, k].sum())
-                       for k in range(m))
-        assert orig_cost == opt_cost
-
-    def test_provenance_serializes(self):
-        result = optimize_graph(zero_chain(3))
-        payload = result.provenance.to_dict()
-        assert payload["orig_to_opt"][0] == 0
-        assert sorted(m for ms in payload["opt_to_orig"] for m in ms) == \
-            list(range(zero_chain(3).size))
-
-
-class TestLinter:
     def test_clean_preset(self, tiny_vgg_train):
         report = lint_graph(tiny_vgg_train)
         assert report.ok
@@ -252,6 +201,37 @@ class TestLinter:
         codes = [d.code for d in report.diagnostics]
         assert codes.count("R001") == 2
         assert report.ok  # warnings only
+
+    def test_zero_cost_chain_tails_are_c002(self):
+        report = lint_graph(zero_chain(5))
+        c002 = [d for d in report.diagnostics if d.code == "C002"]
+        # Every zero-cost tail node is flagged; the head and the loss are not.
+        assert [d.node for d in c002] == [1, 2, 3, 4]
+        assert all(d.severity == "info" for d in c002)
+        assert [d.code for d in report.diagnostics] == ["C002"] * 4
+        assert report.ok
+
+    def test_c002_skips_terminal_and_mixed_direction(self, chain5_train):
+        # Node 1 is zero-cost but crosses from forward to backward; node 2
+        # is zero-cost but is the terminal: neither is a fusion candidate.
+        nodes = (NodeInfo("x", cost=1.0, memory=2),
+                 NodeInfo("grad_view", cost=0.0, memory=2, is_backward=True),
+                 NodeInfo("out", cost=0.0, memory=2, is_backward=True))
+        graph = DFGraph(nodes=nodes, deps={0: [], 1: [0], 2: [1]}, name="mixed")
+        assert not any(d.code == "C002" for d in lint_graph(graph).diagnostics)
+        # A graph with no zero-cost node has no candidates at all.
+        assert not any(d.code == "C002"
+                       for d in lint_graph(chain5_train).diagnostics)
+
+    def test_forward_after_backward_is_t001_error(self):
+        nodes = (NodeInfo("x", cost=1.0, memory=2),
+                 NodeInfo("grad", cost=1.0, memory=2, is_backward=True),
+                 NodeInfo("late", cost=1.0, memory=2))
+        graph = DFGraph(nodes=nodes, deps={0: [], 1: [0], 2: [1]}, name="t001")
+        report = lint_graph(graph)
+        t001 = [d for d in report.diagnostics if d.code == "T001"]
+        assert [(d.node, d.severity) for d in t001] == [(2, "error")]
+        assert not report.ok
 
     def test_nan_cost_is_c001_error(self, tiny_vgg_train):
         costs = [tiny_vgg_train.cost(i) for i in range(tiny_vgg_train.size)]
@@ -368,61 +348,23 @@ class TestFormulationCacheSharing:
 
 
 class TestServiceIntegration:
-    def test_solve_canonicalized_matches_raw_objective(self):
-        from repro.experiments.presets import build_training_graph
-        from repro.service import SolveService
-
-        graph = build_training_graph("deepblock")
-        budget = tight_budget(graph, 0.8)
-        service = SolveService()
-        raw = service.solve(graph, "checkmate_ilp", budget)
-        canon = service.solve_canonicalized(graph, "checkmate_ilp", budget)
-        assert canon.feasible and raw.feasible
-        assert canon.compute_cost == raw.compute_cost
-        assert canon.matrices.num_nodes == graph.size
-        analysis = canon.extra["analysis"]
-        assert analysis["nodes_removed"] > 0
-        assert analysis["decoded_peak_memory"] == analysis["optimized_peak_memory"]
-        violations = validate_correctness_constraints(
-            graph, canon.matrices, frontier_advancing=False)
-        assert violations == []
-
-    def test_canonicalization_shrinks_the_formulation(self):
-        from repro.experiments.presets import build_training_graph
-        from repro.solvers import CompiledFormulation
-
-        graph = build_training_graph("deepblock")
-        raw = CompiledFormulation(graph).stats["nnz"]
-        fused = CompiledFormulation(optimize_graph(graph).graph).stats["nnz"]
-        reduction = 1.0 - fused / raw
-        assert reduction >= MIN_NNZ_REDUCTION, (
-            f"nnz {raw} -> {fused}: {reduction:.1%} shrink, "
-            f"need {MIN_NNZ_REDUCTION:.0%}")
-
-    def test_solve_canonicalized_unchanged_graph_falls_through(self, chain5_train):
-        from repro.service import SolveService
-
-        service = SolveService()
-        result = service.solve_canonicalized(chain5_train, "checkpoint_all")
-        assert result.feasible
-        # No rewrite: a plain solve.
-        assert service.statistics()["analysis"]["canonical_solves"] == 0
-
-    def test_decoded_schedule_executes_bit_exact(self):
+    def test_rematerialized_schedule_executes_bit_exact(self):
         from repro.execution import build_execution_report
         from repro.experiments.presets import (
             build_numeric_training_graph, build_training_graph)
         from repro.service import SolveService
 
         graph = build_training_graph("deepblock")
-        budget = tight_budget(graph, 0.8)
-        canon = SolveService().solve_canonicalized(
-            graph, "checkmate_ilp", budget)
+        budget = below_liveness_budget(graph, 0.7)
+        result = SolveService().solve(graph, "checkmate_ilp", budget)
+        assert result.feasible
         numeric = build_numeric_training_graph("deepblock")
-        report = build_execution_report(numeric, canon)
+        report = build_execution_report(numeric, result)
         assert report.executed
         assert report.outputs_match and report.max_abs_error == 0.0
         assert report.ok
+        # Below the peak the schedule recomputes, identity views included.
+        assert report.measured_num_compute > graph.size
 
     def test_lint_hook_counts_in_statistics(self, chain5_train):
         from repro.service import SolveService

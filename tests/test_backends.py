@@ -450,6 +450,40 @@ class TestSharedDiskCache:
             second.shutdown()
 
 
+    def test_shipped_miss_is_written_to_disk_by_the_worker_only(
+            self, process_queue, shared_cache_dir, chain5_train, monkeypatch):
+        """A shipped miss costs the parent no disk write: the worker's
+        service (same ``cache_dir``) wrote the entry, the parent fills only
+        its memory tier, and a fresh service reads the entry back."""
+        backend, cache = process_queue.backend, process_queue.service.cache
+        writes = []
+        original = cache._store_to_disk
+
+        def spy(key, result):
+            writes.append(key)
+            return original(key, result)
+
+        monkeypatch.setattr(cache, "_store_to_disk", spy)
+        budget = float(ample_budget(chain5_train)) + 29.0
+        work = SolveWork(chain5_train, "checkmate_ilp", budget)
+        entries = set(os.listdir(shared_cache_dir))
+        shipped = backend.stats()["tasks_shipped"]
+        result = backend.run(work, _never)
+        assert backend.stats()["tasks_shipped"] == shipped + 1
+        assert result.feasible
+        assert writes == []
+        assert len(set(os.listdir(shared_cache_dir)) - entries) == 1
+        # The parent's memory tier answers a repeat without shipping.
+        assert backend.run(work, _never) is result
+        assert backend.stats()["tasks_shipped"] == shipped + 1
+        fresh = SolveService(cache=PlanCache(max_entries=4,
+                                             cache_dir=shared_cache_dir))
+        again = fresh.solve(chain5_train, "checkmate_ilp", budget)
+        assert fresh.statistics()["solver_calls"] == 0
+        assert fresh.cache.stats()["disk_hits"] == 1
+        assert again.compute_cost == result.compute_cost
+
+
 class TestWorkerCrash:
     def test_crash_fails_job_and_pool_recovers(self, mlp_train):
         """SIGKILL the worker mid-solve: the flight fails with a structured

@@ -133,6 +133,14 @@ class TestDecodeEquivalence:
         assert np.array_equal(Rl, Rc) and np.array_equal(Sl, Sc)
         assert legacy.objective_value(x) == pytest.approx(compiled.objective_value(x))
 
+    def test_unnormalized_bound_undoes_the_cost_scale(self, varied_chain_train):
+        compiled = CompiledFormulation(varied_chain_train)
+        assert compiled.unnormalized_bound(None) is None
+        # A normalized value of 1 is one unit of the largest node cost.
+        assert compiled.unnormalized_bound(1.0) == max(
+            varied_chain_train.cost(i) for i in range(varied_chain_train.size))
+        assert compiled.unnormalized_bound(0.0) == 0.0
+
     def test_objective_value_matches_dict_iteration(self, varied_chain_train):
         graph = varied_chain_train
         f = MILPFormulation(graph, ample_budget(graph))

@@ -18,7 +18,8 @@ Two layers of randomized cross-checking:
   -- a liveness certificate (the no-recompute schedule fit) must also cost
   exactly ``sum(C)``, which HiGHS must not undercut; six model-preset cells
   check the same on real graphs, each pinned to the certificate (or HiGHS)
-  that answers it.
+  that answers it.  Every ``optimal`` HiGHS verdict's lower bound is
+  checked in ``compute_cost`` units: at most the cost, within ``mip_gap``.
 
 * A **hypothesis** layer (seeded, shrinkable) running *every* registered
   strategy -- heuristics, exact solvers, portfolio, race -- over random
@@ -156,6 +157,19 @@ def _assert_certificate_sound(result, graph, budget, mip_gap=1e-4) -> None:
             f"{label}: HiGHS optimum {optimum} below sum(C) {total}"
 
 
+def _assert_dual_bound_sound(result, mip_gap=1e-4) -> None:
+    """An ``optimal`` HiGHS result's ``objective_lower_bound`` is in
+    ``compute_cost`` units: at most the cost, and within ``mip_gap`` of it."""
+    if result.solver_status != "optimal":
+        return
+    label = f"optimal {result.graph.name} at {result.budget}"
+    bound, cost = result.extra["objective_lower_bound"], result.compute_cost
+    assert bound is not None, label
+    assert bound <= cost * (1.0 + _TOL), f"{label}: bound {bound} > cost {cost}"
+    assert cost <= (1.0 + mip_gap) * bound * (1.0 + _TOL), \
+        f"{label}: cost {cost} outside mip_gap {mip_gap} of bound {bound}"
+
+
 @pytest.mark.parametrize("chunk", range(_NUM_CHUNKS))
 def test_portfolio_differential_seed_matrix(chunk):
     """200 seeded random-graph cases: portfolio vs Algorithm 2 vs exact ILP."""
@@ -165,6 +179,7 @@ def test_portfolio_differential_seed_matrix(chunk):
         ilp = solve_ilp_rematerialization(graph, budget)
         _assert_schedule_contract(ilp, graph, budget, None)
         _assert_certificate_sound(ilp, graph, budget)
+        _assert_dual_bound_sound(ilp)
 
         results = {}
         for scheme in PORTFOLIO_SCHEMES:
@@ -233,6 +248,7 @@ def test_certified_presets_match_highs(preset, tightness, certificate):
     assert result.extra.get("certificate") == certificate
     _assert_schedule_contract(result, graph, budget, None)
     _assert_certificate_sound(result, graph, budget)
+    _assert_dual_bound_sound(result)
 
 
 # --------------------------------------------------------------------------- #
@@ -271,6 +287,7 @@ def _registry_contract_case(graph, fraction):
     budget = tight_budget(graph, fraction)
     ilp = _service.solve(graph, "checkmate_ilp", budget,
                          SolverOptions(time_limit_s=60.0))
+    _assert_dual_bound_sound(ilp)
     for spec in _registry:
         if spec.key == "checkmate_ilp":
             result = ilp

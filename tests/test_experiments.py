@@ -48,13 +48,13 @@ class TestPresets:
         assert "grad_index" in a.meta
 
     def test_deepblock_preset_has_repeated_fusable_blocks(self):
-        from repro.analysis import isomorphic_segment_groups, optimize_graph
+        from repro.analysis import isomorphic_segment_groups, lint_graph
 
         graph = build_training_graph("deepblock")
-        # Each block carries a zero-cost identity alias plus the head flatten:
-        # the canonicalizer must strictly shrink this preset.
-        result = optimize_graph(graph)
-        assert result.stats["nodes_removed"] >= 5
+        # Each block carries a zero-cost identity alias plus the head
+        # flatten: the linter reports them as C002 fusion candidates.
+        fusable = [d for d in lint_graph(graph).diagnostics if d.code == "C002"]
+        assert len(fusable) >= 5
         # And the blocks are structurally identical, so they group.
         groups = isomorphic_segment_groups(graph)
         assert any(len(segs) > 1 for segs in groups.values())

@@ -132,6 +132,17 @@ class TestILPOptimality:
         assert unpart.compute_cost <= part.compute_cost + 1e-6
 
 
+    def test_lower_bound_is_in_compute_cost_units(self, varied_chain_train):
+        # HiGHS solves the objective divided by the largest node cost; the
+        # reported bound must be scaled back to the cost it bounds.
+        budget = tight_budget(varied_chain_train, 0.6)
+        result = solve_ilp_rematerialization(varied_chain_train, budget)
+        assert result.solver_status == "optimal"
+        lower = result.extra["objective_lower_bound"]
+        assert lower <= result.compute_cost * (1 + 1e-9)
+        assert result.compute_cost <= lower * (1 + 1e-4)
+
+
 class TestCrossSolverAgreement:
     def test_branch_and_bound_matches_highs(self):
         from repro.autodiff import make_training_graph

@@ -661,6 +661,24 @@ class TestDiskCache:
         assert third.statistics()["solver_calls"] == 0
 
 
+    def test_remember_fills_only_the_memory_tier(self, tmp_path):
+        graph = make_chain_train()
+        budget = tight_budget(graph, 0.6)
+        solver = fresh_service(cache=PlanCache(cache_dir=str(tmp_path / "a")))
+        result = solver.solve(graph, "checkmate_ilp", budget)
+        cache = PlanCache(cache_dir=str(tmp_path / "b"))
+        key, _, _ = solver._plan_lookup(
+            graph, solver.registry.get("checkmate_ilp"), budget,
+            solver.default_options)
+        cache.remember(key, result, family="fam", budget=budget)
+        assert not any((tmp_path / "b").iterdir())
+        assert cache.get(key, graph) is result
+        # The family index is filled too: a smaller budget sees the cell.
+        assert cache.neighbor_above("fam", budget - 1.0) == (budget, result)
+        cache.put(key, result)
+        assert len(list((tmp_path / "b").iterdir())) == 1
+
+
 class TestSweep:
     def test_parallel_identical_to_sequential(self):
         graph = make_chain_train()
