@@ -16,7 +16,11 @@ The public API mirrors the system's pipeline:
    ``fixed_half`` scheme is the paper's approximation) or one of
    the baseline heuristics (:mod:`repro.baselines`) -- or drive any of them
    uniformly through the solve service (:mod:`repro.service`), which adds a
-   content-addressed plan cache and parallel (strategy, budget) sweeps;
+   content-addressed plan cache and parallel (strategy, budget) sweeps.
+   Every exact strategy runs on HiGHS over the compiled formulation
+   (:class:`repro.solvers.CompiledFormulation`); the reference
+   implementations the test-suite checks it against live in
+   ``tests/oracles/``, outside the package;
 3. lower the schedule to an execution plan, simulate its memory profile
    (:mod:`repro.core`) or execute it over NumPy tensors
    (:mod:`repro.execution`);
@@ -83,7 +87,6 @@ from .service import (
 )
 from .solvers import (
     CompiledFormulation,
-    MILPFormulation,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
     solve_min_r,
@@ -148,7 +151,6 @@ __all__ = [
     "get_default_service",
     "graph_content_hash",
     "CompiledFormulation",
-    "MILPFormulation",
     "solve_ilp_rematerialization",
     "solve_lp_relaxation",
     "solve_min_r",

@@ -35,8 +35,6 @@ __all__ = [
 def compute_free_events(
     graph: DFGraph,
     matrices: ScheduleMatrices,
-    *,
-    include_self_frees: bool = True,
 ) -> Dict[Tuple[int, int], List[int]]:
     """Evaluate the ``FREE`` variables implied by an ``(R, S)`` schedule.
 
@@ -48,14 +46,9 @@ def compute_free_events(
     ``v_k`` in stage ``t`` iff ``v_k`` was actually evaluated, ``v_i`` is not
     checkpointed into the next stage and no later user of ``v_i`` runs in the
     same stage.  ``S[T, i]`` (beyond the final stage) is treated as zero.
-
-    Parameters
-    ----------
-    include_self_frees:
-        Also evaluate ``FREE[t, k, k]`` -- freeing a value immediately after a
-        spurious recomputation.  The MILP eliminates these variables by
-        optimality (§4.8) and recovers them after solving, which is exactly
-        what this flag reproduces.
+    ``FREE[t, k, k]`` is evaluated too -- freeing a value immediately after a
+    spurious recomputation.  The MILP eliminates these variables by
+    optimality (§4.8) and recovers them after solving, as done here.
 
     Returns
     -------
@@ -72,9 +65,7 @@ def compute_free_events(
         computed = np.flatnonzero(R[t]).tolist()
         computed_set = set(computed)
         for k in computed:
-            candidates = list(graph.predecessors(k))
-            if include_self_frees:
-                candidates.append(k)
+            candidates = list(graph.predecessors(k)) + [k]
             freed: List[int] = []
             for i in candidates:
                 if next_stage_checkpointed(t, i):

@@ -24,12 +24,10 @@ import numpy as np
 from .dfgraph import DFGraph
 from .plan import AllocateRegister, ComputeNode, DeallocateRegister, ExecutionPlan, PlanError
 from .schedule import ScheduleMatrices
-from .scheduler import compute_free_events
 
 __all__ = [
     "MemoryTrace",
     "simulate_schedule_memory",
-    "simulate_schedule_memory_reference",
     "schedule_peak_memory",
     "simulate_plan",
     "PlanSimulationError",
@@ -86,8 +84,9 @@ def simulate_schedule_memory(
     ``{v_i} ∪ USERS(v_i)`` computed in the stage (all users follow ``i`` in
     topological order, so this is exactly Eq. (5)'s "no later user pending"
     rule), unless it is checkpointed into stage ``t+1``.  All quantities are
-    integer-valued float64, so the cumulative sums are bit-equal to the
-    sequential reference (:func:`simulate_schedule_memory_reference`).
+    integer-valued float64, so the cumulative sums are bit-equal to a
+    sequential cell-by-cell replay driven by
+    :func:`~repro.core.scheduler.compute_free_events`.
 
     Returns
     -------
@@ -133,37 +132,6 @@ def simulate_schedule_memory(
     U = np.zeros((T, n + 1), dtype=np.float64)
     U[:, 0] = graph.constant_overhead + S @ mem
     U[:, 1:] = U[:, :1] + np.cumsum(delta, axis=1)
-    return U
-
-
-def simulate_schedule_memory_reference(
-    graph: DFGraph,
-    matrices: ScheduleMatrices,
-) -> np.ndarray:
-    """Sequential reference implementation of the ``U`` recurrence.
-
-    Replays Eq. (2-4) cell by cell exactly as written in the paper, deriving
-    deallocations from :func:`~repro.core.scheduler.compute_free_events`.
-    Kept as the oracle the vectorized :func:`simulate_schedule_memory` is
-    tested against; not used on any hot path.
-    """
-    R, S = matrices.R, matrices.S
-    T, n = R.shape
-    mem = graph.memory_vector
-    free_events = compute_free_events(graph, matrices, include_self_frees=True)
-
-    U = np.zeros((T, n + 1), dtype=np.float64)
-    for t in range(T):
-        U[t, 0] = graph.constant_overhead + float(mem @ S[t])
-        running = U[t, 0]
-        for k in range(n):
-            if R[t, k]:
-                running += mem[k]
-            U[t, k + 1] = running
-            # Garbage collection after evaluating v_k.
-            if R[t, k]:
-                for i in free_events.get((t, k), ()):
-                    running -= mem[i]
     return U
 
 

@@ -54,7 +54,7 @@ from typing import Dict, Optional, Tuple
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult
 from ..utils.lru import SingleFlightLRU
-from ..utils.serialization import RESULT_FORMAT, result_from_wire, result_to_wire
+from ..utils.serialization import result_from_wire, result_to_wire
 
 __all__ = ["PlanCacheKey", "PlanCache"]
 
@@ -237,11 +237,10 @@ class PlanCache:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload.get("format") != RESULT_FORMAT:
-                return None
-            # result_from_wire revalidates the matrices against the caller's
-            # graph, so a shape-correct file with wrong R/S content raises
-            # ValueError and degrades to a miss ("never a wrong schedule").
+            # result_from_wire rejects anything but a result object and
+            # revalidates the matrices against the caller's graph, so a
+            # foreign or shape-correct but wrong file raises ValueError and
+            # degrades to a miss ("never a wrong schedule").
             return result_from_wire(payload, graph)
         except (OSError, ValueError, KeyError):
             return None

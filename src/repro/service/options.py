@@ -46,7 +46,6 @@ _RULES: Dict[str, Tuple[Callable[[object], bool], Callable, str]] = {
     "allowance": (_is_number, lambda v: 0 <= v < 1, "a number in [0, 1)"),
     "num_samples": _COUNT,
     "seed": (_is_int, lambda v: True, "an integer"),
-    "max_nodes": _COUNT,
     "deadline_s": (_is_number, math.isfinite, "a finite number of seconds"),
 }
 
@@ -79,8 +78,6 @@ class SolverOptions:
         Number of rounding candidates (thresholds or random draws) to try.
     seed:
         RNG seed for the randomized rounding schemes.
-    max_nodes:
-        Node cap for the pure-Python branch-and-bound solver.
     checkpoints:
         Explicit checkpoint set for the min-R completion solver.
     deadline_s:
@@ -100,7 +97,6 @@ class SolverOptions:
     allowance: Optional[float] = None
     num_samples: Optional[int] = None
     seed: Optional[int] = None
-    max_nodes: Optional[int] = None
     checkpoints: Optional[Tuple[int, ...]] = None
     deadline_s: Optional[float] = None
     entrants: Optional[Tuple[str, ...]] = None

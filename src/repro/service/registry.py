@@ -46,8 +46,8 @@ class SolverSpec:
     ``general_graphs`` / ``cost_aware`` / ``memory_aware`` mirror the columns
     of the paper's Table 1 (``True``, ``False`` or ``"~"`` for partial).
     ``in_table1`` marks the ten strategies the paper tabulates; extra solvers
-    (reference branch-and-bound, raw min-R) register with it unset so the
-    rendered table stays faithful to the paper.
+    (raw min-R, the rounding portfolio, the race) register with it unset so
+    the rendered table stays faithful to the paper.
     """
 
     key: str
@@ -162,25 +162,16 @@ def default_registry() -> SolverRegistry:
     """Build the canonical registry: Table 1 strategies + the extra solvers.
 
     The ten ``baselines.STRATEGIES`` specs are registered as declared; the
-    solvers from :mod:`repro.solvers` outside Table 1 (reference
-    branch-and-bound, explicit-checkpoint min-R, the rounding portfolio and
-    the race) are added behind the same protocol.
+    solvers from :mod:`repro.solvers` outside Table 1 (explicit-checkpoint
+    min-R, the rounding portfolio and the race) are added behind the same
+    protocol.
     """
     from ..baselines.strategies import STRATEGIES
-    from ..solvers.branch_and_bound import solve_branch_and_bound_schedule
     from ..solvers.min_r import solve_min_r_schedule
     from ..solvers.race import solve_race
     from ..solvers.rounding_portfolio import PORTFOLIO_SCHEMES, solve_rounding_portfolio
 
     registry = SolverRegistry(STRATEGIES)
-    registry.register(SolverSpec(
-        key="checkmate_bnb",
-        description="Reference LP-based branch-and-bound (exact, tiny graphs only).",
-        solve=solve_branch_and_bound_schedule,
-        option_map={"max_nodes": "max_nodes"},
-        uses_formulation=True,
-        warm_start_capable=True,
-    ))
     registry.register(SolverSpec(
         key="min_r",
         description="Min-R completion of an explicit checkpoint set.",

@@ -1,24 +1,25 @@
-"""Rematerialization solvers: optimal MILP, LP relaxation, rounding approximation."""
+"""Rematerialization solvers: optimal MILP, LP relaxation, rounding approximation.
+
+Every exact solve runs on HiGHS over the compiled formulation
+(:mod:`repro.solvers.compiled`).  The loop-built reference formulation and
+the branch-and-bound solver that cross-check it live in ``tests/oracles/``.
+"""
 
 from .approximation import (
     RoundingSample,
     naive_rounding_feasibility,
     randomized_rounding_samples,
 )
-from .branch_and_bound import (
-    BranchAndBoundResult,
-    solve_branch_and_bound,
-    solve_branch_and_bound_schedule,
-)
 from .common import build_scheduled_result
 from .compiled import (
     CompiledFormulation,
+    FormulationArrays,
     FormulationCache,
+    InfeasibleBudgetError,
     formulation_and_arrays,
     get_formulation_cache,
     set_formulation_cache,
 )
-from .formulation import FormulationArrays, InfeasibleBudgetError, MILPFormulation
 from .ilp import ILP_STRATEGY_NAME, solve_ilp_rematerialization
 from .lp_relaxation import LPRelaxationResult, solve_lp_relaxation
 from .min_r import checkpoint_set_to_schedule, solve_min_r, solve_min_r_schedule
@@ -42,9 +43,6 @@ __all__ = [
     "RoundingSample",
     "naive_rounding_feasibility",
     "randomized_rounding_samples",
-    "BranchAndBoundResult",
-    "solve_branch_and_bound",
-    "solve_branch_and_bound_schedule",
     "solve_min_r_schedule",
     "build_scheduled_result",
     "CompiledFormulation",
@@ -54,7 +52,6 @@ __all__ = [
     "set_formulation_cache",
     "FormulationArrays",
     "InfeasibleBudgetError",
-    "MILPFormulation",
     "ILP_STRATEGY_NAME",
     "solve_ilp_rematerialization",
     "LPRelaxationResult",

@@ -1,22 +1,40 @@
 """Compiled MILP formulation: build the arrays once per graph, re-budget in O(1).
 
-The loop-built :class:`~repro.solvers.formulation.MILPFormulation` assembles
-the constraint matrix with per-entry Python appends every time it is asked for
-a budget.  But the matrix ``A``, the objective ``c``, the integrality pattern
-and every constraint bound depend only on ``(graph, variant, num_stages)`` --
-the memory budget of Eq. (9) enters the standard form *solely* as the upper
-bound of the continuous ``U`` variables.  Since the paper's whole experimental
-surface is "same graph, many budgets" (the Figure 5 sweeps, the Figure 6
-max-batch bisection, the Table 2 ratio grids), :class:`CompiledFormulation`
-assembles everything budget-independent exactly once with vectorized NumPy
-batch COO construction, and :meth:`CompiledFormulation.with_budget` patches
-only ``ub[u_slice]`` -- microseconds instead of a full rebuild.
+This module translates the paper's optimization problem (Sections 4.1-4.8)
+into sparse standard-form arrays (:class:`FormulationArrays`) for
+:func:`scipy.optimize.milp` / HiGHS.  Two variants are supported:
+
+* the **frontier-advancing** (partitioned) formulation of §4.6 / Eq. (9), in
+  which stage ``t`` is the first stage where node ``v_t`` is evaluated, making
+  ``R`` and ``S`` lower-triangular -- this is the formulation Checkmate solves
+  in practice; and
+* the **unpartitioned** formulation of Eq. (8) with a free number of stages,
+  retained for the Appendix-A integrality-gap and solve-time ablation.
+
+Decision variables
+------------------
+``R[t, i]``     binary   node ``i`` is (re)computed in stage ``t``
+``S[t, i]``     binary   node ``i``'s value is kept from stage ``t-1`` into ``t``
+``FREE[t,i,k]`` binary   ``i`` may be deallocated in stage ``t`` after computing ``k``
+``U[t, k]``     continuous  memory in use in stage ``t`` after computing node ``k``
+
+Costs and memory sizes are normalized internally so the constraint matrix is
+well conditioned regardless of whether costs are FLOPs (1e9-1e12) or seconds
+and memory is bytes.
+
+The matrix ``A``, the objective ``c``, the integrality pattern and every
+constraint bound depend only on ``(graph, variant, num_stages)`` -- the memory
+budget of Eq. (9) enters the standard form *solely* as the upper bound of the
+continuous ``U`` variables.  Since the paper's whole experimental surface is
+"same graph, many budgets" (the Figure 5 sweeps, the Figure 6 max-batch
+bisection, the Table 2 ratio grids), :class:`CompiledFormulation` assembles
+everything budget-independent exactly once with vectorized NumPy batch COO
+construction, and :meth:`CompiledFormulation.with_budget` patches only
+``ub[u_slice]`` -- microseconds instead of a full rebuild.
 
 Variable slice layout (offsets within the flat variable vector ``x``)
 ---------------------------------------------------------------------
-The four variable families are laid out in contiguous blocks, in the same
-order the loop-built formulation indexes them, so solution vectors decode
-identically on either path:
+The four variable families are laid out in contiguous blocks:
 
 ====== ============================ =========================================
 block  paper object                 index of ``(t, i)`` within the block
@@ -37,23 +55,22 @@ block  paper object                 index of ``(t, i)`` within the block
                                     Eq. (9) ("U <= M_budget") appears
 ====== ============================ =========================================
 
-Constraint row layout mirrors the loop-built path exactly: the dependency
-constraints (1b), then checkpoint continuity (1c), then -- unpartitioned only
--- the terminal-completion row (1e), then the interleaved FREE linearization
-rows (7b)/(7c) per FREE variable, then the memory recurrence rows (Eq. 2-3)
-stage by stage.  ``with_budget`` therefore returns arrays that are
-float-for-float equal to ``MILPFormulation(graph, budget).build()``.
+Constraint rows come in this order: the dependency constraints (1b), then
+checkpoint continuity (1c), then -- unpartitioned only -- the
+terminal-completion row (1e), then the interleaved FREE linearization rows
+(7b)/(7c) per FREE variable, then the memory recurrence rows (Eq. 2-3) stage
+by stage.  The test-suite keeps a loop-built reference formulation that
+``with_budget`` must match float for float.
 
 The module also hosts the per-process :class:`FormulationCache` (structural-hash
-keyed, single-flight, LRU) that the solvers consult.  ``MILPFormulation``
-stays as the reference oracle the equivalence tests and the perf harness
-compare against; no solver runs on it.
+keyed, single-flight, LRU) that the solvers consult.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -64,7 +81,6 @@ from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduleMatrices
 from ..obs.trace import get_tracer
 from ..utils.lru import SingleFlightLRU
-from .formulation import FormulationArrays, InfeasibleBudgetError
 
 __all__ = [
     "CompiledFormulation",
@@ -72,7 +88,32 @@ __all__ = [
     "get_formulation_cache",
     "set_formulation_cache",
     "formulation_and_arrays",
+    "FormulationArrays",
+    "InfeasibleBudgetError",
 ]
+
+
+class InfeasibleBudgetError(ValueError):
+    """Raised when the budget cannot fit even the constant overhead."""
+
+
+@dataclass
+class FormulationArrays:
+    """Dense/sparse arrays describing the MILP in standard form.
+
+    minimize    c @ x
+    subject to  constraint_lb <= A @ x <= constraint_ub
+                lb <= x <= ub
+                x[i] integral where integrality[i] == 1
+    """
+
+    c: np.ndarray
+    integrality: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    A: sparse.csr_matrix
+    constraint_lb: np.ndarray
+    constraint_ub: np.ndarray
 
 
 def _ramp(reps: np.ndarray) -> np.ndarray:
@@ -93,7 +134,7 @@ class CompiledFormulation:
     batch COO construction -- no per-entry ``list.append``, no per-stage
     ``set`` rebuilds (frontier membership is the arithmetic test ``j <= t``).
     :meth:`with_budget` then produces solver-ready
-    :class:`~repro.solvers.formulation.FormulationArrays` for any budget by
+    :class:`FormulationArrays` for any budget by
     patching only the ``U``-block upper bounds.
 
     The decode side (:meth:`decode_matrices`, :meth:`decode_fractional`,
@@ -101,8 +142,7 @@ class CompiledFormulation:
     into the dense ``(R, S)`` matrices with fancy indexing.
 
     Everything except the returned ``ub`` vector is shared between budgets;
-    treat the arrays as read-only (the shipped solvers already do -- the
-    reference branch-and-bound copies the bounds it mutates).
+    treat the arrays as read-only (the solvers already do).
     """
 
     def __init__(
@@ -123,7 +163,7 @@ class CompiledFormulation:
         if self.T < 1:
             raise ValueError("need at least one stage")
 
-        # Normalization for conditioning (identical to the loop-built path).
+        # Normalization for conditioning.
         self._cost_scale = max(float(graph.cost_vector.max()), 1e-12)
         self._mem_scale = max(float(graph.memory_vector.max()), 1.0)
         self._norm_mem = graph.memory_vector / self._mem_scale
@@ -469,7 +509,7 @@ class CompiledFormulation:
         Everything except the returned ``ub`` vector is shared with every
         other budget (read-only by contract).  Raises
         :class:`InfeasibleBudgetError` when the budget cannot fit the constant
-        input/parameter overhead, mirroring the loop-built constructor.
+        input/parameter overhead.
         """
         budget = float(budget)
         if budget < self.graph.constant_overhead:

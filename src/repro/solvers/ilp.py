@@ -45,8 +45,7 @@ from ..core.simulator import schedule_peak_memory
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .common import build_scheduled_result
-from .compiled import formulation_and_arrays
-from .formulation import InfeasibleBudgetError
+from .compiled import InfeasibleBudgetError, formulation_and_arrays
 from .rounding_portfolio import get_lp_relaxation_cache, solve_rounding_portfolio
 
 __all__ = ["solve_ilp_rematerialization", "liveness_certified_result",

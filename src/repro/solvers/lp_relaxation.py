@@ -17,8 +17,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from ..core.dfgraph import DFGraph
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
-from .compiled import formulation_and_arrays
-from .formulation import InfeasibleBudgetError
+from .compiled import InfeasibleBudgetError, formulation_and_arrays
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]
 

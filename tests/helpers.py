@@ -10,7 +10,6 @@ import budget helpers from here instead.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core import DFGraph, no_recompute_schedule, schedule_peak_memory
 from repro.solvers.warm import min_feasible_budget_floor
@@ -39,20 +38,6 @@ def below_liveness_budget(graph: DFGraph, fraction: float = 0.5) -> int:
     floor = min_feasible_budget_floor(graph)
     peak = no_recompute_peak(graph)
     return min(int(floor + fraction * (peak - floor)), peak - 1)
-
-
-def highs_milp(arrays, *, mip_gap: float = 1e-4):
-    """Solve loop-built ``FormulationArrays`` with HiGHS directly, using the
-    options ``solve_ilp_rematerialization`` passes (no budget-floor or memo
-    shortcut in between)."""
-    return milp(
-        c=arrays.c,
-        constraints=LinearConstraint(arrays.A, arrays.constraint_lb,
-                                     arrays.constraint_ub),
-        integrality=arrays.integrality,
-        bounds=Bounds(arrays.lb, arrays.ub),
-        options={"mip_rel_gap": mip_gap, "presolve": True},
-    )
 
 
 def reference_canonical_meta(value):

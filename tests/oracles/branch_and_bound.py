@@ -16,12 +16,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduledResult
-from ..utils.timer import Timer
-from .common import build_scheduled_result
-from .compiled import formulation_and_arrays
-from .formulation import FormulationArrays, InfeasibleBudgetError
+from repro.core.dfgraph import DFGraph
+from repro.core.schedule import ScheduledResult
+from repro.solvers.common import build_scheduled_result
+from repro.solvers.compiled import (
+    FormulationArrays,
+    InfeasibleBudgetError,
+    formulation_and_arrays,
+)
+from repro.utils.timer import Timer
 
 __all__ = [
     "BranchAndBoundResult",
@@ -154,7 +157,7 @@ def solve_branch_and_bound_schedule(
     unproven one primes the branch-and-bound pruning bound (``cutoff``) so only
     strictly better schedules are ever accepted.
     """
-    from .warm import WarmSeed, budget_floor_margin  # noqa: F401 (typing)
+    from repro.solvers.warm import WarmSeed, budget_floor_margin  # noqa: F401 (typing)
 
     try:
         formulation, arrays = formulation_and_arrays(graph, budget, frontier_advancing=True)

@@ -1,9 +1,11 @@
-"""Mixed-integer linear programming formulation of tensor rematerialization.
+"""Loop-built reference MILP formulation of tensor rematerialization.
 
 This module translates the paper's optimization problem (Sections 4.1-4.8)
 into explicit sparse constraint matrices consumable by any LP/MILP solver
 (:func:`scipy.optimize.milp` / HiGHS in this reproduction, Gurobi in the
-original system, or the small branch-and-bound solver shipped for tests).
+original system, or the reference branch-and-bound beside it).  It is the
+oracle the vectorized :class:`~repro.solvers.compiled.CompiledFormulation`
+must match float for float; no product solver runs on it.
 
 Two variants are supported:
 
@@ -29,39 +31,17 @@ memory is bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduleMatrices
+from repro.core.dfgraph import DFGraph
+from repro.core.schedule import ScheduleMatrices
+from repro.solvers.compiled import FormulationArrays, InfeasibleBudgetError
 
-__all__ = ["MILPFormulation", "FormulationArrays", "InfeasibleBudgetError"]
-
-
-class InfeasibleBudgetError(ValueError):
-    """Raised when the budget cannot fit even the constant overhead."""
-
-
-@dataclass
-class FormulationArrays:
-    """Dense/sparse arrays describing the MILP in standard form.
-
-    minimize    c @ x
-    subject to  constraint_lb <= A @ x <= constraint_ub
-                lb <= x <= ub
-                x[i] integral where integrality[i] == 1
-    """
-
-    c: np.ndarray
-    integrality: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    A: sparse.csr_matrix
-    constraint_lb: np.ndarray
-    constraint_ub: np.ndarray
+__all__ = ["MILPFormulation", "highs_milp"]
 
 
 class MILPFormulation:
@@ -379,3 +359,17 @@ class MILPFormulation:
             f"vars={self.num_variables} (R={len(self.r_index)}, S={len(self.s_index)}, "
             f"FREE={len(self.free_index)}, U={len(self.u_index)})"
         )
+
+
+def highs_milp(arrays, *, mip_gap: float = 1e-4):
+    """Solve loop-built ``FormulationArrays`` with HiGHS directly, using the
+    options ``solve_ilp_rematerialization`` passes (no budget-floor or memo
+    shortcut in between)."""
+    return milp(
+        c=arrays.c,
+        constraints=LinearConstraint(arrays.A, arrays.constraint_lb,
+                                     arrays.constraint_ub),
+        integrality=arrays.integrality,
+        bounds=Bounds(arrays.lb, arrays.ub),
+        options={"mip_rel_gap": mip_gap, "presolve": True},
+    )

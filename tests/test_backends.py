@@ -59,7 +59,6 @@ FULL_OPTIONS = SolverOptions(
     allowance=0.9,
     num_samples=3,
     seed=7,
-    max_nodes=500,
     checkpoints=(4, 1, 2),
     deadline_s=2.5,
     entrants=("approx_fixed_half", "checkmate_ilp"),
@@ -493,9 +492,11 @@ class TestWorkerCrash:
         backend = ProcessBackend(service, num_workers=1)
         with JobQueue(service, num_workers=1, backend=backend) as queue:
             (pid,) = backend.worker_pids()
-            # A solve slow enough to be running when the signal lands.
-            job = queue.submit_solve(mlp_train, "checkmate_bnb",
-                                     float(tight_budget(mlp_train, 0.5)))
+            # A solve slow enough to be running when the signal lands: an
+            # exact vgg16 cell below the no-recompute peak (seconds in HiGHS).
+            vgg = build_training_graph("vgg16")
+            job = queue.submit_solve(vgg, "checkmate_ilp",
+                                     float(below_liveness_budget(vgg, 0.5)))
             deadline = time.monotonic() + 30
             while job.state is JobState.QUEUED and time.monotonic() < deadline:
                 time.sleep(0.01)

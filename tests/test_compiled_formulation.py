@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import ample_budget, highs_milp, tight_budget
+from helpers import ample_budget, tight_budget
+from oracles import (
+    MILPFormulation,
+    highs_milp,
+    simulate_schedule_memory_reference,
+    solve_branch_and_bound,
+)
 
 from repro.core import (
     DFGraph,
@@ -24,18 +30,13 @@ from repro.core import (
     schedule_compute_cost,
     validate_correctness_constraints,
 )
-from repro.core.simulator import (
-    simulate_schedule_memory,
-    simulate_schedule_memory_reference,
-)
+from repro.core.simulator import simulate_schedule_memory
 from repro.experiments.budget_sweep import budget_grid
 from repro.experiments.presets import EXPERIMENT_MODELS, build_training_graph
 from repro.service import FormulationCache, SolveService, set_formulation_cache
 from repro.solvers import (
     CompiledFormulation,
     InfeasibleBudgetError,
-    MILPFormulation,
-    solve_branch_and_bound,
     solve_ilp_rematerialization,
 )
 

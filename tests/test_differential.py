@@ -58,7 +58,8 @@ from repro.solvers import (
 from repro.solvers.compiled import formulation_and_arrays
 from repro.solvers.ilp import solve_ilp_rematerialization
 
-from helpers import highs_milp, tight_budget
+from helpers import tight_budget
+from oracles import highs_milp
 
 #: Objective comparisons tolerate solver-side rounding only.
 _TOL = 1e-6
@@ -275,10 +276,6 @@ def _options_for(spec, graph) -> SolverOptions:
         return SolverOptions(checkpoints=tuple(range(0, graph.size, 2)))
     if spec.key == "race":
         return SolverOptions(deadline_s=30.0, num_samples=4, seed=0)
-    if spec.key == "checkmate_bnb":
-        # The reference branch-and-bound explores one LP per node; cap the
-        # tree so a dense random DAG cannot stall the whole suite.
-        return SolverOptions(max_nodes=64)
     return SolverOptions(time_limit_s=60.0, num_samples=4, seed=0)
 
 

@@ -65,9 +65,7 @@ def test_measured_equals_predicted_across_strategies(fixture, fraction,
     numeric = request.getfixturevalue(fixture)
     graph = numeric.graph
     budget = tight_budget(graph, fraction)
-    # max_nodes bounds the reference branch-and-bound solver (its runtime
-    # knob); every other strategy ignores it.
-    options = SolverOptions(time_limit_s=120, lp_time_limit_s=120, max_nodes=25)
+    options = SolverOptions(time_limit_s=120, lp_time_limit_s=120)
     reference = execute_checkpoint_all(numeric)
     strategies = service.registry.keys()
     executed = 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ample_budget, below_liveness_budget, no_recompute_peak, tight_budget
+from oracles import MILPFormulation, solve_branch_and_bound
 
 from repro.core import (
     checkpoint_all_schedule,
@@ -13,8 +14,6 @@ from repro.core import (
 )
 from repro.solvers import (
     InfeasibleBudgetError,
-    MILPFormulation,
-    solve_branch_and_bound,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
 )

@@ -149,13 +149,14 @@ def test_malformed_payload_is_rejected_with_400(name, case, client, chain5_train
     assert _status(client, name, payload) == (200 if ignored else 400)
 
 
-@pytest.mark.parametrize("option", ["generate_plan", "rounding_mode"])
+@pytest.mark.parametrize("option", ["generate_plan", "rounding_mode", "max_nodes"])
 @pytest.mark.parametrize("name", sorted(
     name for name, op in OPERATIONS.items()
     if "options" in {f.name for f in fields(op.work)}))
 def test_removed_options_are_unknown(name, option, client):
     """Removed knobs are unknown solver options like any other: the plan is
-    lowered on demand, and the rounding scheme is the strategy key."""
+    lowered on demand, the rounding scheme is the strategy key, and the
+    node-capped branch-and-bound is a test oracle, not a strategy."""
     graph = build_training_graph("linear_mlp")  # executable, for /v1/execute
     payload = {"graph": graph_to_wire(graph), "strategy": "checkpoint_all",
                "strategies": ["checkpoint_all"],
@@ -170,9 +171,9 @@ def test_removed_options_are_unknown(name, option, client):
 #: submission.  ``None`` budget: every formulation solver needs one.
 CLIENT_ERRORS = {
     **{f"no-budget-{key}": {"strategy": key, "budget": None}
-       for key in ("checkmate_ilp", "checkmate_approx", "checkmate_bnb",
-                   "approx_fixed_half", "approx_threshold_sweep",
-                   "approx_random_threshold", "approx_randomized", "race")},
+       for key in ("checkmate_ilp", "checkmate_approx", "approx_fixed_half",
+                   "approx_threshold_sweep", "approx_random_threshold",
+                   "approx_randomized", "race")},
     "allowance-1.5": {"strategy": "checkmate_approx",
                       "options": {"allowance": 1.5}},
     "checkpoint-outside-graph": {"strategy": "min_r",

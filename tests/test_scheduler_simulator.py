@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ScheduleMatrices,
     checkpoint_all_schedule,
     checkpoint_last_node_schedule,
     compute_free_events,
@@ -14,6 +15,7 @@ from repro.core import (
     schedule_peak_memory,
     simulate_plan,
     simulate_schedule_memory,
+    validate_correctness_constraints,
 )
 from repro.core.plan import ComputeNode, DeallocateRegister
 from repro.core.simulator import PlanSimulationError
@@ -40,13 +42,18 @@ class TestFreeEvents:
             freed = [i for (tt, k), nodes in events.items() if tt == t for i in nodes]
             assert len(freed) == len(set(freed))
 
-    def test_self_free_flag(self, chain5):
-        m = checkpoint_last_node_schedule(chain5)
-        with_self = compute_free_events(chain5, m, include_self_frees=True)
-        without = compute_free_events(chain5, m, include_self_frees=False)
-        def total(ev):
-            return sum(len(v) for v in ev.values())
-        assert total(with_self) >= total(without)
+    def test_unused_recomputation_is_freed_right_after_itself(self, chain5):
+        # Checkpoint everything, except that stage 2 recomputes v0 instead of
+        # keeping it: nothing later in stage 2 reads v0 (v1 is checkpointed)
+        # and v0 is not kept into stage 3, so FREE[2, 0, 0] fires.
+        m = checkpoint_all_schedule(chain5)
+        R, S = m.R.copy(), m.S.copy()
+        R[2, 0] = 1
+        S[2:, 0] = 0
+        spurious = ScheduleMatrices(R, S)
+        assert validate_correctness_constraints(chain5, spurious) == []
+        events = compute_free_events(chain5, spurious)
+        assert events[(2, 0)] == [0]
 
 
 class TestPlanGeneration:

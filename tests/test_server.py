@@ -378,9 +378,11 @@ class TestHttpApi:
         assert err.value.status == 400
         assert "not executable" in err.value.message
 
-    def test_execute_validates_payload(self, client):
+    # checkmate_bnb names a test oracle, not a strategy.
+    @pytest.mark.parametrize("strategy", ["nope", "checkmate_bnb"])
+    def test_execute_validates_payload(self, client, strategy):
         with pytest.raises(ServeAPIError) as err:
-            client.submit_execute(preset="linear_mlp", strategy="nope")
+            client.submit_execute(preset="linear_mlp", strategy=strategy)
         assert err.value.status == 404
         with pytest.raises(ServeAPIError) as err:
             client._request("POST", "/v1/execute",
@@ -580,7 +582,6 @@ class TestParetoApi:
     def test_strategies_advertise_warm_capability(self, client):
         by_key = {e["key"]: e for e in client.strategies()}
         assert by_key["checkmate_ilp"]["warm_start_capable"] is True
-        assert by_key["checkmate_bnb"]["warm_start_capable"] is True
         assert by_key["checkpoint_all"]["warm_start_capable"] is False
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (ample_budget, no_recompute_peak, reference_canonical_meta,
                      tight_budget)
+from oracles import registry_with_bnb
 
 from repro.autodiff import make_training_graph
 from repro.baselines import STRATEGIES
@@ -312,9 +313,10 @@ class TestRegistry:
 
     def test_extra_solvers_registered_uniformly(self):
         registry = default_registry()
-        assert "checkmate_bnb" in registry
         assert "min_r" in registry
-        assert not registry.get("checkmate_bnb").in_table1
+        assert not registry.get("min_r").in_table1
+        # The reference branch-and-bound is a test oracle, not a strategy.
+        assert "checkmate_bnb" not in registry
 
     def test_unknown_key_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="available"):
@@ -587,7 +589,7 @@ class TestSolveAndCache:
 
     def test_extra_solvers_through_service(self):
         graph = make_chain_train(4)
-        service = fresh_service()
+        service = fresh_service(registry=registry_with_bnb())
         budget = ample_budget(graph)
         bnb = service.solve(graph, "checkmate_bnb", budget)
         assert bnb.feasible
@@ -619,17 +621,24 @@ class TestDiskCache:
             original.extra["lp_objective"])
         assert (restored.plan is None) == (original.plan is None)
 
-    def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
+    # Not JSON, then valid JSON that is not an object: every one is a miss.
+    @pytest.mark.parametrize("content", ["{not json", "null", "[]", '"text"'])
+    def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path, content):
         graph = make_chain_train()
         budget = ample_budget(graph)
         service = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         service.solve(graph, "linearized_greedy", budget)
         for path in tmp_path.iterdir():
-            path.write_text("{not json")
+            path.write_text(content)
         fresh = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
         result = fresh.solve(graph, "linearized_greedy", budget)
         assert fresh.statistics()["solver_calls"] == 1
         assert result.feasible
+        # The fresh solve overwrote the bad file: the next process hits it.
+        again = fresh_service(cache=PlanCache(cache_dir=str(tmp_path)))
+        again.solve(graph, "linearized_greedy", budget)
+        assert again.statistics()["solver_calls"] == 0
+        assert again.cache.stats()["disk_hits"] == 1
 
     def test_dense_v1_schedule_file_is_a_miss_and_is_overwritten(self, tmp_path):
         import json
@@ -837,11 +846,11 @@ class TestStrategyMatrixFromRegistry:
         from repro.experiments import strategy_matrix_rows
 
         service = fresh_service()
-        assert len(service.registry) > 10  # bnb + min_r registered
+        assert len(service.registry) > 10  # min_r, portfolio, race registered
         rows = strategy_matrix_rows(service)
         assert len(rows) == 10
         keys = {r[0] for r in rows}
-        assert "checkmate_bnb" not in keys and "min_r" not in keys
+        assert "min_r" not in keys and "race" not in keys
 
 
 class TestLazyPlan:
@@ -866,13 +875,12 @@ class TestLazyPlan:
         budget = tight_budget(graph, 0.6)
         service = fresh_service(cache=None)
         # allowance=0 keeps the LP-rounding budget above the constant
-        # overhead; the node-capped branch-and-bound may find nothing.
+        # overhead.
         default = SolverOptions(time_limit_s=60.0, allowance=0.0,
                                 num_samples=4, seed=0)
         options = {
             "min_r": SolverOptions(checkpoints=tuple(range(0, graph.size, 3))),
             "race": SolverOptions(deadline_s=30.0, num_samples=4, seed=0),
-            "checkmate_bnb": SolverOptions(max_nodes=8),
         }
         registry = default_registry()
         feasible = set()
@@ -885,7 +893,7 @@ class TestLazyPlan:
             assert result.plan is not None, spec.key
             assert result.plan.total_computations() == int(result.matrices.R.sum()), \
                 spec.key
-        assert {spec.key for spec in registry} - {"checkmate_bnb"} <= feasible
+        assert {spec.key for spec in registry} <= feasible
 
     def test_solve_and_wire_roundtrip_lower_nothing(self, monkeypatch):
         from repro.utils.serialization import result_from_wire, result_to_wire

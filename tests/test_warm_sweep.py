@@ -19,7 +19,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import ample_budget, below_liveness_budget, highs_milp, no_recompute_peak
+from helpers import ample_budget, below_liveness_budget, no_recompute_peak
+from oracles import (
+    MILPFormulation,
+    highs_milp,
+    registry_with_bnb,
+    solve_branch_and_bound_schedule,
+)
 
 from repro.autodiff import make_training_graph
 from repro.core import linear_graph
@@ -29,12 +35,10 @@ from repro.experiments import build_training_graph
 from repro.service import SolveService, SweepCell, trace_pareto_frontier
 from repro.solvers import (
     FormulationCache,
-    MILPFormulation,
     WarmSeed,
     budget_floor_margin,
     min_feasible_budget_floor,
     set_formulation_cache,
-    solve_branch_and_bound_schedule,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
     tighten_schedule,
@@ -293,7 +297,8 @@ class TestWarmSweepService:
                                ample_budget(g), 4)]
         cells = ([SweepCell("checkmate_ilp", b) for b in budgets]
                  + [SweepCell("checkmate_bnb", b) for b in budgets])
-        seq_svc, par_svc = SolveService(), SolveService()
+        seq_svc = SolveService(registry=registry_with_bnb())
+        par_svc = SolveService(registry=registry_with_bnb())
         seq = seq_svc.sweep(g, cells, parallel=False)
         par = par_svc.sweep(g, cells, parallel=True, max_workers=4)
         for s, p in zip(seq, par):
