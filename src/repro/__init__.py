@@ -43,7 +43,7 @@ True
 """
 
 from .autodiff import BackwardConfig, make_training_graph
-from .baselines import STRATEGIES, get_strategy, solve_checkpoint_all
+from .baselines import STRATEGIES, solve_checkpoint_all
 from .core import (
     DFGraph,
     ExecutionPlan,
@@ -112,7 +112,6 @@ __all__ = [
     "BackwardConfig",
     "make_training_graph",
     "STRATEGIES",
-    "get_strategy",
     "solve_checkpoint_all",
     "DFGraph",
     "ExecutionPlan",

@@ -9,7 +9,7 @@ from .chen import (
 )
 from .griewank import is_linear_forward_graph, revolve_storage_timeline, solve_griewank_logn
 from .segmenting import forward_candidates, segment_checkpoint_schedule, training_graph_metadata
-from .strategies import STRATEGIES, get_strategy, solve_checkpoint_all
+from .strategies import STRATEGIES, solve_checkpoint_all
 
 __all__ = [
     "ap_candidates",
@@ -24,6 +24,5 @@ __all__ = [
     "segment_checkpoint_schedule",
     "training_graph_metadata",
     "STRATEGIES",
-    "get_strategy",
     "solve_checkpoint_all",
 ]

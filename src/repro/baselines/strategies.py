@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, checkpoint_all_schedule
 from ..core.simulator import schedule_peak_memory
-from ..service.registry import FIXED_HALF_OPTIONS, SolverRegistry, SolverSpec
+from ..service.registry import FIXED_HALF_OPTIONS, SolverSpec
 from ..solvers.common import build_scheduled_result
 from ..solvers.ilp import solve_ilp_rematerialization
 from ..solvers.rounding_portfolio import solve_rounding_portfolio
@@ -28,7 +28,7 @@ from .chen import ap_candidates, solve_chen_greedy, solve_chen_sqrt_n
 from .griewank import solve_griewank_logn
 from .segmenting import forward_candidates
 
-__all__ = ["STRATEGIES", "get_strategy", "solve_checkpoint_all"]
+__all__ = ["STRATEGIES", "solve_checkpoint_all"]
 
 #: Tri-state capability value used in Table 1 ("~" means partially).
 PARTIAL = "~"
@@ -156,7 +156,3 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         uses_formulation=True, accepts_should_cancel=True,
     ),
 )}
-
-
-#: Look up a strategy by key (raises ``KeyError`` listing the available ones).
-get_strategy = SolverRegistry(STRATEGIES).get

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 import threading
 import time
 from collections import OrderedDict
@@ -211,13 +210,7 @@ class _ActiveSpan:
         tls = tracer._tls
         trace_id = getattr(tls, "trace_id", None)
         if trace_id is None:
-            # Root span: open a new trace (honoring the sample rate).
-            if not tracer._sampled():
-                tls.trace_id = _NOT_SAMPLED
-                tls.parent_id = None
-                self.trace_id = _NOT_SAMPLED
-                self._is_root = True
-                return self
+            # Root span: open a new trace.
             trace_id = tracer.new_trace_id()
             tls.trace_id = trace_id
             tls.parent_id = None
@@ -225,8 +218,6 @@ class _ActiveSpan:
         else:
             self._is_root = False
         self.trace_id = trace_id
-        if trace_id is _NOT_SAMPLED:
-            return self
         self.span_id = next(tracer._ids)
         self.parent_id = tls.parent_id
         tls.parent_id = self.span_id
@@ -236,10 +227,6 @@ class _ActiveSpan:
     def __exit__(self, *exc) -> None:
         tracer = self._tracer
         tls = tracer._tls
-        if self.trace_id is _NOT_SAMPLED:
-            if self._is_root:
-                tls.trace_id = None
-            return
         end_s = time.perf_counter()
         tls.parent_id = self.parent_id
         thread_info = getattr(tls, "thread_info", None)
@@ -259,11 +246,6 @@ class _ActiveSpan:
         if self._is_root:
             tls.trace_id = None
             tracer._flush(buffer)
-
-
-#: Sentinel trace id marking a sampled-out trace on the current thread: child
-#: spans see it and skip recording without re-rolling the sampling decision.
-_NOT_SAMPLED = "<not-sampled>"
 
 
 class _Context:
@@ -297,23 +279,21 @@ class _Context:
 
 
 class Tracer:
-    """Thread-aware span tracer with an on/off switch and trace sampling.
+    """Thread-aware span tracer with an on/off switch.
 
     ``enabled`` gates everything: while ``False`` (the default),
     :meth:`span` returns one shared no-op context manager -- the cost of an
     instrumentation point is a method call and an attribute check.  When
-    enabled, each *root* span starts a new trace (recorded with probability
-    ``sample_rate``); nested spans attach to the thread's current trace.
+    enabled, each *root* span starts a new trace and every trace is
+    recorded; nested spans attach to the thread's current trace.
     """
 
     def __init__(self, store: Optional[TraceStore] = None) -> None:
         self.store = store if store is not None else TraceStore()
         self._enabled = False
-        self._sample_rate = 1.0
         self._tls = threading.local()
         self._ids = itertools.count(1)
         self._trace_seq = itertools.count(1)
-        self._rng = random.Random(os.getpid())
         #: Optional ``callable(pairs)`` invoked with batches of
         #: ``(name, duration_s)`` tuples as finished spans flush (a whole
         #: trace arrives in one call).  The metrics bridge feeds per-phase
@@ -328,24 +308,13 @@ class Tracer:
     def enabled(self) -> bool:
         return self._enabled
 
-    @property
-    def sample_rate(self) -> float:
-        return self._sample_rate
-
-    def enable(self, sample_rate: float = 1.0) -> "Tracer":
-        if not (0.0 <= sample_rate <= 1.0):
-            raise ValueError("sample_rate must be in [0, 1]")
-        self._sample_rate = float(sample_rate)
+    def enable(self) -> "Tracer":
         self._enabled = True
         return self
 
     def disable(self) -> "Tracer":
         self._enabled = False
         return self
-
-    def _sampled(self) -> bool:
-        rate = self._sample_rate
-        return rate >= 1.0 or self._rng.random() < rate
 
     def _flush(self, buffer: List[tuple]) -> None:
         """Drain one thread's finished-span buffer into the store + hook."""
@@ -372,7 +341,7 @@ class Tracer:
         ``start_s``/``end_s`` must come from ``time.perf_counter()`` so the
         span shares the clock of every context-manager span.
         """
-        if not self._enabled or trace_id is _NOT_SAMPLED:
+        if not self._enabled:
             return
         tls = self._tls
         thread_info = getattr(tls, "thread_info", None)
@@ -402,8 +371,7 @@ class Tracer:
         The cheapest way to record an interval from inside an active trace
         (no context tuple, no trace-id comparison): one tuple and one list
         append.  Returns ``False`` -- recording nothing -- when the thread
-        has no active trace, so callers can fall back to opening one;
-        sampled-out traces swallow the span and still return ``True``.
+        has no active trace, so callers can fall back to opening one.
         """
         if not self._enabled:
             return True
@@ -411,8 +379,6 @@ class Tracer:
         trace_id = getattr(tls, "trace_id", None)
         if trace_id is None:
             return False
-        if trace_id is _NOT_SAMPLED:
-            return True
         thread_info = getattr(tls, "thread_info", None)
         if thread_info is None:
             thread = threading.current_thread()
@@ -467,14 +433,7 @@ class Tracer:
 
     def current_trace_id(self) -> Optional[str]:
         """The trace id active on this thread (``None`` outside any span)."""
-        trace_id = getattr(self._tls, "trace_id", None)
-        return None if trace_id is _NOT_SAMPLED else trace_id
-
-    def thread_has_trace(self) -> bool:
-        """True inside any root span on this thread, *including* sampled-out
-        ones -- lets callers avoid opening a fresh trace that the sampler
-        already declined."""
-        return getattr(self._tls, "trace_id", None) is not None
+        return getattr(self._tls, "trace_id", None)
 
     def current_context(self) -> Optional[Tuple[str, Optional[int]]]:
         """``(trace_id, parent_span_id)`` to hand to another thread."""

@@ -405,7 +405,7 @@ class ProcessBackend(WorkerBackend):
     # ------------------------------ cache tiers ----------------------- #
     def _cached(self, work: SolveWork):
         """The parent cache's answer for ``work`` (``None`` on a miss) and
-        a callback storing a fresh result under the same key and family.
+        a callback storing a fresh result under the same key.
 
         The callback fills only the memory tier: the worker's own service
         shares the parent's ``cache_dir`` and has already written the
@@ -416,10 +416,9 @@ class ProcessBackend(WorkerBackend):
         spec = service.registry.get(work.strategy)
         options = (work.options if work.options is not None
                    else service.default_options)
-        key, family, cached = service._plan_lookup(work.graph, spec,
-                                                   work.budget, options)
-        return cached, partial(service._plan_store, key, family, work.budget,
-                               memory_only=True)
+        key, cached = service._plan_lookup(work.graph, spec, work.budget,
+                                           options)
+        return cached, partial(service._plan_store, key, memory_only=True)
 
     # ------------------------------ observability --------------------- #
     def _harvest_stats(self, response: dict) -> None:

@@ -10,7 +10,9 @@ Figure 8 rounding study all hit overlapping cells.  The cache keys a solve by
 
 so any reconstruction of the same graph (same costs, memories, edges,
 metadata -- see :func:`~repro.service.hashing.graph_content_hash`) re-uses the
-stored plan.
+stored plan.  It is a plain key -> result map with no notion of budget order:
+warm seeds from a larger budget come from the caller that walks the budgets
+(the sweep's descending chains, the Pareto bisection), not from the cache.
 
 Two tiers:
 
@@ -49,7 +51,7 @@ import hashlib
 import json
 import os
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult
@@ -78,15 +80,8 @@ class PlanCache:
         self.max_entries = int(max_entries)
         self.cache_dir = cache_dir
         self._memory: SingleFlightLRU[str, ScheduledResult] = SingleFlightLRU(max_entries)
-        # Family index for warm-start neighbor lookups (memory tier only):
-        # family token (graph hash + strategy + options, NOT budget) ->
-        # {budget: result}.  Every store into the memory tier goes through
-        # ``_lock``, so the index drops exactly the keys the LRU evicts.
         self._lock = threading.Lock()
-        self._family_index: Dict[str, Dict[float, ScheduledResult]] = {}
-        self._key_family: Dict[str, Tuple[str, float]] = {}
         self._disk_hits = 0
-        self._neighbor_hits = 0
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -107,61 +102,18 @@ class PlanCache:
             if result is not None:
                 with self._lock:
                     self._disk_hits += 1
-                    self._store_locked(key, result)
+                self._memory.put(key, result)
         return result
 
-    def put(self, key: PlanCacheKey, result: ScheduledResult, *,
-            family: Optional[str] = None, budget: Optional[float] = None) -> None:
-        """Store ``result`` in both tiers; optionally index it for neighbor
-        lookup.
-
-        ``family`` groups cells that differ only in budget (same graph,
-        strategy and options); together with ``budget`` it feeds
-        :meth:`neighbor_above`.
-        """
-        self.remember(key, result, family=family, budget=budget)
+    def put(self, key: PlanCacheKey, result: ScheduledResult) -> None:
+        """Store ``result`` in both tiers."""
+        self.remember(key, result)
         self._store_to_disk(key, result)
 
-    def remember(self, key: PlanCacheKey, result: ScheduledResult, *,
-                 family: Optional[str] = None,
-                 budget: Optional[float] = None) -> None:
-        """:meth:`put`'s memory half: the LRU and the family index, no disk
-        write (for a result whose solving process already stored it there)."""
-        with self._lock:
-            self._store_locked(key, result)
-            if (family is not None and budget is not None
-                    and self.max_entries > 0):
-                self._family_index.setdefault(family, {})[float(budget)] = result
-                self._key_family[key] = (family, float(budget))
-
-    def _store_locked(self, key: PlanCacheKey, result: ScheduledResult) -> None:
-        for evicted in self._memory.put(key, result):
-            entry = self._key_family.pop(evicted, None)
-            if entry is None:
-                continue
-            family, budget = entry
-            budgets = self._family_index.get(family, {})
-            budgets.pop(budget, None)
-            if not budgets:
-                self._family_index.pop(family, None)
-
-    def neighbor_above(self, family: str,
-                       budget: float) -> Optional[Tuple[float, ScheduledResult]]:
-        """Nearest in-memory cell of ``family`` with a strictly larger budget.
-
-        Returns ``(neighbor_budget, result)`` or ``None``.  The caller turns
-        the result into a :class:`~repro.solvers.warm.WarmSeed`; monotonicity
-        only runs downhill, so only larger budgets qualify as seeds.
-        """
-        budget = float(budget)
-        with self._lock:
-            budgets = self._family_index.get(family)
-            above = [b for b in budgets or () if b > budget]
-            if not above:
-                return None
-            nearest = min(above)
-            self._neighbor_hits += 1
-            return nearest, budgets[nearest]
+    def remember(self, key: PlanCacheKey, result: ScheduledResult) -> None:
+        """:meth:`put`'s memory half, no disk write (for a result whose
+        solving process already stored it there)."""
+        self._memory.put(key, result)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -178,14 +130,13 @@ class PlanCache:
         """
         with self._lock:
             stats = self._memory.stats()
-            disk_hits, neighbor_hits = self._disk_hits, self._neighbor_hits
+            disk_hits = self._disk_hits
         del stats["computes"]
         # The memory tier saw each disk hit as a miss.
         stats["hits"] = hits = int(stats["hits"]) + disk_hits
         stats["misses"] = misses = int(stats["misses"]) - disk_hits
         stats["hit_rate"] = hits / (hits + misses) if hits + misses else None
         stats["disk_hits"] = disk_hits
-        stats["neighbor_hits"] = neighbor_hits
         return stats
 
     # ------------------------------------------------------------------ #

@@ -11,11 +11,12 @@ equal endpoint costs prove every interior budget shares the same cost, i.e.
 the segment is one flat step and needs no further probes.
 
 Each probe is an ordinary :meth:`~repro.service.solve.SolveService.solve`, so
-it lands in the plan cache and -- for warm-capable strategies -- is
-automatically seeded from the nearest already-solved larger budget (the
-bisection order guarantees such a neighbor exists for every probe after the
-first).  The combination finds every knee to ``resolution`` precision with a
-fraction of the solver calls a dense grid at the same resolution would spend.
+it lands in the plan cache, and -- for warm-capable strategies -- the trace
+hands it the incumbent of the nearest feasible larger budget it has already
+probed as ``warm_start=`` (the bisection order makes that the enclosing
+segment's upper endpoint for every probe after the first).  The combination
+finds every knee to ``resolution`` precision with a fraction of the solver
+calls a dense grid at the same resolution would spend.
 
 The trace starts at the no-recompute peak: at and above it the no-recompute
 schedule fits, so the front is one flat step at ``sum(C)`` (the least a
@@ -32,7 +33,7 @@ from ..core.dfgraph import DFGraph
 from ..core.schedule import (ScheduledResult, checkpoint_all_schedule,
                              no_recompute_schedule)
 from ..core.simulator import schedule_peak_memory
-from ..solvers.warm import min_feasible_budget_floor
+from ..solvers.warm import WarmSeed, min_feasible_budget_floor, warm_seed_from_result
 from .options import SolverOptions
 
 __all__ = ["ParetoPoint", "ParetoFront", "trace_pareto_frontier"]
@@ -140,7 +141,7 @@ def trace_pareto_frontier(
     The returned front's ``high`` is the top budget actually probed.
 
     The high endpoint is probed first so every later (smaller-budget) probe
-    finds a cached larger neighbor to warm-seed from.
+    has a solved larger budget to warm-seed from, with or without a cache.
     """
     spec = service.registry.get(strategy)
     if not spec.has_budget_knob:
@@ -162,8 +163,19 @@ def trace_pareto_frontier(
         raise ValueError("resolution must be positive")
 
     evaluated: Dict[float, ScheduledResult] = {}
+    seeds: Dict[float, Optional[WarmSeed]] = {}  # by source budget
     calls_before = service.statistics()["solver_calls"]
     time_spent = 0.0
+
+    def warm_seed(budget: float) -> Optional[WarmSeed]:
+        """The tightened incumbent of the nearest feasible larger probe."""
+        above = [b for b, r in evaluated.items() if b > budget and r.feasible]
+        if not spec.warm_start_capable or not above:
+            return None
+        source = min(above)
+        if source not in seeds:
+            seeds[source] = warm_seed_from_result(graph, evaluated[source])
+        return seeds[source]
 
     def probe(budget: float) -> ScheduledResult:
         nonlocal time_spent
@@ -171,7 +183,8 @@ def trace_pareto_frontier(
         if budget not in evaluated:
             result = service.solve(graph, strategy, budget, options,
                                    use_cache=use_cache,
-                                   should_cancel=should_cancel)
+                                   should_cancel=should_cancel,
+                                   warm_start=warm_seed(budget))
             evaluated[budget] = result
             time_spent += result.solve_time_s or 0.0
         return evaluated[budget]
@@ -193,12 +206,12 @@ def trace_pareto_frontier(
         mid = (lo_b + hi_b) / 2.0
         probe(mid)
         # Upper half first: its endpoints are both already solved, and solving
-        # high-to-low keeps a warm neighbor above every subsequent probe.
+        # high-to-low keeps a solved larger budget above every later probe.
         bisect(mid, hi_b)
         bisect(lo_b, mid)
 
     # Endpoint order matters: high first, so the floor probe (and every
-    # midpoint) can warm-seed from a cached larger-budget incumbent.
+    # midpoint) can warm-seed from a larger budget's incumbent.
     high = top
     at_top = probe(top)
     if ceiling > top and not (at_top.feasible and at_top.compute_cost

@@ -113,9 +113,6 @@ class SolverRegistry:
         """The strategies of the paper's Table 1, in registration order."""
         return [spec for spec in self if spec.in_table1]
 
-    def copy(self) -> "SolverRegistry":
-        return SolverRegistry(self._specs)
-
 
 #: SolverOptions fields the ``fixed_half`` scheme understands (it is also
 #: ``checkmate_approx``).  Its one 0.5 threshold draws no samples and no
@@ -196,7 +193,9 @@ def default_registry() -> SolverRegistry:
         key="race",
         description="Deadline race: portfolio schemes + exact ILP in "
                     "parallel; best feasible within deadline_s wins.",
-        solve=solve_race,
+        # Bound to this registry: entrants resolve (and overrides apply)
+        # in the registry the race is served from.
+        solve=functools.partial(solve_race, registry=registry),
         option_map=_RACE_OPTIONS,
         uses_formulation=True,
         accepts_should_cancel=True,

@@ -183,7 +183,6 @@ class SolveService:
         strict: bool = False,
         should_cancel: Optional[Callable[[], bool]] = None,
         warm_start: Optional[WarmSeed] = None,
-        auto_warm_start: bool = True,
     ) -> ScheduledResult:
         """Solve one cell, answering from the plan cache when possible.
 
@@ -202,11 +201,9 @@ class SolveService:
         ``SolverSpec.warm_start_capable``) a neighboring budget's incumbent to
         prune with; it is a pure hint -- it never enters the cache key, and by
         budget monotonicity it cannot change which objective is optimal, only
-        how fast the solver gets there.  Without an explicit seed, a cache
-        *miss* on a warm-capable cell automatically looks for the nearest
-        cached cell of the same (graph, strategy, options) family at a larger
-        budget and seeds from it; ``auto_warm_start=False`` disables that
-        lookup (used by the cold benchmarking path).
+        how fast the solver gets there.  Seeds come only from the caller: a
+        cache miss without one solves cold (:meth:`sweep` and :meth:`pareto`
+        hand each cell the incumbent of the larger budget they solved before).
         """
         if should_cancel is not None and should_cancel():
             raise SolveCancelledError(f"solve of {strategy!r} cancelled before start")
@@ -215,7 +212,6 @@ class SolveService:
 
         tracer = get_tracer()
         key: Optional[PlanCacheKey] = None
-        family: Optional[str] = None
         warm_ok = spec.warm_start_capable and budget is not None
         lookup_start = 0.0
         if use_cache and self.cache is not None:
@@ -225,8 +221,7 @@ class SolveService:
             # enter/exit) while misses open the usual "solve" span below,
             # before any solver work.
             lookup_start = time.perf_counter()
-            key, family, cached = self._plan_lookup(graph, spec, budget,
-                                                    options)
+            key, cached = self._plan_lookup(graph, spec, budget, options)
             if cached is not None:
                 if tracer.enabled:
                     end_s = time.perf_counter()
@@ -243,11 +238,6 @@ class SolveService:
             if key is not None:
                 tracer.record_child_span("cache-lookup", lookup_start,
                                          time.perf_counter())
-                if warm_ok and warm_start is None and auto_warm_start:
-                    with tracer.span("warm-seed"):
-                        neighbor = self.cache.neighbor_above(family, budget)
-                        if neighbor is not None:
-                            warm_start = warm_seed_from_result(graph, neighbor[1])
 
             # Warn-only pre-solve lint gate, on the cache-miss path only: a
             # cache hit replays a schedule this service already vetted, and
@@ -272,39 +262,32 @@ class SolveService:
             # never cached: they cost nothing to reproduce, and caching them would
             # make a later strict=True call return a placeholder instead of raising.
             if key is not None and applicable:
-                self._plan_store(key, family, budget, result)
+                self._plan_store(key, result, memory_only=False)
             return result
 
     def _plan_lookup(self, graph: DFGraph, spec: SolverSpec,
                      budget: Optional[float], options: SolverOptions):
-        """``(key, family, cached)``: a cell's plan-cache key, its warm-start
-        family and the cached result (``None`` on a miss; a hit is counted).
+        """``(key, cached)``: a cell's plan-cache key and the cached result
+        (``None`` on a miss; a hit is counted).
 
         The one derivation of a cell's cache identity, shared by
         :meth:`solve` and the process backend's parent-cache tier.
-        ``family`` groups the cell with its other budgets, and is ``None``
-        unless the strategy takes warm starts and the cell has a budget.
         """
-        graph_hash = graph_content_hash(graph)
-        options_token = options.cache_token(spec.option_map)
-        key = PlanCacheKey.build(graph_hash, spec.key, budget, options_token)
-        family = None
-        if spec.warm_start_capable and budget is not None:
-            family = "|".join((graph_hash, spec.key, options_token))
+        key = PlanCacheKey.build(graph_content_hash(graph), spec.key, budget,
+                                 options.cache_token(spec.option_map))
         cached = self.cache.get(key, graph)
         if cached is not None:
             self._events.inc(event="cache_hits")
-        return key, family, cached
+        return key, cached
 
-    def _plan_store(self, key: PlanCacheKey, family: Optional[str],
-                    budget: Optional[float], result: ScheduledResult, *,
-                    memory_only: bool = False) -> None:
+    def _plan_store(self, key: PlanCacheKey, result: ScheduledResult, *,
+                    memory_only: bool) -> None:
         """Cache a fresh result under :meth:`_plan_lookup`'s key, unless its
         verdict is load-dependent.  ``memory_only`` skips the disk tier, for
         a result the process that solved it has already written there."""
         if _cacheable(result):
             store = self.cache.remember if memory_only else self.cache.put
-            store(key, result, family=family, budget=budget)
+            store(key, result)
 
     def _count_fresh(self, result: ScheduledResult) -> None:
         """Count a fresh solve's warm-start, shortcut, certificate and race
@@ -469,14 +452,15 @@ class SolveService:
         strategy (``SolverSpec.warm_start_capable``) are grouped per
         (strategy, options) family and solved as one sequential
         **descending-budget chain**, each cell seeded with the previous
-        (larger-budget) cell's tightened incumbent; all other cells are
+        (larger-budget) cell's tightened incumbent (a chain's first cell gets
+        no seed); all other cells are
         independent singletons.  Chains and singletons fan out over the thread
         pool in first-appearance order, so plan-cache fills and warm seeding
         are reproducible run-to-run -- and because a warm seed can only change
         *how fast* a cell solves, never which objective is optimal, parallel
         and sequential sweeps still agree cell-for-cell.  ``warm_start=False``
         restores the fully independent cold scheduling (every cell its own
-        singleton, no seeding, no neighbor lookup).
+        singleton, no seeding).
 
         ``should_cancel`` is forwarded to every cell solve; once it returns
         true the next cell to start raises :class:`SolveCancelledError`,
@@ -578,7 +562,7 @@ class SolveService:
                 result = self.solve(graph, cell.strategy, cell.budget,
                                     cell.options, use_cache=use_cache,
                                     strict=strict, should_cancel=should_cancel,
-                                    warm_start=seed, auto_warm_start=warm_start)
+                                    warm_start=seed)
                 out.append((idx, result))
                 if len(unit) > 1 and result.feasible and result.matrices is not None:
                     seed = warm_seed_from_result(graph, result) or seed
@@ -623,9 +607,9 @@ class SolveService:
         checkpoint-all peak), stopping early on segments whose endpoint costs
         already agree (a flat step of the frontier staircase) and on segments
         narrower than ``resolution``.  Every probe is an ordinary
-        :meth:`solve` -- cached, and warm-seeded from the nearest
-        already-solved larger budget -- so the frontier costs far fewer solver
-        calls than the equivalent dense grid.  Returns a
+        :meth:`solve` -- cached, and warm-seeded with the incumbent of the
+        nearest larger budget the trace has already solved -- so the frontier
+        costs far fewer solver calls than the equivalent dense grid.  Returns a
         :class:`~repro.service.pareto.ParetoFront`.
         """
         from .pareto import trace_pareto_frontier

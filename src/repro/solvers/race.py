@@ -50,7 +50,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduledResult, StrategyNotApplicableError
 from ..obs.trace import get_tracer
-from ..utils.lru import SingleFlightLRU
 from .common import build_scheduled_result
 from .ilp import liveness_certified_result
 from .rounding_portfolio import PORTFOLIO_STRATEGY_KEYS
@@ -62,16 +61,6 @@ RACE_STRATEGY_NAME = "race"
 #: Cheap approximations first, the exact ILP last: under a tight deadline the
 #: portfolio banks a feasible incumbent while the ILP chases optimality.
 DEFAULT_ENTRANTS: Tuple[str, ...] = PORTFOLIO_STRATEGY_KEYS + ("checkmate_ilp",)
-
-_default_registry: SingleFlightLRU[None, object] = SingleFlightLRU(1)
-
-
-def _race_registry():
-    """Lazy module-level default registry (building one per race is waste)."""
-    from ..service.registry import default_registry
-
-    return _default_registry.get_or_compute(None, default_registry)
-
 
 def check_entrants(registry, entrants: Optional[Sequence[str]],
                    strategy_name: str = RACE_STRATEGY_NAME) -> list:
@@ -125,7 +114,10 @@ def solve_race(
     """
     if budget is None:
         raise ValueError("race requires a memory budget")
-    registry = registry if registry is not None else _race_registry()
+    if registry is None:
+        from ..service.registry import default_registry
+
+        registry = default_registry()
     specs = check_entrants(registry, entrants, strategy_name)  # fail fast
     entrant_keys = tuple(spec.key for spec in specs)
 

@@ -116,7 +116,7 @@ def tighten_schedule(graph: DFGraph, matrices: ScheduleMatrices) -> ScheduleMatr
 
 #: Solver statuses that certify (gap-)optimality of the returned schedule.
 _PROVEN_OPTIMAL_STATUSES = frozenset({
-    "optimal", "gap-certified", "warm-reused-optimal", "warm-cutoff-optimal",
+    "optimal", "gap-certified", "warm-reused-optimal",
 })
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autodiff import BackwardConfig, make_training_graph
+from repro.autodiff import make_training_graph
 from repro.core import DFGraph, NodeInfo, linear_graph
 from repro.cost_model import FlopCostModel
 from repro.models import resnet_tiny, unet, vgg16

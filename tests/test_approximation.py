@@ -7,7 +7,6 @@ from helpers import ample_budget, tight_budget
 
 from repro.core import (
     checkpoint_all_schedule,
-    schedule_compute_cost,
     schedule_peak_memory,
     validate_correctness_constraints,
 )

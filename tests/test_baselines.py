@@ -9,7 +9,6 @@ from repro.baselines import (
     ap_candidates,
     chen_greedy_checkpoints,
     chen_sqrt_n_checkpoints,
-    get_strategy,
     revolve_storage_timeline,
     segment_checkpoint_schedule,
     solve_checkpoint_all,
@@ -165,10 +164,6 @@ class TestRegistry:
             fully_aware = (info.general_graphs is True and info.cost_aware is True
                            and info.memory_aware is True)
             assert fully_aware == key.startswith("checkmate")
-
-    def test_get_strategy_error(self):
-        with pytest.raises(KeyError):
-            get_strategy("nope")
 
     def test_ilp_beats_or_matches_heuristics(self, varied_chain_train):
         budget = tight_budget(varied_chain_train, 0.6)

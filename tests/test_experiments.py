@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import ample_budget, tight_budget
+from helpers import tight_budget
 
 from repro.experiments import (
     approximation_ratio_table,

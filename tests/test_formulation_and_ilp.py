@@ -8,7 +8,6 @@ from oracles import MILPFormulation, solve_branch_and_bound
 
 from repro.core import (
     checkpoint_all_schedule,
-    schedule_compute_cost,
     schedule_peak_memory,
     validate_correctness_constraints,
 )

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core import (
-    DFGraph,
-    NodeInfo,
     ancestors,
     articulation_points,
     descendants,

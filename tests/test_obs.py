@@ -135,18 +135,6 @@ class TestSpans:
         (span,) = tracer.store.spans("trace-x")
         assert span.name == "explicit"
 
-    def test_sample_rate_zero_drops_whole_trace(self, tracer):
-        tracer.enable(sample_rate=0.0)
-        with tracer.span("root"):
-            assert tracer.thread_has_trace()
-            assert tracer.current_trace_id() is None
-            with tracer.span("child"):
-                pass
-            # Sampled-out traces swallow pre-measured spans without falling
-            # back to a fresh trace.
-            assert tracer.record_child_span("late", 0.0, 1.0)
-        assert tracer.store.trace_ids() == []
-
     def test_span_end_hook_sees_batched_pairs(self, tracer):
         batches = []
         tracer.on_span_end = batches.append

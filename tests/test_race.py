@@ -27,7 +27,7 @@ def _graph(seed: int = 7, layers: int = 5, width: int = 2):
 
 def _slow_stub_registry(max_sleep_s: float = 30.0, poll_s: float = 0.02):
     """Default registry plus a cooperative stub that stalls until cancelled."""
-    registry = default_registry().copy()
+    registry = default_registry()
 
     def slow_solve(graph, budget=None, *, should_cancel=None, **_kwargs):
         start = time.monotonic()
@@ -243,6 +243,35 @@ def test_race_statistics_flow_into_service_counters():
     assert snap["entrants_finished"] >= 1
     assert snap["entrants_cancelled"] >= len(DEFAULT_ENTRANTS)
     assert _race_threads() == []
+
+
+def test_race_runs_the_entrants_of_its_services_registry():
+    """Entrants resolve in the registry the race is served from: one the
+    service added runs, and its override of a default entrant replaces it."""
+    from repro.solvers import solve_ilp_rematerialization
+
+    from helpers import below_liveness_budget
+
+    calls = []
+
+    def counting_ilp(graph, budget=None, **kwargs):
+        calls.append(budget)
+        return solve_ilp_rematerialization(graph, budget, **kwargs)
+
+    graph = _graph()
+    budget = below_liveness_budget(graph, 0.7)
+    registry = default_registry()
+    registry.register(SolverSpec(key="my_ilp", description="Counting ILP.",
+                                 solve=counting_ilp))
+    registry.register(SolverSpec(key="checkmate_ilp", description="Counting ILP.",
+                                 solve=counting_ilp), overwrite=True)
+    service = SolveService(registry=registry, cache=None)
+    for entrant in ("my_ilp", "checkmate_ilp"):
+        result = service.solve(graph, "race", budget, SolverOptions(
+            deadline_s=60.0, entrants=(entrant,)))
+        assert result.feasible, result.solver_status
+        assert result.extra["race"]["winner"] == entrant
+    assert calls == [budget, budget]
 
 
 def test_liveness_certified_race_starts_no_lane(monkeypatch):

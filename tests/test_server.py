@@ -19,7 +19,6 @@ import pytest
 from repro.baselines import solve_checkpoint_all
 from repro.obs import validate_prometheus_text
 from repro.server import (
-    Job,
     JobQueue,
     JobState,
     ServeAPIError,
@@ -28,8 +27,6 @@ from repro.server import (
 )
 from repro.service import (
     PlanCache,
-    SolverOptions,
-    SolverRegistry,
     SolverSpec,
     SolveService,
     default_registry,

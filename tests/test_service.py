@@ -16,7 +16,6 @@ from oracles import registry_with_bnb
 from repro.autodiff import make_training_graph
 from repro.baselines import STRATEGIES
 from repro.core import DFGraph, NodeInfo, linear_graph
-from repro.cost_model import FlopCostModel
 from repro.experiments import budget_grid, budget_sweep, build_training_graph
 from repro.service import (
     PlanCache,
@@ -676,14 +675,12 @@ class TestDiskCache:
         solver = fresh_service(cache=PlanCache(cache_dir=str(tmp_path / "a")))
         result = solver.solve(graph, "checkmate_ilp", budget)
         cache = PlanCache(cache_dir=str(tmp_path / "b"))
-        key, _, _ = solver._plan_lookup(
+        key, _ = solver._plan_lookup(
             graph, solver.registry.get("checkmate_ilp"), budget,
             solver.default_options)
-        cache.remember(key, result, family="fam", budget=budget)
+        cache.remember(key, result)
         assert not any((tmp_path / "b").iterdir())
         assert cache.get(key, graph) is result
-        # The family index is filled too: a smaller budget sees the cell.
-        assert cache.neighbor_above("fam", budget - 1.0) == (budget, result)
         cache.put(key, result)
         assert len(list((tmp_path / "b").iterdir())) == 1
 

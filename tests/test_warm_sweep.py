@@ -32,7 +32,7 @@ from repro.core import linear_graph
 from repro.core.schedule import validate_correctness_constraints
 from repro.core.simulator import schedule_peak_memory
 from repro.experiments import build_training_graph
-from repro.service import SolveService, SweepCell, trace_pareto_frontier
+from repro.service import SolveService, SweepCell
 from repro.solvers import (
     FormulationCache,
     WarmSeed,
@@ -363,14 +363,13 @@ class TestWarmSweepService:
         svc.solve(g, "checkmate_ilp", hi)  # cache hit replays the warm result
         assert svc.statistics()["warm_seeds"] == seeds_before
 
-    def test_neighbor_lookup_survives_eviction(self):
+    def test_bounded_cache_evicts_oldest_and_keeps_solving(self):
         from repro.service import PlanCache
         g = make_chain_train()
         svc = SolveService(cache=PlanCache(max_entries=2))
         hi = float(ample_budget(g))
         for b in (hi + 128.0, hi + 64.0, hi):
             svc.solve(g, "checkmate_ilp", b)
-        # Oldest entry evicted; the family index must not dangle.
         stats = svc.cache.stats()
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
@@ -486,6 +485,17 @@ class TestParetoTracer:
         assert at_peak.compute_cost > g.total_cost()
         assert front.high == schedule_peak_memory(g, checkpoint_all_schedule(g))
         assert front.points[-1].budget == front.high
+
+    def test_uncached_trace_warm_seeds_from_its_own_probes(self):
+        # The trace seeds each probe from its own larger-budget results, so
+        # a service without a plan cache warm-seeds as a cached one does.
+        g = make_chain_train()
+        uncached = SolveService(cache=None)
+        front = uncached.pareto(g, "checkmate_ilp")
+        assert uncached.statistics()["warm_seeds"] >= 1
+        cached = SolveService().pareto(g, "checkmate_ilp")
+        assert [(p.budget, p.feasible, p.compute_cost) for p in front.points] == [
+            (p.budget, p.feasible, p.compute_cost) for p in cached.points]
 
     def test_warm_seeding_fires_during_trace(self):
         # The trace stays below the no-recompute peak, where linear_cnn's
