@@ -68,8 +68,6 @@ def forward_candidates(graph: DFGraph) -> List[int]:
 def segment_checkpoint_schedule(
     graph: DFGraph,
     checkpoints: Iterable[int],
-    *,
-    keep_checkpoints_until_end: bool = True,
 ) -> ScheduleMatrices:
     """Lift a forward-activation checkpoint set into a full ``(R, S)`` schedule.
 
@@ -78,11 +76,8 @@ def segment_checkpoint_schedule(
     graph:
         Training graph (forward + backward nodes).
     checkpoints:
-        Indices of forward nodes the heuristic keeps resident.
-    keep_checkpoints_until_end:
-        Keep checkpoints alive for the whole schedule (the behaviour of the
-        original heuristics).  When ``False`` they are dropped after their last
-        consumer, a small memory-aware improvement.
+        Indices of forward nodes the heuristic keeps resident, for the whole
+        schedule (the behaviour of the original heuristics).
     """
     n = graph.size
     n_forward, grad_index = training_graph_metadata(graph)
@@ -99,8 +94,7 @@ def segment_checkpoint_schedule(
 
     # --- checkpointed forward values -------------------------------------- #
     for c in sorted(ckpts):
-        end = n if keep_checkpoints_until_end else ((last_user(c) or c) + 1)
-        S[c + 1:end, c] = 1
+        S[c + 1:, c] = 1
 
     # --- non-checkpointed forward values ----------------------------------- #
     sorted_ckpts = sorted(ckpts)

@@ -17,7 +17,8 @@ import functools
 from typing import Callable, Dict, List, Optional
 
 from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduledResult, checkpoint_all_schedule
+from ..core.schedule import (ScheduledResult, checkpoint_all_schedule,
+                             no_recompute_schedule)
 from ..core.simulator import schedule_peak_memory
 from ..service.registry import FIXED_HALF_OPTIONS, SolverSpec
 from ..solvers.common import build_scheduled_result
@@ -39,20 +40,14 @@ def solve_checkpoint_all(graph: DFGraph, budget: Optional[float] = None,
     """The framework default: store every activation, compute each node once.
 
     Frameworks such as TensorFlow free each activation once its gradient has
-    been computed, so for training graphs the policy is expressed as "every
-    forward value is checkpointed until its last consumer" -- no recomputation
-    ever happens, but values do not linger past the backward step that needs
-    them.  For graphs without training metadata the simpler retain-everything
-    schedule is used.
+    been computed, so for training graphs the policy is the no-recompute
+    schedule: every value is kept from its computation until its last
+    consumer, and nothing is recomputed.  For graphs without training
+    metadata the simpler retain-everything schedule is used.
     """
-    from .segmenting import segment_checkpoint_schedule
-
     with Timer() as timer:
         if "grad_index" in graph.meta:
-            n_forward = int(graph.meta["n_forward"])
-            matrices = segment_checkpoint_schedule(
-                graph, checkpoints=range(n_forward - 1), keep_checkpoints_until_end=False
-            )
+            matrices = no_recompute_schedule(graph)
         else:
             matrices = checkpoint_all_schedule(graph)
         peak = schedule_peak_memory(graph, matrices)

@@ -22,7 +22,7 @@ performs that loop's verification half for one
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -149,17 +149,14 @@ class ExecutionReport:
 def build_execution_report(
     numeric: NumericGraph,
     result: ScheduledResult,
-    *,
-    record_outputs: Optional[Sequence[int]] = None,
 ) -> ExecutionReport:
     """Execute ``result``'s plan over ``numeric`` and cross-check everything.
 
     Infeasible results (or results without matrices) come back with
     ``executed=False`` and the solver status in ``error``; for feasible ones
     reading ``result.plan`` lowers the ``(R, S)`` matrices on first use.
-
-    ``record_outputs`` restricts which node outputs are retained and compared
-    against checkpoint-all execution (default: every node the plan computes).
+    Every node output the plan computes is compared against checkpoint-all
+    execution.
     """
     graph = numeric.graph
     report = ExecutionReport(
@@ -179,7 +176,7 @@ def build_execution_report(
 
     plan = result.plan
     trace = simulate_plan(graph, plan)
-    measured = execute_plan(numeric, plan, record_outputs=record_outputs)
+    measured = execute_plan(numeric, plan)
     reference = execute_checkpoint_all(numeric)
 
     report.executed = True

@@ -4,7 +4,7 @@ Three pieces, wired together here:
 
 * :mod:`repro.obs.trace` -- nestable, thread-aware spans with per-request
   trace IDs, a bounded in-memory store, and Chrome-trace / waterfall export;
-* :mod:`repro.obs.metrics` -- typed Counter/Gauge/Histogram instruments with
+* :mod:`repro.obs.metrics` -- typed Counter/Histogram instruments with
   Prometheus text exposition;
 * :mod:`repro.obs.logging` -- structured JSON logging with trace-ID
   correlation.
@@ -19,13 +19,11 @@ from __future__ import annotations
 from .logging import JsonFormatter, configure_logging, get_logger
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     DEFAULT_LATENCY_BUCKETS,
     flatten_numeric,
     get_metrics_registry,
-    set_metrics_registry,
     validate_prometheus_text,
 )
 from .trace import (
@@ -51,12 +49,10 @@ __all__ = [
     "spans_from_tree",
     "format_waterfall",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "get_metrics_registry",
-    "set_metrics_registry",
     "flatten_numeric",
     "validate_prometheus_text",
     "JsonFormatter",

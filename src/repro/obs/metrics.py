@@ -1,10 +1,10 @@
 """Typed metrics instruments with Prometheus text exposition (zero-dep).
 
 :class:`MetricsRegistry` unifies the solve stack's scattered counters into
-three instrument types -- :class:`Counter` (monotone), :class:`Gauge`
-(set-to-value) and :class:`Histogram` (cumulative buckets + sum + count) --
-each with optional label dimensions, and renders them in the Prometheus text
-exposition format (``/v1/metrics?format=prometheus``).
+two instrument types -- :class:`Counter` (monotone) and :class:`Histogram`
+(cumulative buckets + sum + count) -- each with optional label dimensions,
+and renders them in the Prometheus text exposition format
+(``/v1/metrics?format=prometheus``).
 
 Two complementary paths feed the exposition:
 
@@ -32,11 +32,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "get_metrics_registry",
-    "set_metrics_registry",
     "flatten_numeric",
     "validate_prometheus_text",
     "DEFAULT_LATENCY_BUCKETS",
@@ -125,25 +123,6 @@ class Counter(_Instrument):
             self._values[key] = self._values.get(key, 0.0) + amount
 
 
-class Gauge(_Instrument):
-    """A value that can go up and down (queue depth, cache entries)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
-
 class Histogram(_Instrument):
     """Cumulative-bucket histogram (Prometheus semantics: le = less-or-equal).
 
@@ -165,16 +144,7 @@ class Histogram(_Instrument):
         self._counts: Dict[Tuple[str, ...], List[float]] = {}
 
     def observe(self, value: float, **labels) -> None:
-        self.observe_at(self._key(labels), float(value))
-
-    def observe_at(self, labelvalues: Tuple[str, ...], value: float) -> None:
-        """Fast-path observe for hot callers holding a pre-built label tuple.
-
-        Skips the kwargs packing and name validation of :meth:`observe`; the
-        tuple must match ``labelnames`` positionally (checked once per new
-        label set, when its state is first allocated).
-        """
-        self.observe_many_at(((labelvalues, value),))
+        self.observe_many_at(((self._key(labels), float(value)),))
 
     def observe_many_at(self, pairs) -> None:
         """Observe ``(labelvalues, value)`` pairs under one lock acquisition.
@@ -265,7 +235,7 @@ class Histogram(_Instrument):
 class MetricsRegistry:
     """Named instruments with get-or-create semantics plus text exposition.
 
-    ``counter``/``gauge``/``histogram`` return the existing instrument when
+    ``counter``/``histogram`` return the existing instrument when
     one of the same name, type and labels is already registered, so separate
     modules can reference one instrument without import-order coupling.
     """
@@ -293,10 +263,6 @@ class MetricsRegistry:
                 labelnames: Sequence[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help, labelnames)
 
-    def gauge(self, name: str, help: str = "",  # noqa: A002
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
-
     def histogram(self, name: str, help: str = "",  # noqa: A002
                   labelnames: Sequence[str] = (),
                   buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
@@ -307,10 +273,6 @@ class MetricsRegistry:
     def instruments(self) -> List[_Instrument]:
         with self._lock:
             return list(self._instruments.values())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._instruments.clear()
 
     # ------------------------------------------------------------------ #
     # Exposition
@@ -517,17 +479,8 @@ def _split_label_pairs(raw: str, lineno: int) -> Iterable[str]:
 
 
 _registry = MetricsRegistry()
-_registry_lock = threading.Lock()
 
 
 def get_metrics_registry() -> MetricsRegistry:
     """The process-wide registry the solve stack's instruments live in."""
     return _registry
-
-
-def set_metrics_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the previous one."""
-    global _registry
-    with _registry_lock:
-        previous, _registry = _registry, registry
-        return previous

@@ -149,10 +149,6 @@ class TraceStore:
         with self._lock:
             return list(self._traces)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -52,11 +52,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..obs.logging import get_logger
 from ..obs.trace import get_tracer
-from ..service import SolveCancelledError, SolveService
+from ..service import SolveCancelledError, SolverOptions, SolveService
 from .ops import SolveWork, operation_for
 
 __all__ = [
@@ -152,7 +152,12 @@ def _run_task(payload: dict) -> dict:
     Only an abrupt process death can break the channel, and the parent
     handles that separately (``BrokenProcessPool`` ->
     :class:`WorkerCrashError`).
+
+    Once the service has run, the response carries ``counts``: what this
+    task added to the worker service's counters (:meth:`SolveService.counts`),
+    for the parent's service to add to its own.
     """
+    before = None
     try:
         service = _WORKER_SERVICE
         if service is None:  # initializer not run (direct use in tests)
@@ -167,6 +172,7 @@ def _run_task(payload: dict) -> dict:
                 tracer.enable()
             trace_id = tracer.new_trace_id()
         wall_anchor, perf_anchor = time.time(), time.perf_counter()
+        before = service.counts()
         with (tracer.context(trace_id) if trace_id is not None
               else contextlib.nullcontext()):
             result = op.run(service, work, None)
@@ -176,14 +182,14 @@ def _run_task(payload: dict) -> dict:
             "pid": os.getpid(),
             "result": pickle.dumps(_detached(result),
                                    protocol=pickle.HIGHEST_PROTOCOL),
-            "stats": _worker_stats_snapshot(service),
+            "counts": _counted_since(service, before),
             "spans": (tracer.store.pop_rows(trace_id)
                       if trace_id is not None else []),
             "wall_anchor": wall_anchor,
             "perf_anchor": perf_anchor,
         }
     except BaseException as exc:  # noqa: BLE001 - process isolation boundary
-        return {
+        response = {
             "ok": False,
             "pid": os.getpid(),
             "error": {
@@ -192,6 +198,17 @@ def _run_task(payload: dict) -> dict:
                 "traceback": traceback.format_exc(limit=20),
             },
         }
+        if before is not None:
+            response["counts"] = _counted_since(service, before)
+        return response
+
+
+def _counted_since(service: SolveService, before: dict) -> dict:
+    """What ``service`` counted since its :meth:`SolveService.counts`
+    reading ``before`` (nonzero entries only)."""
+    return {key: value - before.get(key, 0)
+            for key, value in service.counts().items()
+            if value != before.get(key, 0)}
 
 
 def _detached(results):
@@ -213,31 +230,6 @@ def _attached(results, graph):
     return results
 
 
-def _worker_stats_snapshot(service: SolveService) -> dict:
-    """Cumulative counters for this worker process (JSON-safe): flat counts
-    plus ``certificates`` by kind."""
-    stats = service.statistics()
-    return {
-        "solver_calls": stats["solver_calls"],
-        "cache_hits": stats["cache_hits"],
-        "cache_misses": stats["cache_misses"],
-        "warm_seeds": stats["warm_seeds"],
-        "disk_hits": (stats["cache"] or {}).get("disk_hits", 0),
-        "certificates": dict(stats["certificates"]),
-    }
-
-
-def _summed(snapshots) -> dict:
-    """Key-wise sums of worker snapshots (nested counts sum per key)."""
-    totals: dict = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            totals[key] = (_summed([totals.get(key, {}), value])
-                           if isinstance(value, dict)
-                           else totals.get(key, 0) + value)
-    return totals
-
-
 # --------------------------------------------------------------------------- #
 # Parent side
 # --------------------------------------------------------------------------- #
@@ -248,8 +240,9 @@ class ProcessBackend(WorkerBackend):
     ----------
     service:
         The parent's service: its plan cache is checked before paying IPC
-        and filled after harvest, and it runs the operations that do not
-        ship (execute, pareto) locally.
+        and filled after harvest, it runs the operations that do not ship
+        (execute, pareto) locally, and its counters take what each shipped
+        task counted in its worker.
     num_workers:
         Pool size.  Workers are spawned, never forked: the daemon is heavily
         threaded and fork would inherit locks in unknown states.
@@ -266,7 +259,7 @@ class ProcessBackend(WorkerBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        self._worker_stats: Dict[int, dict] = {}
+        self._worker_pids: List[int] = []
         self._tasks_shipped = 0
         self._local_fallbacks = 0
         self._crashes = 0
@@ -414,25 +407,23 @@ class ProcessBackend(WorkerBackend):
         if service.cache is None:
             return None, lambda result: None
         spec = service.registry.get(work.strategy)
-        options = (work.options if work.options is not None
-                   else service.default_options)
+        options = work.options if work.options is not None else SolverOptions()
         key, cached = service._plan_lookup(work.graph, spec, work.budget,
                                            options)
         return cached, partial(service._plan_store, key, memory_only=True)
 
     # ------------------------------ observability --------------------- #
     def _harvest_stats(self, response: dict) -> None:
+        self.service.add_counts(response.get("counts") or {})
         pid = response.get("pid")
-        stats = response.get("stats")
         if pid is None:
             return
         with self._stats_lock:
-            if stats is not None:
-                self._worker_stats[pid] = stats
-            # Bound the per-pid map: drop oldest entries past 4x the pool
-            # size (crashed workers leave their last snapshot behind).
-            while len(self._worker_stats) > 4 * self.num_workers:
-                self._worker_stats.pop(next(iter(self._worker_stats)))
+            if pid not in self._worker_pids:
+                self._worker_pids.append(pid)
+                # Bound the list: drop the oldest past 4x the pool size
+                # (crashed workers leave their pid behind).
+                del self._worker_pids[:-4 * self.num_workers]
 
     def _graft_trace(self, response: dict) -> None:
         rows = response.get("spans")
@@ -455,9 +446,6 @@ class ProcessBackend(WorkerBackend):
 
     def stats(self) -> dict:
         with self._stats_lock:
-            workers = {str(pid): dict(s)
-                       for pid, s in self._worker_stats.items()}
-            aggregate = _summed(workers.values())
             return {
                 "name": self.name,
                 "pool_size": self.num_workers,
@@ -465,8 +453,7 @@ class ProcessBackend(WorkerBackend):
                 "local_fallbacks": self._local_fallbacks,
                 "crashes": self._crashes,
                 "pool_rebuilds": self._pool_rebuilds,
-                "worker_totals": aggregate,
-                "workers": workers,
+                "workers": [str(pid) for pid in self._worker_pids],
             }
 
 

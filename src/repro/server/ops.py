@@ -237,7 +237,7 @@ def _resolve(service: SolveService, graph: DFGraph, strategy: str,
     formulation solver (unless ``traced``: the operation picks the budgets),
     checkpoints inside the graph, and race entrants the race accepts."""
     spec = service.registry.get(strategy)
-    options = options if options is not None else service.default_options
+    options = options if options is not None else SolverOptions()
     if spec.uses_formulation and budget is None and not traced:
         raise ValueError(f"strategy {spec.key!r} needs a memory budget")
     kwargs = options.kwargs_for(spec.option_map)
@@ -284,7 +284,7 @@ def _execute_flight(service, work, graph_hash):
 def _sweep_flight(service, work, graph_hash):
     cells = tuple(c if isinstance(c, SweepCell) else SweepCell(*c)
                   for c in work.cells)
-    options = work.options if work.options is not None else service.default_options
+    options = work.options if work.options is not None else SolverOptions()
     tokens = [(c.strategy, _float(c.budget),
                _resolve(service, work.graph, c.strategy,
                         c.options if c.options is not None else options,

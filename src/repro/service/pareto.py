@@ -120,7 +120,6 @@ def trace_pareto_frontier(
     high: Optional[float] = None,
     resolution: Optional[float] = None,
     options: Optional[SolverOptions] = None,
-    use_cache: bool = True,
     should_cancel: Optional[Callable[[], bool]] = None,
 ) -> ParetoFront:
     """Trace the frontier of ``strategy`` on ``graph`` to ``resolution`` bytes.
@@ -182,7 +181,6 @@ def trace_pareto_frontier(
         budget = float(budget)
         if budget not in evaluated:
             result = service.solve(graph, strategy, budget, options,
-                                   use_cache=use_cache,
                                    should_cancel=should_cancel,
                                    warm_start=warm_seed(budget))
             evaluated[budget] = result

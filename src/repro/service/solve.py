@@ -21,7 +21,7 @@ the one entry point for that workload:
 Failure semantics: a strategy raising
 :class:`~repro.core.schedule.StrategyNotApplicableError` (e.g. Griewank on a
 non-linear graph) yields an infeasible ``not-applicable`` result instead of
-aborting the sweep; pass ``strict=True`` to re-raise instead.  Any other
+aborting the sweep; ``solve(strict=True)`` re-raises instead.  Any other
 ``ValueError`` -- misconfigured options, an invalid schedule -- always
 propagates, so misuse is never silently reported as infeasibility.
 """
@@ -138,6 +138,9 @@ _WARM_KIND_EVENTS = {"incumbent_prune": "incumbent_prunes",
                      "bound_skip": "bound_skips"}
 #: The ``extra["certificate"]`` kinds an exact solve is answered by.
 CERTIFICATE_KINDS = ("liveness", "lp-gap")
+#: Options of a solve given none: built once, since a cached sweep cell costs
+#: only microseconds and options are frozen.
+_DEFAULT_OPTIONS = SolverOptions()
 
 
 class SolveService:
@@ -151,14 +154,11 @@ class SolveService:
         self,
         registry: Optional[SolverRegistry] = None,
         cache: object = _UNSET_CACHE,
-        *,
-        default_options: Optional[SolverOptions] = None,
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.cache: Optional[PlanCache] = (
             PlanCache() if cache is _UNSET_CACHE else cache  # type: ignore[assignment]
         )
-        self.default_options = default_options or SolverOptions()
         # Per service, not in the process-wide registry: two services in one
         # process keep separate counts.
         self._events = Counter("repro_service_events_total",
@@ -179,7 +179,6 @@ class SolveService:
         budget: Optional[float] = None,
         options: Optional[SolverOptions] = None,
         *,
-        use_cache: bool = True,
         strict: bool = False,
         should_cancel: Optional[Callable[[], bool]] = None,
         warm_start: Optional[WarmSeed] = None,
@@ -208,13 +207,13 @@ class SolveService:
         if should_cancel is not None and should_cancel():
             raise SolveCancelledError(f"solve of {strategy!r} cancelled before start")
         spec = self.registry.get(strategy)
-        options = options if options is not None else self.default_options
+        options = options if options is not None else _DEFAULT_OPTIONS
 
         tracer = get_tracer()
         key: Optional[PlanCacheKey] = None
         warm_ok = spec.warm_start_capable and budget is not None
         lookup_start = 0.0
-        if use_cache and self.cache is not None:
+        if self.cache is not None:
             # Cache hits bypass the span context manager entirely: a warm
             # cell is microseconds of real work, so the hit path records one
             # flat pre-measured span (several times cheaper than a live
@@ -384,10 +383,7 @@ class SolveService:
         options: Optional[SolverOptions] = None,
         *,
         seed: int = 0,
-        use_cache: bool = True,
-        strict: bool = False,
         should_cancel: Optional[Callable[[], bool]] = None,
-        record_outputs: Optional[Sequence[int]] = None,
     ):
         """Solve one cell, lower it, run it over NumPy tensors, cross-check.
 
@@ -414,11 +410,9 @@ class SolveService:
                 with tracer.span("bind-numeric"):
                     numeric = bind_numeric_graph(numeric_or_graph, seed=seed)
             result = self.solve(numeric.graph, strategy, budget, options,
-                                use_cache=use_cache, strict=strict,
                                 should_cancel=should_cancel)
             with tracer.span("tensor-execute"):
-                report = build_execution_report(numeric, result,
-                                                record_outputs=record_outputs)
+                report = build_execution_report(numeric, result)
             self._events.inc(event="executions")
             return report
 
@@ -433,8 +427,6 @@ class SolveService:
         options: Optional[SolverOptions] = None,
         max_workers: Optional[int] = None,
         parallel: bool = True,
-        use_cache: bool = True,
-        strict: bool = False,
         should_cancel: Optional[Callable[[], bool]] = None,
         warm_start: bool = True,
     ) -> List[ScheduledResult]:
@@ -484,8 +476,8 @@ class SolveService:
         with tracer.span("sweep", cells=len(normalized)):
             return self._sweep_cells(
                 graph, normalized, options=options, max_workers=max_workers,
-                parallel=parallel, use_cache=use_cache, strict=strict,
-                should_cancel=should_cancel, warm_start=warm_start,
+                parallel=parallel, should_cancel=should_cancel,
+                warm_start=warm_start,
             )
 
     def _sweep_cells(
@@ -496,8 +488,6 @@ class SolveService:
         options: Optional[SolverOptions],
         max_workers: Optional[int],
         parallel: bool,
-        use_cache: bool,
-        strict: bool,
         should_cancel: Optional[Callable[[], bool]],
         warm_start: bool,
     ) -> List[ScheduledResult]:
@@ -560,8 +550,7 @@ class SolveService:
             for idx in unit:
                 cell = unique[idx]
                 result = self.solve(graph, cell.strategy, cell.budget,
-                                    cell.options, use_cache=use_cache,
-                                    strict=strict, should_cancel=should_cancel,
+                                    cell.options, should_cancel=should_cancel,
                                     warm_start=seed)
                 out.append((idx, result))
                 if len(unit) > 1 and result.feasible and result.matrices is not None:
@@ -597,7 +586,6 @@ class SolveService:
         high: Optional[float] = None,
         resolution: Optional[float] = None,
         options: Optional[SolverOptions] = None,
-        use_cache: bool = True,
         should_cancel: Optional[Callable[[], bool]] = None,
     ):
         """Trace the memory-vs-recompute frontier by warm-seeded bisection.
@@ -617,7 +605,7 @@ class SolveService:
         with get_tracer().span("pareto", strategy=strategy):
             return trace_pareto_frontier(
                 self, graph, strategy, low=low, high=high, resolution=resolution,
-                options=options, use_cache=use_cache, should_cancel=should_cancel,
+                options=options, should_cancel=should_cancel,
             )
 
     # ------------------------------------------------------------------ #
@@ -633,7 +621,9 @@ class SolveService:
         """One merged snapshot of service activity and cache effectiveness.
 
         This is the payload behind the serve daemon's ``/v1/metrics``.  The
-        counters (:data:`_COUNTED`) come from the service's event counter:
+        counters (:data:`_COUNTED`) come from the service's event counter,
+        which also holds what process workers counted for this service
+        (:meth:`add_counts`):
 
         * ``cache_hits``/``cache_misses`` only count solves that consulted
           the cache; with caching disabled neither moves.  ``executions``
@@ -677,6 +667,21 @@ class SolveService:
         snapshot["lp_relaxation_cache"] = get_lp_relaxation_cache().stats()
         snapshot["lint_cache"] = lint_cache.stats()
         return snapshot
+
+    def counts(self) -> dict:
+        """Every nonzero event and certificate count so far, keyed by
+        ``(label name, label value)``.  The difference of two readings is
+        what the service counted in between, which :meth:`add_counts` takes."""
+        return {(counter.labelnames[0], labels[0]): value
+                for counter in (self._events, self.certificates)
+                for _, labels, value in counter.samples() if value}
+
+    def add_counts(self, counts: dict) -> None:
+        """Add counts another service took (a process worker's task), so
+        this service's counters cover solves wherever they ran."""
+        for (label, value), amount in counts.items():
+            counter = self.certificates if label == "kind" else self._events
+            counter.inc(amount, **{label: value})
 
 
 _default_service: Optional[SolveService] = None

@@ -49,7 +49,8 @@ from repro.solvers.common import build_scheduled_result
 from repro.utils import serialization
 from repro.utils.serialization import result_to_wire, schedule_to_json
 
-from helpers import ample_budget, below_liveness_budget, tight_budget
+from helpers import (ample_budget, below_liveness_budget, no_recompute_peak,
+                     tight_budget)
 
 
 FULL_OPTIONS = SolverOptions(
@@ -133,9 +134,9 @@ def mlp_train():
     return build_training_graph("linear_mlp", scale="ci")
 
 
-def _worker_solver_calls(backend) -> int:
-    # Totals sum what workers reported: empty before the first report.
-    return backend.stats()["worker_totals"].get("solver_calls", 0)
+def _solver_calls(backend) -> int:
+    # Shipped solves count on the parent's service, wherever they ran.
+    return backend.service.statistics()["solver_calls"]
 
 
 class TestProcessBackend:
@@ -172,7 +173,7 @@ class TestProcessBackend:
         """8 identical submissions through the process backend -> exactly one
         solver invocation across all worker processes (single-flighting at the
         queue plus the shared cache tiers below it)."""
-        before = _worker_solver_calls(process_queue.backend)
+        before = _solver_calls(process_queue.backend)
         budget = float(tight_budget(mlp_train, 0.61))
         jobs = [process_queue.submit_solve(mlp_train, "checkmate_ilp", budget)
                 for _ in range(8)]
@@ -181,7 +182,7 @@ class TestProcessBackend:
             assert job.state is JobState.DONE, job.error
         costs = {job.result["compute_cost"] for job in jobs}
         assert len(costs) == 1
-        after = _worker_solver_calls(process_queue.backend)
+        after = _solver_calls(process_queue.backend)
         assert after - before == 1
 
     def test_repeat_submission_answers_from_parent_cache(self, process_queue,
@@ -239,17 +240,15 @@ class TestProcessBackend:
         assert backend["name"] == "process"
         assert backend["pool_size"] == 2
         assert backend["tasks_shipped"] >= 1
-        # Every counter a worker ships is summed, certificates per kind.
-        totals = backend["worker_totals"]
-        assert set(totals) == {"solver_calls", "cache_hits", "cache_misses",
-                               "warm_seeds", "disk_hits", "certificates"}
-        assert set(totals["certificates"]) == set(CERTIFICATE_KINDS)
-        workers = backend["workers"].values()
-        for key in ("solver_calls", "cache_misses", "warm_seeds"):
-            assert totals[key] == sum(stats[key] for stats in workers)
-        for kind in CERTIFICATE_KINDS:
-            assert totals["certificates"][kind] == sum(
-                stats["certificates"][kind] for stats in workers)
+        # The shipped solve counts on the parent's service.
+        service = metrics["service"]
+        assert service["solver_calls"] >= 1
+        assert service["cache_misses"] >= 1
+        assert set(service["certificates"]) == set(CERTIFICATE_KINDS)
+        # The backend lists the pids of the workers that answered.
+        assert backend["workers"]
+        assert all(pid.isdigit() for pid in backend["workers"])
+        assert len(backend["workers"]) <= 4 * backend["pool_size"]
 
     def test_execute_falls_back_to_local(self, process_queue):
         """Execute jobs (results carry live tensors: no wire format) run on
@@ -265,6 +264,39 @@ class TestProcessBackend:
     def test_make_backend_rejects_unknown_name(self):
         with pytest.raises(ValueError):
             make_backend("fibers", SolveService())
+
+
+class TestOneCounterStore:
+    """Solve counters live on the parent's service alone: a process worker
+    hands back what each task counted, so both backends report the same."""
+
+    @staticmethod
+    def _counted(backend: str):
+        graph = build_training_graph("linear_cnn", scale="ci")
+        cells = [("checkmate_ilp", float(no_recompute_peak(graph))),
+                 ("chen_sqrt_n", float(ample_budget(graph))),
+                 ("checkpoint_all", float(ample_budget(graph)) + 1.0)]
+        service = SolveService(cache=PlanCache(max_entries=16))
+        with JobQueue(service, num_workers=2, backend=backend) as queue:
+            for strategy, budget in cells + cells[:1]:  # then one repeat
+                job = queue.submit_solve(graph, strategy, budget)
+                assert job.wait(120)
+                assert job.state is JobState.DONE, job.error
+            return service.counts(), queue.metrics()
+
+    def test_thread_and_process_backends_count_the_same(self):
+        thread_counts, thread = self._counted("thread")
+        process_counts, process = self._counted("process")
+        assert process["backend"]["tasks_shipped"] == 3
+        assert process_counts == thread_counts
+        for section in ("solver_calls", "cache_hits", "cache_misses",
+                        "analysis", "race", "certificates"):
+            assert process["service"][section] == thread["service"][section]
+        service = process["service"]
+        assert (service["solver_calls"], service["cache_hits"],
+                service["cache_misses"]) == (3, 1, 3)
+        assert service["analysis"]["lint_runs"] == 3
+        assert service["certificates"]["liveness"] == 1
 
 
 def _body_bytes(wire: dict) -> str:
@@ -356,6 +388,11 @@ class TestTrustedResults:
         assert response["ok"] is False
         assert error in response["error"]["message"]
         pickle.loads(pickle.dumps(response))  # crosses back to the parent
+        # The service ran (its lint gate did), so the failed task's counts
+        # still reach the parent's service.
+        assert response["counts"][("event", "lint_runs")] == 1
+        backend._harvest_stats(response)
+        assert backend.service.statistics()["analysis"]["lint_runs"] == 1
 
 
 class TestHashOnce:
@@ -433,7 +470,7 @@ class TestSharedDiskCache:
         try:
             result = first.run(work, _never)
             assert result.feasible
-            assert _worker_solver_calls(first) == 1
+            assert _solver_calls(first) == 1
         finally:
             first.shutdown()
 
@@ -443,8 +480,10 @@ class TestSharedDiskCache:
             # the hit we observe is the *worker's* disk-store lookup.
             response = second._ship(second._encode(work), _never)
             assert response["ok"], response.get("error")
-            assert response["stats"]["solver_calls"] == 0
-            assert response["stats"]["disk_hits"] == 1
+            # One cache hit and no solve: the fresh worker's memory tier is
+            # empty, so the hit came from disk.
+            assert response["counts"] == {("event", "cache_hits"): 1}
+            assert second.service.statistics()["solver_calls"] == 0
         finally:
             second.shutdown()
 
@@ -521,10 +560,11 @@ class TestWorkerCrash:
         """A worker-side solver exception fails the job with the remote
         type/message, not a pickling error and not a hang."""
         # Built in-process, the graph skips the wire check; submission
-        # checks options, not meta, so only the worker's solve trips on it.
+        # checks options, not meta, so only the worker's solve trips on it
+        # (Chen's heuristic reads ``n_forward``).
         broken = DFGraph(nodes=chain5_train.nodes, deps=chain5_train.deps,
                          meta=dict(chain5_train.meta, n_forward="abc"))
-        job = process_queue.submit_solve(broken, "checkpoint_all")
+        job = process_queue.submit_solve(broken, "chen_sqrt_n")
         assert job.wait(60)
         assert job.state is JobState.FAILED
         assert job.error_info is not None
@@ -810,3 +850,24 @@ class TestProcessDaemonEndToEnd:
         finally:
             server.stop()
             set_tracer(previous)
+
+    def test_scrape_counts_a_shipped_liveness_certificate(self):
+        graph = build_training_graph("linear_mlp", scale="ci")
+        server = SolveServer(port=0, service=SolveService(cache=None),
+                             num_workers=1, backend="process")
+        server.start()
+        try:
+            client = ServeClient(server.url)
+            handle = client.submit_solve(strategy="checkmate_ilp", graph=graph,
+                                         budget=float(no_recompute_peak(graph)))
+            status = client.wait(handle["job_id"], timeout=120)
+            assert status["state"] == "done", status.get("error")
+            text = client.metrics_prometheus()
+            assert 'repro_service_certificates_total{kind="liveness"} 1\n' \
+                in text
+            assert "repro_service_solver_calls 1\n" in text
+            # Worker pids are listed, not scraped as per-pid counters.
+            assert "repro_backend_workers" not in text
+            assert client.metrics()["backend"]["workers"]
+        finally:
+            server.stop()

@@ -223,7 +223,7 @@ class TestMetrics:
         many = Histogram("h_many", buckets=(1.0, 2.0))
         values = (0.5, 1.5, 3.0, 0.1)
         for v in values:
-            one.observe_at((), v)
+            one.observe(v)
         many.observe_many_at([((), v) for v in values])
         assert one.snapshot() == many.snapshot()
 
@@ -232,7 +232,7 @@ class TestMetrics:
         a = registry.counter("repro_x_total")
         assert registry.counter("repro_x_total") is a
         with pytest.raises(ValueError):
-            registry.gauge("repro_x_total")
+            registry.histogram("repro_x_total")
         with pytest.raises(ValueError):
             registry.counter("repro_x_total", labelnames=("other",))
 

@@ -17,7 +17,8 @@ from repro.core import (
     validate_correctness_constraints,
 )
 from repro.solvers import solve_min_r
-from repro.baselines import segment_checkpoint_schedule
+from repro.baselines import (STRATEGIES, forward_candidates,
+                             segment_checkpoint_schedule)
 
 _SETTINGS = dict(deadline=None, max_examples=25,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -111,6 +112,32 @@ def test_segment_schedules_valid_for_any_checkpoint_subset(graph, data):
     assert validate_correctness_constraints(graph, matrices) == []
     # Recomputation is bounded by roughly one extra forward pass.
     assert matrices.R.sum() <= graph.size + n_forward + 2
+
+
+@st.composite
+def layered_training_graphs(draw):
+    """Training graphs of random layered DAGs (2-8 layers, widths 1-4)."""
+    layers = draw(st.integers(min_value=2, max_value=8))
+    width = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return make_training_graph(random_layered_dag(layers, width, seed=seed))
+
+
+@given(st.one_of(layered_training_graphs(), chain_training_graphs()))
+@settings(**_SETTINGS)
+def test_checkpoint_all_strategy_is_the_no_recompute_schedule(graph):
+    """Checkpointing every forward value and dropping each value after its
+    last consumer, then solving min-R, is the no-recompute schedule -- which
+    the ``checkpoint_all`` strategy returns on training graphs."""
+    n = graph.size
+    lifted = segment_checkpoint_schedule(graph, forward_candidates(graph))
+    last = np.array([max(graph.successors(i), default=i) for i in range(n)])
+    dropped = lifted.S * (np.arange(n)[:, None] <= last)
+    expected = no_recompute_schedule(graph)
+    for matrices in (solve_min_r(graph, dropped),
+                     STRATEGIES["checkpoint_all"].solve(graph).matrices):
+        assert (matrices.R == expected.R).all()
+        assert (matrices.S == expected.S).all()
 
 
 @given(chain_training_graphs())

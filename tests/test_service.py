@@ -461,14 +461,6 @@ class TestSolveAndCache:
         service.solve(graph, "checkmate_approx", budget, SolverOptions(allowance=0.3))
         assert service.statistics()["solver_calls"] == 2
 
-    def test_use_cache_false_always_solves(self):
-        graph = make_chain_train()
-        budget = tight_budget(graph, 0.6)
-        service = fresh_service()
-        service.solve(graph, "linearized_greedy", budget, use_cache=False)
-        service.solve(graph, "linearized_greedy", budget, use_cache=False)
-        assert service.statistics()["solver_calls"] == 2
-
     def test_disabled_cache_service(self):
         graph = make_chain_train()
         service = fresh_service(cache=None)
@@ -561,7 +553,7 @@ class TestSolveAndCache:
         assert "not-applicable" in result.solver_status
         with pytest.raises(ValueError):
             service.solve(diamond_train, "griewank_logn",
-                          ample_budget(diamond_train), use_cache=False, strict=True)
+                          ample_budget(diamond_train), strict=True)
 
     def test_misconfiguration_propagates_even_non_strict(self):
         # Only StrategyNotApplicableError becomes a 'not-applicable' result;
@@ -677,7 +669,7 @@ class TestDiskCache:
         cache = PlanCache(cache_dir=str(tmp_path / "b"))
         key, _ = solver._plan_lookup(
             graph, solver.registry.get("checkmate_ilp"), budget,
-            solver.default_options)
+            SolverOptions())
         cache.remember(key, result)
         assert not any((tmp_path / "b").iterdir())
         assert cache.get(key, graph) is result
