@@ -134,7 +134,7 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         general_graphs=True, cost_aware=True, memory_aware=True,
         solve=solve_ilp_rematerialization, in_table1=True,
         option_map={"time_limit_s": "time_limit_s", "mip_gap": "mip_gap"},
-        uses_formulation=True, warm_start_capable=True,
+        uses_formulation=True, warm_start_capable=True, accepts_should_cancel=True,
     ),
     SolverSpec(
         key="checkmate_approx",

@@ -28,6 +28,7 @@ from .schedule import ScheduleMatrices
 __all__ = [
     "MemoryTrace",
     "simulate_schedule_memory",
+    "stage_memory_profiles",
     "schedule_peak_memory",
     "simulate_plan",
     "PlanSimulationError",
@@ -94,6 +95,20 @@ def simulate_schedule_memory(
     the stage: constant overhead plus checkpoints).
     """
     R, S = matrices.R, matrices.S
+    S_next = np.zeros_like(S)
+    S_next[:-1] = S[1:]
+    return stage_memory_profiles(graph, R, S, S_next)
+
+
+def stage_memory_profiles(graph: DFGraph, R: np.ndarray, S: np.ndarray,
+                          S_next: np.ndarray) -> np.ndarray:
+    """``U`` rows of the given stages: row ``k`` holds ``R[k]``, ``S[k]``
+    and ``S_next[k]``, the next stage's checkpoints (zeros after the last).
+
+    A stage's profile reads nothing else, so rows of different schedules
+    may be stacked and evaluated in one call.  Same layout as
+    :func:`simulate_schedule_memory`.
+    """
     T, n = R.shape
     mem = graph.memory_vector
     parents, children = graph.edge_arrays
@@ -116,7 +131,7 @@ def simulate_schedule_memory(
             last_use[:, owners], np.maximum.reduceat(user_pos, starts, axis=1))
 
     freed = last_use >= 0
-    freed[:-1] &= S[1:] == 0  # values checkpointed into t+1 are not collected
+    freed &= S_next == 0  # values checkpointed into t+1 are not collected
 
     # Per-stage profile as one cumulative sum: +M_k at each computed position,
     # -M_i right after each value's last use (frees after the final position

@@ -580,6 +580,13 @@ class CompiledFormulation:
             np.fill_diagonal(R, 1)  # (8a) may be returned as 0.9999... by LP solvers
         return ScheduleMatrices(R, S)
 
+    def start_entries(self, matrices: ScheduleMatrices) -> Tuple[np.ndarray, np.ndarray]:
+        """A schedule's ``R`` and ``S`` blocks as a sparse MIP start
+        ``(indices, values)``; the solver completes ``FREE`` and ``U``."""
+        values = np.concatenate((matrices.R[self._r_t, self._r_i],
+                                 matrices.S[self._s_t, self._s_i]))
+        return np.arange(self._s_base + self.num_s), values.astype(np.float64)
+
     def decode_fractional(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return the fractional ``(R*, S*)`` matrices of an LP-relaxation solution."""
         x = np.asarray(x, dtype=np.float64)

@@ -4,9 +4,11 @@
 solver: it builds the MILP of Eq. (9) (or the unpartitioned Eq. (8) variant)
 as a :class:`~repro.solvers.compiled.CompiledFormulation` and hands it to the
 HiGHS branch-and-cut solver bundled with SciPy -- the drop-in replacement for
-the Gurobi/COIN-OR solvers used in the paper.  The optimal ``(R, S)`` matrices
-are then packaged with their cost and peak memory (the execution plan is
-lowered on first access to ``ScheduledResult.plan``).
+the Gurobi/COIN-OR solvers used in the paper -- through
+:func:`repro.solvers.highs.milp`, which can start HiGHS from an incumbent.
+The optimal ``(R, S)`` matrices are then packaged with their cost and peak
+memory (the execution plan is lowered on first access to
+``ScheduledResult.plan``).
 
 Certify before searching, cheapest certificate first.  Every
 frontier-advancing schedule computes each node at least once (Eq. 8a) and
@@ -27,25 +29,36 @@ node costs are non-negative, so ``sum(C)`` is a lower bound on the optimum.
    guarantee HiGHS stops at -- and is returned as ``gap-certified``
    (``extra["certificate"] == "lp-gap"``) without branch-and-cut.  An
    LP-infeasible budget is ILP-infeasible too.
-3. **HiGHS.**  Only the remaining cells reach branch-and-cut, where the
-   incumbent backstops a time-limit miss.
+3. **Repair incumbent.**  When that misses, a schedule repaired from the
+   cell alone (:func:`~repro.solvers.repair.repair_schedule`: checkpoints
+   dropped greedily from the no-recompute schedule until it fits) joins the
+   incumbents, and the cheapest is checked against the bound once more.
+4. **HiGHS with the start.**  Only the remaining cells reach
+   branch-and-cut, started from the incumbent's ``R``/``S`` entries.  HiGHS
+   never returns anything costlier; when it stops at a limit on nothing
+   cheaper, the incumbent is reported as such.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-from scipy.optimize import LinearConstraint, milp
-from scipy.optimize import Bounds
+from scipy.optimize import Bounds, LinearConstraint
 
 from ..core.dfgraph import DFGraph
-from ..core.schedule import ScheduleMatrices, ScheduledResult, no_recompute_schedule
+from ..core.schedule import (
+    ScheduleMatrices,
+    ScheduledResult,
+    no_recompute_schedule,
+    schedule_compute_cost,
+)
 from ..core.simulator import schedule_peak_memory
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .common import build_scheduled_result
 from .compiled import InfeasibleBudgetError, formulation_and_arrays
+from .highs import milp
+from .repair import repair_schedule
 from .rounding_portfolio import get_lp_relaxation_cache, solve_rounding_portfolio
 
 __all__ = ["solve_ilp_rematerialization", "liveness_certified_result",
@@ -53,11 +66,8 @@ __all__ = ["solve_ilp_rematerialization", "liveness_certified_result",
 
 ILP_STRATEGY_NAME = "checkmate-ilp"
 
-# scipy.optimize.milp status codes.
-_STATUS_OPTIMAL = 0
-_STATUS_LIMIT = 1
-_STATUS_INFEASIBLE = 2
-_STATUS_UNBOUNDED = 3
+#: scipy.optimize.milp status codes (shared by the drop-in ``milp``).
+_STATUS_NAMES = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}
 
 
 class _Incumbent(NamedTuple):
@@ -65,7 +75,7 @@ class _Incumbent(NamedTuple):
 
     matrices: ScheduleMatrices
     cost: float
-    source: str  # "warm" (a fitting seed) or "rounding" (of the LP)
+    source: str  # "warm" (a fitting seed), "rounding" (of the LP) or "repair"
 
 
 def liveness_certified_result(graph: DFGraph, budget: float, *,
@@ -101,6 +111,7 @@ def solve_ilp_rematerialization(
     num_stages: Optional[int] = None,
     strategy_name: str = ILP_STRATEGY_NAME,
     warm_start: Optional["WarmSeed"] = None,
+    should_cancel: Optional[Callable[[], bool]] = None,
 ) -> ScheduledResult:
     """Solve the rematerialization MILP for a graph under a memory budget.
 
@@ -126,12 +137,15 @@ def solve_ilp_rematerialization(
         Stage count for the unpartitioned variant (defaults to ``graph.size``).
     warm_start:
         A :class:`~repro.solvers.warm.WarmSeed` from a neighboring (larger)
-        budget.  SciPy's ``milp`` cannot accept an incumbent, so the seed is
-        exploited around the solver instead: a proven-optimal seed that fits is
-        reused outright (``warm-reused-optimal``, no LP).  An unproven fitting
-        seed is one more incumbent next to the LP rounding: it is tried first,
-        and the rounding only runs when the seed alone does not meet the
-        certificate.
+        budget.  A proven-optimal seed that fits is reused outright
+        (``warm-reused-optimal``, no LP).  An unproven fitting seed is one
+        more incumbent next to the LP rounding and the repair: it is tried
+        first, the rounding only runs when the seed alone does not meet the
+        certificate, and the cheapest incumbent is HiGHS's start.
+    should_cancel:
+        Zero-argument hook polled from HiGHS's interrupt callbacks; once it
+        returns true HiGHS stops and the solve reports ``cancelled`` with
+        the best schedule in hand (never cached by the solve service).
 
     Returns
     -------
@@ -139,11 +153,12 @@ def solve_ilp_rematerialization(
     no-recompute schedule fits or the cheapest incumbent met ``mip_gap``
     against the LP bound (``extra`` then holds ``certificate`` --
     ``"liveness"`` or ``"lp-gap"`` -- ``objective_lower_bound`` and
-    ``proven_optimal``); otherwise it is HiGHS's verdict, suffixed
-    ``-warm-incumbent`` / ``-rounding-incumbent`` when HiGHS stopped on
-    nothing better than the incumbent.  ``feasible`` is
-    ``False`` when infeasibility is proven or no schedule was found within
-    the limit.
+    ``proven_optimal``); otherwise it is HiGHS's verdict (``cancelled`` when
+    the hook stopped it), suffixed ``-warm-incumbent`` /
+    ``-rounding-incumbent`` / ``-repair-incumbent`` when HiGHS stopped
+    short of optimality on nothing cheaper than the incumbent.  ``feasible``
+    is ``False`` when infeasibility is proven or no schedule was found
+    within the limit.
     """
     if frontier_advancing:
         certified = liveness_certified_result(graph, budget,
@@ -212,8 +227,12 @@ def solve_ilp_rematerialization(
                     solve_time_s=lp.solve_time_s, solver_status="infeasible-lp",
                     extra={"formulation": formulation.describe()},
                 )
-            if lp.feasible and (incumbent is None or bound is None
-                                or incumbent.cost > bound):
+
+            def certified() -> bool:
+                return (incumbent is not None and bound is not None
+                        and incumbent.cost <= bound)
+
+            if lp.feasible and not certified():
                 rounding = solve_rounding_portfolio(
                     graph, budget, scheme="threshold_sweep", allowance=0.0,
                     lp_result=lp, strategy_name=strategy_name)
@@ -221,7 +240,16 @@ def solve_ilp_rematerialization(
                                           or rounding.compute_cost < incumbent.cost):
                     incumbent = _Incumbent(rounding.matrices, rounding.compute_cost,
                                            "rounding")
-            if incumbent is not None and bound is not None and incumbent.cost <= bound:
+            if not certified():
+                # The LP certificate missed: repair a fitting schedule from
+                # the cell itself, a last chance to certify and HiGHS's start.
+                with get_tracer().span("repair"):
+                    repaired = repair_schedule(graph, budget)
+                if repaired is not None:
+                    cost = schedule_compute_cost(graph, repaired)
+                    if incumbent is None or cost < incumbent.cost:
+                        incumbent = _Incumbent(repaired, cost, "repair")
+            if certified():
                 extra = {"formulation": formulation.describe(),
                          "certificate": "lp-gap",
                          "objective_lower_bound": lp.objective,
@@ -238,6 +266,10 @@ def solve_ilp_rematerialization(
 
     constraints = LinearConstraint(arrays.A, arrays.constraint_lb, arrays.constraint_ub)
     bounds = Bounds(arrays.lb, arrays.ub)
+    # HiGHS starts from the incumbent's R and S (the frontier layout only:
+    # an unpartitioned formulation may have other than n stages).
+    start = (formulation.start_entries(incumbent.matrices)
+             if incumbent is not None and frontier_advancing else None)
 
     with Timer() as timer, get_tracer().span("ilp-solve", budget=float(budget)):
         res = milp(
@@ -250,38 +282,39 @@ def solve_ilp_rematerialization(
                 "mip_rel_gap": float(mip_gap),
                 "presolve": True,
             },
+            start=start,
+            should_cancel=should_cancel,
         )
     solve_time_s = certify_timer.elapsed + timer.elapsed
 
-    status_map = {
-        _STATUS_OPTIMAL: "optimal",
-        _STATUS_LIMIT: "time_limit",
-        _STATUS_INFEASIBLE: "infeasible",
-        _STATUS_UNBOUNDED: "unbounded",
-    }
-    status = status_map.get(res.status, f"solver-status-{res.status}")
+    status = _STATUS_NAMES.get(res.status, f"solver-status-{res.status}")
+    if status != "optimal" and should_cancel is not None and should_cancel():
+        status = "cancelled"
     extra = {"formulation": formulation.describe()}
     if seed is not None:
         extra["warm_start"] = {"used": True, "kind": "seeded",
                                "source_budget": seed.source_budget}
 
-    if res.x is None:
-        if incumbent is None:
-            if status == "infeasible" and frontier_advancing:
-                # Feed the learned-infeasibility memo: every budget at or
-                # below this one is infeasible too and will short-circuit.
-                formulation.note_infeasible_budget(budget, integral=True)
-            return build_scheduled_result(
-                strategy_name, graph, None, budget=int(budget), feasible=False,
-                solve_time_s=solve_time_s, solver_status=status, extra=extra,
-            )
-        # The incumbent is feasible at this budget, so "no solution within
-        # the time limit" still has a valid schedule to fall back on.
+    def incumbent_result():
+        # HiGHS stopped on nothing better than the incumbent we already
+        # hold (or on nothing at all); it is feasible at this budget.
         return build_scheduled_result(
             strategy_name, graph, incumbent.matrices, budget=int(budget),
             feasible=True, solve_time_s=solve_time_s,
             solver_status=f"{status}-{incumbent.source}-incumbent",
             frontier_advancing=frontier_advancing, extra=extra,
+        )
+
+    if res.x is None:
+        if incumbent is not None:
+            return incumbent_result()
+        if status == "infeasible" and frontier_advancing:
+            # Feed the learned-infeasibility memo: every budget at or
+            # below this one is infeasible too and will short-circuit.
+            formulation.note_infeasible_budget(budget, integral=True)
+        return build_scheduled_result(
+            strategy_name, graph, None, budget=int(budget), feasible=False,
+            solve_time_s=solve_time_s, solver_status=status, extra=extra,
         )
 
     extra.update({
@@ -290,17 +323,12 @@ def solve_ilp_rematerialization(
         "mip_gap": getattr(res, "mip_gap", None),
         "mip_node_count": getattr(res, "mip_node_count", None),
     })
-    if incumbent is not None and formulation.objective_value(np.asarray(res.x)) > incumbent.cost:
-        # HiGHS stopped (time limit / gap) on a schedule worse than the
-        # incumbent we already hold; keep the better one.
-        return build_scheduled_result(
-            strategy_name, graph, incumbent.matrices, budget=int(budget),
-            feasible=True, solve_time_s=solve_time_s,
-            solver_status=f"{status}-{incumbent.source}-incumbent",
-            frontier_advancing=frontier_advancing, extra=extra,
-        )
     with get_tracer().span("decode"):
-        matrices = formulation.decode_matrices(np.asarray(res.x))
+        matrices = formulation.decode_matrices(res.x)
+    if incumbent is not None:
+        cost = schedule_compute_cost(graph, matrices)
+        if cost > incumbent.cost or (status != "optimal" and cost >= incumbent.cost):
+            return incumbent_result()
     return build_scheduled_result(
         strategy_name,
         graph,

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint
 
 from ..core.dfgraph import DFGraph
 from ..obs.trace import get_tracer
 from ..utils.timer import Timer
 from .compiled import InfeasibleBudgetError, formulation_and_arrays
+from .highs import milp
 
 __all__ = ["LPRelaxationResult", "solve_lp_relaxation"]
 

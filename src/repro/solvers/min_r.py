@@ -27,7 +27,7 @@ import numpy as np
 from ..core.dfgraph import DFGraph
 from ..core.schedule import ScheduleMatrices
 
-__all__ = ["solve_min_r", "checkpoint_set_to_schedule", "solve_min_r_schedule"]
+__all__ = ["solve_min_r", "min_r_rows", "checkpoint_set_to_schedule", "solve_min_r_schedule"]
 
 
 def solve_min_r(graph: DFGraph, S: np.ndarray) -> ScheduleMatrices:
@@ -55,8 +55,25 @@ def solve_min_r(graph: DFGraph, S: np.ndarray) -> ScheduleMatrices:
     S[np.triu_indices(n, k=0)] = 0
     S[0, :] = 0
 
-    # Every stage shares the same propagation rules, so the per-stage scan is
-    # run for all stages at once, column by column:
+    Sb = S.astype(bool)
+    S_next = np.zeros_like(Sb)
+    S_next[:-1] = Sb[1:]
+    Rb = min_r_rows(graph, Sb, S_next, np.arange(n))
+    return ScheduleMatrices(Rb.astype(np.uint8), S)
+
+
+def min_r_rows(graph: DFGraph, S_rows: np.ndarray, S_next: np.ndarray,
+               stages: np.ndarray) -> np.ndarray:
+    """The minimal ``R`` rows of the given stages, as a boolean block.
+
+    Row ``k`` is stage ``stages[k]`` with checkpoints ``S_rows[k]`` in and
+    ``S_next[k]`` out (the next stage's ``S`` row; zeros after the last
+    stage).  A stage's minimal ``R`` reads nothing else, so any stacking of
+    rows -- a whole schedule or a few stages of many candidate ``S`` edits --
+    completes in one pass.
+    """
+    # Every row shares the same propagation rules, so the per-stage scan is
+    # run for all rows at once, column by column:
     #
     # * (8a) frontier nodes and (1c) checkpoint-feeding entries seed R;
     # * (1b) closes the computed set under dependencies.  Columns are swept in
@@ -64,17 +81,17 @@ def solve_min_r(graph: DFGraph, S: np.ndarray) -> ScheduleMatrices:
     #   column (< j) is read -- the same single-pass argument as scanning
     #   ``j = t..0`` within one stage.
     #
-    # All marks land strictly below the diagonal seed (parents precede
+    # All marks land strictly below the frontier seed (parents precede
     # children), so the lower-triangular structure is preserved.
-    Sb = S.astype(bool)
-    Rb = np.eye(n, dtype=bool)  # (8a) frontier nodes
-    Rb[:-1] |= Sb[1:] & ~Sb[:-1]  # (1c)
-    for j in range(n - 1, 0, -1):
+    stages = np.asarray(stages)
+    Rb = S_next & ~S_rows  # (1c)
+    Rb[np.arange(stages.size), stages] = True  # (8a) frontier nodes
+    for j in range(int(stages.max(initial=0)), 0, -1):
         preds = graph.predecessors(j)
         if preds:
             preds = list(preds)
-            Rb[:, preds] |= Rb[:, j, None] & ~Sb[:, preds]
-    return ScheduleMatrices(Rb.astype(np.uint8), S)
+            Rb[:, preds] |= Rb[:, j, None] & ~S_rows[:, preds]
+    return Rb
 
 
 def checkpoint_set_to_schedule(graph: DFGraph, checkpoints: set[int] | list[int]) -> ScheduleMatrices:

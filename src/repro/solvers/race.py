@@ -16,7 +16,8 @@ Deadline discipline is belt and braces:
 * a cooperative cancel hook (the same ``should_cancel`` contract the solve
   service uses) is handed to every entrant that accepts one
   (``SolverSpec.accepts_should_cancel``), reaping portfolio candidate loops
-  between roundings;
+  between roundings and the exact ILP's HiGHS run (see
+  :mod:`repro.solvers.highs`);
 * entrants still queued when the deadline fires are cancelled before they
   start, and the pool is joined before returning -- no leaked threads.
 
@@ -231,8 +232,8 @@ def solve_race(
             finally:
                 # Join the pool: queued entrants were cancelled above, and
                 # in-flight ones stop promptly -- their HiGHS limits are
-                # clamped to the deadline and their candidate loops poll the
-                # cancel hook -- so this wait is short and leak-free.
+                # clamped to the deadline, and their candidate loops and
+                # HiGHS waits poll the cancel hook -- so this wait is short.
                 executor.shutdown(wait=True, cancel_futures=True)
             for future, index in futures.items():
                 if future.cancelled():

@@ -532,10 +532,11 @@ class TestWorkerCrash:
         with JobQueue(service, num_workers=1, backend=backend) as queue:
             (pid,) = backend.worker_pids()
             # A solve slow enough to be running when the signal lands: an
-            # exact vgg16 cell below the no-recompute peak (seconds in HiGHS).
-            vgg = build_training_graph("vgg16")
-            job = queue.submit_solve(vgg, "checkmate_ilp",
-                                     float(below_liveness_budget(vgg, 0.5)))
+            # exact resnet_tiny cell below the no-recompute peak, whose
+            # HiGHS time goes to proving the bound (tens of seconds).
+            resnet = build_training_graph("resnet_tiny")
+            job = queue.submit_solve(resnet, "checkmate_ilp",
+                                     float(below_liveness_budget(resnet, 0.5)))
             deadline = time.monotonic() + 30
             while job.state is JobState.QUEUED and time.monotonic() < deadline:
                 time.sleep(0.01)

@@ -13,7 +13,7 @@ from repro.service import SolveService, SolverOptions, default_registry
 from repro.service.cache import PlanCache
 from repro.service.registry import SolverSpec
 from repro.service.solve import _cacheable
-from repro.solvers import DEFAULT_ENTRANTS, build_scheduled_result, solve_race
+from repro.solvers import DEFAULT_ENTRANTS, build_scheduled_result, highs, solve_race
 
 from helpers import tight_budget
 
@@ -308,3 +308,57 @@ def test_liveness_certified_race_starts_no_lane(monkeypatch):
     below = solve_race(graph, peak - 1, deadline_s=60.0)
     assert below.extra.get("certificate") != "liveness"
     assert lp_solves
+
+
+@pytest.mark.skipif(not highs.OBJECT_API,
+                    reason="SciPy without the HiGHS object API")
+def test_cancelled_exact_lane_returns_within_a_fifth_of_a_second(monkeypatch):
+    """HiGHS polls the cancel hook from its interrupt callbacks, so a caller
+    cancel in the middle of branch-and-cut ends the exact lane -- and the
+    race -- within 0.2 s.  The abandoned HiGHS stops at its next callback."""
+    import repro.solvers.ilp as ilp_module
+    from repro.experiments import build_training_graph
+
+    from helpers import below_liveness_budget
+
+    highs_started = threading.Event()
+    real_milp = ilp_module.milp
+
+    def flagging_milp(*args, **kwargs):
+        highs_started.set()
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(ilp_module, "milp", flagging_milp)
+    # Below its no-recompute peak, resnet_tiny spends tens of seconds in
+    # HiGHS proving the bound.
+    graph = build_training_graph("resnet_tiny")
+    budget = below_liveness_budget(graph, 0.5)
+    fired = threading.Event()
+    fired_at = []
+
+    def cancel_mid_search():
+        assert highs_started.wait(60)
+        time.sleep(0.5)
+        fired_at.append(time.monotonic())
+        fired.set()
+
+    trigger = threading.Thread(target=cancel_mid_search)
+    trigger.start()
+    try:
+        result = solve_race(graph, budget, deadline_s=120.0,
+                            entrants=("checkmate_ilp",),
+                            should_cancel=fired.is_set)
+    finally:
+        trigger.join()
+    latency = time.monotonic() - fired_at[0]
+    assert latency <= 0.2, latency
+    race = result.extra["race"]
+    assert race["cancelled"] is True and race["deadline_hit"] is False
+    (lane,) = race["entrants"]
+    assert lane["status"].startswith("cancelled"), lane
+    assert _race_threads() == []
+    abandoned = [t for t in threading.enumerate() if t.name == "repro-highs"]
+    assert len(abandoned) <= 1
+    for runner in abandoned:
+        runner.join(10)
+        assert not runner.is_alive()
