@@ -33,8 +33,9 @@ def test_fig8_rounding_comparison(benchmark, vgg16_flop_graph):
         mean_rand = sum(p["cost"] for p in feasible_rand) / len(feasible_rand)
         assert comp.deterministic_cost <= mean_rand + 1e-6
 
-    # Portfolio overlay: the fixed-0.5 scheme is the deterministic rounding
-    # under another name (same LP, same threshold, same min-R completion),
+    # Portfolio overlay: checkmate_approx (the fixed-0.5 scheme) is the
+    # deterministic rounding served through the registry (same LP, same
+    # threshold, same min-R completion),
     # and the threshold sweep always includes 0.5 among its candidates.
     for key, point in comp.portfolio_points.items():
         print(f"  {key:>22s}: " + (
@@ -42,7 +43,7 @@ def test_fig8_rounding_comparison(benchmark, vgg16_flop_graph):
             if point else "infeasible"))
         if point and comp.ilp_cost is not None:
             assert point["cost"] >= comp.ilp_cost - 1e-6, key
-    fixed = comp.portfolio_points["approx_fixed_half"]
+    fixed = comp.portfolio_points["checkmate_approx"]
     assert fixed is not None and abs(fixed["cost"] - comp.deterministic_cost) <= 1e-6
     sweep = comp.portfolio_points["approx_threshold_sweep"]
     assert sweep is not None and sweep["cost"] <= fixed["cost"] + 1e-6

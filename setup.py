@@ -16,8 +16,8 @@ setup(
                  "daemon and CLI"),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy>=1.17"],
     extras_require={"test": ["pytest"]},
     entry_points={
         "console_scripts": [

@@ -140,8 +140,7 @@ STRATEGIES: Dict[str, SolverSpec] = {spec.key: spec for spec in (
         key="checkmate_approx",
         description="Checkmate two-phase LP rounding approximation (Section 5).",
         general_graphs=True, cost_aware=True, memory_aware=True,
-        solve=functools.partial(solve_rounding_portfolio, scheme="fixed_half",
-                                strategy_name="checkmate-approx-lp"),
+        solve=functools.partial(solve_rounding_portfolio, scheme="fixed_half"),
         in_table1=True,
         # The MILP time limit (``time_limit_s``) deliberately does NOT reach
         # the LP: the experiments pass tight MILP limits that would otherwise

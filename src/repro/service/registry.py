@@ -114,9 +114,9 @@ class SolverRegistry:
         return [spec for spec in self if spec.in_table1]
 
 
-#: SolverOptions fields the ``fixed_half`` scheme understands (it is also
-#: ``checkmate_approx``).  Its one 0.5 threshold draws no samples and no
-#: random numbers, so ``num_samples`` and ``seed`` stay out of its cache token.
+#: SolverOptions fields ``checkmate_approx`` (the ``fixed_half`` scheme)
+#: understands.  Its one 0.5 threshold draws no samples and no random
+#: numbers, so ``num_samples`` and ``seed`` stay out of its cache token.
 FIXED_HALF_OPTIONS = {
     "lp_time_limit_s": "lp_time_limit_s",
     "allowance": "allowance",
@@ -142,16 +142,16 @@ _RACE_OPTIONS = {
     "time_limit_s": "time_limit_s",
 }
 
-#: One-line descriptions of the four portfolio schemes (ROADMAP item 1).
-_PORTFOLIO_DESCRIPTIONS = {
-    "approx_fixed_half": "Two-phase LP rounding at the paper's fixed 0.5 "
-                         "threshold (portfolio baseline).",
-    "approx_threshold_sweep": "Deterministic sweep over the distinct S* "
-                              "thresholds; cheapest feasible rounding wins.",
-    "approx_random_threshold": "Seeded uniform random thresholds on S*; "
-                               "cheapest feasible rounding wins.",
-    "approx_randomized": "Fully randomized Bernoulli(S*) rounding with "
-                         "feasibility retries.",
+#: One-line descriptions of the sampling portfolio schemes, each registered
+#: as ``approx_<scheme>``.  The fourth scheme, ``fixed_half``, is the Table 1
+#: strategy ``checkmate_approx``.
+_SAMPLING_SCHEMES = {
+    "threshold_sweep": "Deterministic sweep over the distinct S* "
+                       "thresholds; cheapest feasible rounding wins.",
+    "random_threshold": "Seeded uniform random thresholds on S*; "
+                        "cheapest feasible rounding wins.",
+    "randomized": "Fully randomized Bernoulli(S*) rounding with "
+                  "feasibility retries.",
 }
 
 
@@ -160,13 +160,13 @@ def default_registry() -> SolverRegistry:
 
     The ten ``baselines.STRATEGIES`` specs are registered as declared; the
     solvers from :mod:`repro.solvers` outside Table 1 (explicit-checkpoint
-    min-R, the rounding portfolio and the race) are added behind the same
-    protocol.
+    min-R, the sampling portfolio schemes and the race) are added behind the
+    same protocol.
     """
     from ..baselines.strategies import STRATEGIES
     from ..solvers.min_r import solve_min_r_schedule
     from ..solvers.race import solve_race
-    from ..solvers.rounding_portfolio import PORTFOLIO_SCHEMES, solve_rounding_portfolio
+    from ..solvers.rounding_portfolio import solve_rounding_portfolio
 
     registry = SolverRegistry(STRATEGIES)
     registry.register(SolverSpec(
@@ -178,14 +178,12 @@ def default_registry() -> SolverRegistry:
         has_budget_knob=False,
         option_map={"checkpoints": "checkpoints"},
     ))
-    for scheme in PORTFOLIO_SCHEMES:
-        key = f"approx_{scheme}"
+    for scheme, description in _SAMPLING_SCHEMES.items():
         registry.register(SolverSpec(
-            key=key,
-            description=_PORTFOLIO_DESCRIPTIONS[key],
+            key=f"approx_{scheme}",
+            description=description,
             solve=functools.partial(solve_rounding_portfolio, scheme=scheme),
-            option_map=(FIXED_HALF_OPTIONS if scheme == "fixed_half"
-                        else _PORTFOLIO_OPTIONS),
+            option_map=_PORTFOLIO_OPTIONS,
             uses_formulation=True,
             accepts_should_cancel=True,
         ))

@@ -2,7 +2,7 @@
 
 This module translates the paper's optimization problem (Sections 4.1-4.8)
 into sparse standard-form arrays (:class:`FormulationArrays`) for
-:func:`scipy.optimize.milp` / HiGHS.  Two variants are supported:
+HiGHS through :func:`repro.solvers.highs.milp`.  Two variants are supported:
 
 * the **frontier-advancing** (partitioned) formulation of §4.6 / Eq. (9), in
   which stage ``t`` is the first stage where node ``v_t`` is evaluated, making

@@ -24,9 +24,9 @@ The result carries the fields the solvers read from SciPy's:
 ``mip_gap`` and ``mip_node_count``.  Unlike SciPy, a MIP stopped by a limit
 or an interrupt returns its best solution whenever it has one.
 
-The object API path is tested against HiGHS 1.12 (SciPy 1.17).  With an
-older bundled HiGHS, or none (older SciPy), :func:`milp` delegates to
-``scipy.optimize.milp``; ``start`` and ``should_cancel`` are then ignored.
+The object API is tested against HiGHS 1.12, which SciPy 1.17 bundles; the
+package requires that SciPy, and importing this module with an older
+bundled HiGHS raises :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -38,33 +38,28 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, OptimizeResult
-from scipy.optimize import milp as scipy_milp
+from scipy.optimize._highspy import _core
 
-try:
-    from scipy.optimize._highspy import _core
+if (_core.HIGHS_VERSION_MAJOR, _core.HIGHS_VERSION_MINOR) < (1, 12):
+    raise ImportError(
+        f"repro needs HiGHS 1.12 or newer (SciPy >= 1.17); this SciPy bundles "
+        f"HiGHS {_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}")
 
-    if (_core.HIGHS_VERSION_MAJOR, _core.HIGHS_VERSION_MINOR) < (1, 12):
-        raise ImportError("HiGHS older than 1.12")
-    _Status = _core.HighsModelStatus
-    _SCIPY_STATUS = {
-        _Status.kOptimal: 0,
-        _Status.kTimeLimit: 1,
-        _Status.kIterationLimit: 1,
-        _Status.kInfeasible: 2,
-        _Status.kUnbounded: 3,
-    }
-    #: Statuses at which a MIP may hold a feasible (non-optimal) solution.
-    _STOPPED = frozenset({_Status.kTimeLimit, _Status.kIterationLimit,
-                          _Status.kSolutionLimit, _Status.kInterrupt})
-    _INTERRUPTS = (_core.cb.HighsCallbackType.kCallbackMipInterrupt,
-                   _core.cb.HighsCallbackType.kCallbackSimplexInterrupt)
-except (ImportError, AttributeError):  # pragma: no cover - SciPy without it
-    _core = None
+__all__ = ["milp"]
 
-__all__ = ["milp", "OBJECT_API"]
-
-#: Whether :func:`milp` drives HiGHS's object API (``False``: SciPy fallback).
-OBJECT_API = _core is not None
+_Status = _core.HighsModelStatus
+_SCIPY_STATUS = {
+    _Status.kOptimal: 0,
+    _Status.kTimeLimit: 1,
+    _Status.kIterationLimit: 1,
+    _Status.kInfeasible: 2,
+    _Status.kUnbounded: 3,
+}
+#: Statuses at which a MIP may hold a feasible (non-optimal) solution.
+_STOPPED = frozenset({_Status.kTimeLimit, _Status.kIterationLimit,
+                      _Status.kSolutionLimit, _Status.kInterrupt})
+_INTERRUPTS = (_core.cb.HighsCallbackType.kCallbackMipInterrupt,
+               _core.cb.HighsCallbackType.kCallbackSimplexInterrupt)
 
 #: A sparse assignment ``(indices, values)`` of the variable vector.
 Start = Tuple[np.ndarray, np.ndarray]
@@ -134,9 +129,6 @@ def milp(c, *, integrality=None, bounds: Optional[Bounds] = None,
     returns true the solve ends (status 4) with the solution HiGHS holds if
     its callback stopped it, or none if the caller stopped waiting first.
     """
-    if not OBJECT_API:
-        return scipy_milp(c, integrality=integrality, bounds=bounds,
-                          constraints=constraints, options=options)
     c = np.asarray(c, dtype=np.float64)
     n = c.size
     A = sparse.csc_array(constraints.A)

@@ -235,7 +235,7 @@ def solve_ilp_rematerialization(
             if lp.feasible and not certified():
                 rounding = solve_rounding_portfolio(
                     graph, budget, scheme="threshold_sweep", allowance=0.0,
-                    lp_result=lp, strategy_name=strategy_name)
+                    lp_result=lp)
                 if rounding.feasible and (incumbent is None
                                           or rounding.compute_cost < incumbent.cost):
                     incumbent = _Incumbent(rounding.matrices, rounding.compute_cost,

@@ -59,13 +59,15 @@ __all__ = [
     "solve_rounding_portfolio",
 ]
 
-#: Scheme name -> registry strategy key.  Ordering matters: it is the default
-#: entrant order of the race meta-solver (cheapest first).
+#: Scheme names and their registry strategy keys, in the same order.
+#: Ordering matters: it is the default entrant order of the race meta-solver
+#: (cheapest first).  ``fixed_half`` is the Table 1 ``checkmate_approx``; the
+#: others register as ``approx_<scheme>``.
 PORTFOLIO_SCHEMES: Tuple[str, ...] = (
     "fixed_half", "threshold_sweep", "random_threshold", "randomized",
 )
-PORTFOLIO_STRATEGY_KEYS: Tuple[str, ...] = tuple(
-    f"approx_{scheme}" for scheme in PORTFOLIO_SCHEMES
+PORTFOLIO_STRATEGY_KEYS: Tuple[str, ...] = ("checkmate_approx",) + tuple(
+    f"approx_{scheme}" for scheme in PORTFOLIO_SCHEMES[1:]
 )
 
 
@@ -173,7 +175,6 @@ def solve_rounding_portfolio(
     seed: int = 0,
     lp_time_limit_s: float = 600.0,
     lp_result: Optional[LPRelaxationResult] = None,
-    strategy_name: Optional[str] = None,
     should_cancel: Optional[Callable[[], bool]] = None,
 ) -> ScheduledResult:
     """Solve via one portfolio scheme: shared LP relaxation + rounding search.
@@ -196,7 +197,8 @@ def solve_rounding_portfolio(
             f"unknown portfolio scheme {scheme!r}; known: {PORTFOLIO_SCHEMES}")
     if not (0.0 <= allowance < 1.0):
         raise ValueError("allowance must be in [0, 1)")
-    strategy_name = strategy_name or f"approx_{scheme}"
+    strategy_name = ("checkmate-approx-lp" if scheme == "fixed_half"
+                     else f"approx_{scheme}")
     samples = max(1, int(num_samples)) if num_samples is not None \
         else _DEFAULT_SAMPLES[scheme]
 

@@ -62,7 +62,7 @@ FULL_OPTIONS = SolverOptions(
     seed=7,
     checkpoints=(4, 1, 2),
     deadline_s=2.5,
-    entrants=("approx_fixed_half", "checkmate_ilp"),
+    entrants=("checkmate_approx", "checkmate_ilp"),
 )
 
 

@@ -9,11 +9,10 @@ Two layers of randomized cross-checking:
   correctness-constraint violations anywhere, feasible claims respect the
   budget, no approximation ever beats the exact optimum, the threshold sweep
   dominates the fixed threshold, and two schemes match test-side references
-  for the paper's Algorithm 2 as written: ``approx_fixed_half`` is
-  ``solve_min_r(S* > 0.5)`` on the same LP, and ``approx_randomized`` the
-  cheapest fitting completion of the seeded ``rng.random(S.shape) < S*``
-  stream.  Whenever the exact
-  ILP answers ``gap-certified`` (its LP rounding met the LP bound), the
+  for the paper's Algorithm 2 as written: ``fixed_half`` (the scheme
+  ``checkmate_approx`` serves) is ``solve_min_r(S* > 0.5)`` on the same LP,
+  and ``randomized`` the cheapest fitting completion of the seeded
+  ``rng.random(S.shape) < S*`` stream.  Whenever the exact ILP answers ``gap-certified`` (its LP rounding met the LP bound), the
   certificate is checked against HiGHS run directly on the same formulation
   -- a liveness certificate (the no-recompute schedule fit) must also cost
   exactly ``sum(C)``, which HiGHS must not undercut; six model-preset cells

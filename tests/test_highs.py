@@ -1,10 +1,9 @@
 """The HiGHS drop-in: ``scipy.optimize.milp`` parity, MIP starts, interrupts
-and the SciPy fallback."""
+and the HiGHS version floor."""
 
 from __future__ import annotations
 
 import importlib.util
-import sys
 import threading
 import time
 
@@ -43,10 +42,6 @@ def _problem(preset, batch, fraction, *, integral=True):
     return graph, budget, formulation, kwargs
 
 
-needs_object_api = pytest.mark.skipif(
-    not highs.OBJECT_API, reason="SciPy without the HiGHS object API")
-
-
 @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-b{c[1]}")
 def test_lp_relaxation_matches_scipy(cell):
     *_, kwargs = _problem(*cell, integral=False)
@@ -67,7 +62,6 @@ def test_milp_matches_scipy(cell):
     assert ours.mip_node_count >= 1
 
 
-@needs_object_api
 def test_started_milp_is_no_worse_than_its_start():
     graph, budget, formulation, kwargs = _problem("linear_cnn", 64, 0.1)
     start = repair_schedule(graph, budget)
@@ -80,7 +74,6 @@ def test_started_milp_is_no_worse_than_its_start():
         graph, start) * (1 + 1e-9)
 
 
-@needs_object_api
 def test_cancelled_milp_stops_on_its_start_or_nothing():
     """A hook that is already true ends the solve before HiGHS searches:
     it reports its start when its own callback stopped it, or nothing when
@@ -101,7 +94,6 @@ def _highs_threads():
     return [t for t in threading.enumerate() if t.name == "repro-highs"]
 
 
-@needs_object_api
 def test_abandoned_runs_never_outnumber_the_slots(monkeypatch):
     """A cancelled caller stops waiting within 0.2 s, but its HiGHS runs on
     to its next interrupt callback, holding its slot.  With one slot,
@@ -121,35 +113,15 @@ def test_abandoned_runs_never_outnumber_the_slots(monkeypatch):
     assert _highs_threads() == []
 
 
-@pytest.mark.parametrize("missing", ["module", "version"])
-def test_failed_object_api_import_falls_back_to_scipy(monkeypatch, missing):
-    """Without ``_highspy._core``, or with a HiGHS older than 1.12, the
-    drop-in is ``scipy.optimize.milp``: start and cancel hook are ignored
-    and the problem still solves."""
-    if missing == "module":
-        highspy_pkg = sys.modules.get("scipy.optimize._highspy")
-        if highspy_pkg is not None:
-            monkeypatch.delattr(highspy_pkg, "_core", raising=False)
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-    else:
-        core = pytest.importorskip("scipy.optimize._highspy._core")
-        monkeypatch.setattr(core, "HIGHS_VERSION_MAJOR", 1)
-        monkeypatch.setattr(core, "HIGHS_VERSION_MINOR", 11)
+def test_highs_older_than_1_12_fails_the_import(monkeypatch):
+    """The object API is tested against HiGHS 1.12 (SciPy 1.17): an older
+    bundled HiGHS stops the import instead of reaching methods that differ."""
+    monkeypatch.setattr(highs._core, "HIGHS_VERSION_MAJOR", 1)
+    monkeypatch.setattr(highs._core, "HIGHS_VERSION_MINOR", 11)
     spec = importlib.util.find_spec("repro.solvers.highs")
-    fallback = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fallback)
-    assert fallback.OBJECT_API is False
-
-    calls = []
-    real = fallback.scipy_milp
-    monkeypatch.setattr(fallback, "scipy_milp",
-                        lambda *a, **k: calls.append(k) or real(*a, **k))
-    graph, budget, formulation, kwargs = _problem("linear_cnn", 64, 0.1)
-    start = formulation.start_entries(repair_schedule(graph, budget))
-    res = fallback.milp(start=start, should_cancel=lambda: True, **kwargs)
-    assert len(calls) == 1 and "start" not in calls[0]
-    assert res.status == 0
-    assert res.fun == pytest.approx(highs.milp(**kwargs).fun, rel=1e-4)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.raises(ImportError, match="SciPy >= 1.17"):
+        spec.loader.exec_module(module)
 
 
 def test_solver_uses_the_drop_in():

@@ -171,9 +171,8 @@ def test_removed_options_are_unknown(name, option, client):
 #: submission.  ``None`` budget: every formulation solver needs one.
 CLIENT_ERRORS = {
     **{f"no-budget-{key}": {"strategy": key, "budget": None}
-       for key in ("checkmate_ilp", "checkmate_approx", "approx_fixed_half",
-                   "approx_threshold_sweep", "approx_random_threshold",
-                   "approx_randomized", "race")},
+       for key in ("checkmate_ilp", "checkmate_approx", "approx_threshold_sweep",
+                   "approx_random_threshold", "approx_randomized", "race")},
     "allowance-1.5": {"strategy": "checkmate_approx",
                       "options": {"allowance": 1.5}},
     "checkpoint-outside-graph": {"strategy": "min_r",

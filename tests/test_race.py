@@ -13,7 +13,7 @@ from repro.service import SolveService, SolverOptions, default_registry
 from repro.service.cache import PlanCache
 from repro.service.registry import SolverSpec
 from repro.service.solve import _cacheable
-from repro.solvers import DEFAULT_ENTRANTS, build_scheduled_result, highs, solve_race
+from repro.solvers import DEFAULT_ENTRANTS, build_scheduled_result, solve_race
 
 from helpers import tight_budget
 
@@ -64,14 +64,14 @@ def test_race_returns_best_so_far_under_slow_entrant():
 
     start = time.monotonic()
     result = solve_race(graph, budget, deadline_s=3.0,
-                        entrants=("approx_fixed_half", "slow_stub"),
+                        entrants=("checkmate_approx", "slow_stub"),
                         registry=registry)
     elapsed = time.monotonic() - start
 
     assert result.feasible, result.solver_status
     assert schedule_peak_memory(graph, result.matrices) <= budget
     race = result.extra["race"]
-    assert race["winner"] == "approx_fixed_half"
+    assert race["winner"] == "checkmate_approx"
     assert race["deadline_hit"] is True
     # The stub either got reaped mid-sleep or was cancelled before starting.
     stub_lane = next(l for l in race["entrants"] if l["strategy"] == "slow_stub")
@@ -115,7 +115,7 @@ def test_race_caller_cancel_returns_best_so_far_or_cancelled_verdict():
     trigger.start()
     try:
         result = solve_race(graph, budget, deadline_s=60.0,
-                            entrants=("approx_fixed_half", "slow_stub"),
+                            entrants=("checkmate_approx", "slow_stub"),
                             registry=registry,
                             should_cancel=should_cancel)
     finally:
@@ -125,7 +125,7 @@ def test_race_caller_cancel_returns_best_so_far_or_cancelled_verdict():
     assert race["cancelled"] is True
     assert race["deadline_hit"] is False
     if result.feasible:
-        assert race["winner"] == "approx_fixed_half"
+        assert race["winner"] == "checkmate_approx"
     else:
         assert result.solver_status == "race-cancelled"
     assert _race_threads() == []
@@ -184,7 +184,7 @@ def test_feasible_race_result_is_cached_per_deadline():
     service = SolveService(cache=PlanCache(max_entries=8))
     graph = _graph()
     budget = tight_budget(graph, 0.6)
-    entrants = ("approx_fixed_half",)
+    entrants = ("checkmate_approx",)
 
     first = service.solve(graph, "race", budget, SolverOptions(
         deadline_s=60.0, entrants=entrants))
@@ -208,7 +208,7 @@ def test_cancel_cut_feasible_results_are_not_cacheable():
     graph = _graph()
     # Proven (deterministic) rounding failure: cacheable.
     clean = build_scheduled_result(
-        "approx_fixed_half", graph, None, budget=100, feasible=False,
+        "checkmate-approx-lp", graph, None, budget=100, feasible=False,
         solve_time_s=0.0, solver_status="rounding-exceeded-budget")
     assert _cacheable(clean), "proven rounding failure should cache"
     # A feasible schedule from an uninterrupted solve: cacheable.
@@ -232,7 +232,7 @@ def test_race_statistics_flow_into_service_counters():
     graph = _graph()
     budget = tight_budget(graph, 0.6)
     service.solve(graph, "race", budget, SolverOptions(
-        deadline_s=60.0, entrants=("approx_fixed_half",)))
+        deadline_s=60.0, entrants=("checkmate_approx",)))
     service.solve(graph, "race", budget, SolverOptions(
         deadline_s=0.0))
     snap = service.statistics()["race"]
@@ -303,15 +303,13 @@ def test_liveness_certified_race_starts_no_lane(monkeypatch):
 
     # Without the ILP entrant, or one byte below the peak, the lanes run.
     lanes = solve_race(graph, peak, deadline_s=60.0,
-                       entrants=("approx_fixed_half",)).extra["race"]["entrants"]
+                       entrants=("checkmate_approx",)).extra["race"]["entrants"]
     assert lanes[0]["status"] != "skipped-certified"
     below = solve_race(graph, peak - 1, deadline_s=60.0)
     assert below.extra.get("certificate") != "liveness"
     assert lp_solves
 
 
-@pytest.mark.skipif(not highs.OBJECT_API,
-                    reason="SciPy without the HiGHS object API")
 def test_cancelled_exact_lane_returns_within_a_fifth_of_a_second(monkeypatch):
     """HiGHS polls the cancel hook from its interrupt callbacks, so a caller
     cancel in the middle of branch-and-cut ends the exact lane -- and the

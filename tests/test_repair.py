@@ -25,7 +25,6 @@ from repro.solvers import (
     FormulationCache,
     LPRelaxationCache,
     formulation_and_arrays,
-    highs,
     solve_ilp_rematerialization,
     solve_lp_relaxation,
     solve_min_r,
@@ -167,8 +166,6 @@ class TestStartedSolve:
         assert result.compute_cost == schedule_compute_cost(
             graph, repair_schedule(graph, budget))
 
-    @pytest.mark.skipif(not highs.OBJECT_API,
-                        reason="SciPy without the HiGHS object API")
     def test_cancelled_solve_returns_its_incumbent_uncached(self, graph_and_budget):
         graph, budget = graph_and_budget
         result = solve_ilp_rematerialization(graph, budget, should_cancel=lambda: True)
@@ -200,3 +197,18 @@ class TestStartedSolve:
         for again in (warm, cold):
             assert again.matrices.R.tobytes() == first.matrices.R.tobytes()
             assert again.matrices.S.tobytes() == first.matrices.S.tobytes()
+
+    def test_hooked_and_unhooked_runs_agree(self, graph_and_budget):
+        """HiGHS runs on the caller's thread without a cancel hook (process
+        workers, library calls) and on a ``repro-highs`` thread with one (the
+        thread backend): a hook that never fires changes nothing."""
+        graph, budget = graph_and_budget
+        polls = []
+        hooked = solve_ilp_rematerialization(
+            graph, budget, should_cancel=lambda: polls.append(1) or False)
+        plain = solve_ilp_rematerialization(graph, budget)
+        assert polls
+        assert hooked.solver_status == plain.solver_status == "optimal"
+        assert hooked.compute_cost == plain.compute_cost
+        assert hooked.matrices.R.tobytes() == plain.matrices.R.tobytes()
+        assert hooked.matrices.S.tobytes() == plain.matrices.S.tobytes()

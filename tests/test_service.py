@@ -27,6 +27,9 @@ from repro.service import (
     graph_content_hash,
 )
 from repro.service import hashing
+from repro.solvers.rounding_portfolio import (PORTFOLIO_SCHEMES,
+                                              PORTFOLIO_STRATEGY_KEYS,
+                                              solve_rounding_portfolio)
 from repro.utils.serialization import META_TAGS, graph_from_wire, graph_to_wire
 
 
@@ -317,6 +320,24 @@ class TestRegistry:
         # The reference branch-and-bound is a test oracle, not a strategy.
         assert "checkmate_bnb" not in registry
 
+    @pytest.mark.parametrize("index", range(len(PORTFOLIO_SCHEMES)))
+    def test_each_portfolio_scheme_has_exactly_one_key(self, index):
+        """The race's default entrants and the rounding comparison name each
+        scheme by ``PORTFOLIO_STRATEGY_KEYS``: that key must be the only
+        registered one running the scheme, and a direct call must name its
+        result after it."""
+        scheme, key = PORTFOLIO_SCHEMES[index], PORTFOLIO_STRATEGY_KEYS[index]
+        registry = default_registry()
+        assert len(registry) == 15
+        runs_scheme = [spec.key for spec in registry
+                       if getattr(spec.solve, "keywords", {}).get("scheme") == scheme]
+        assert runs_scheme == [key]
+        graph = make_chain_train()
+        result = solve_rounding_portfolio(graph, tight_budget(graph),
+                                          scheme=scheme)
+        assert result.strategy == ("checkmate-approx-lp" if key == "checkmate_approx"
+                                   else key)
+
     def test_unknown_key_raises_with_suggestions(self):
         with pytest.raises(KeyError, match="available"):
             default_registry().get("definitely_not_a_solver")
@@ -436,7 +457,8 @@ class TestSolveAndCache:
 
     def test_checkmate_approx_shares_the_portfolio_lp(self):
         """``checkmate_approx`` is the portfolio's ``fixed_half`` scheme, so
-        solving both on one cell pays for one LP relaxation, not two."""
+        solving it and another scheme on one cell pays for one LP
+        relaxation, not two."""
         graph = make_chain_train()
         budget = tight_budget(graph, 0.6) + 0.375  # a budget no other test solves
         service = fresh_service()
@@ -447,11 +469,9 @@ class TestSolveAndCache:
         before = lp_solves()
         approx = service.solve(graph, "checkmate_approx", budget)
         assert lp_solves() - before == 1  # through the shared cache
-        fixed = service.solve(graph, "approx_fixed_half", budget)
+        service.solve(graph, "approx_threshold_sweep", budget)
         assert lp_solves() - before == 1  # reused, not solved again
         assert approx.strategy == "checkmate-approx-lp"
-        assert np.array_equal(approx.matrices.S, fixed.matrices.S)
-        assert np.array_equal(approx.matrices.R, fixed.matrices.R)
 
     def test_options_participate_in_cache_key(self):
         graph = make_chain_train()

@@ -480,7 +480,7 @@ class TestParetoTracer:
 
         g = make_chain_train()
         peak = no_recompute_peak(g)
-        front = SolveService().pareto(g, "approx_fixed_half")
+        front = SolveService().pareto(g, "checkmate_approx")
         at_peak = next(p for p in front.points if p.budget == peak)
         assert at_peak.compute_cost > g.total_cost()
         assert front.high == schedule_peak_memory(g, checkpoint_all_schedule(g))
